@@ -1,12 +1,13 @@
 # Developer entry points. `make check` is the tier-1 gate from
 # ROADMAP.md: build, tests, race detector, vet, lint, plus one-round
-# bench smokes (fast path, wire transports, batch, telemetry overhead)
-# and a short wire-codec fuzz so the cached, uncached and remote decide
+# bench smokes (fast path, wire transports, batch, telemetry overhead),
+# a short wire-codec fuzz and a two-second run of the out-of-process
+# benchmark's cold workload so the cached, uncached and remote decide
 # paths are exercised end to end on every merge.
 
 GO ?= go
 
-.PHONY: build test race vet lint check verify-policies fuzz-wire bench-smoke bench bench-obs bench-obs-smoke bench-fastpath bench-fastpath-smoke bench-wire bench-wire-smoke bench-batch bench-batch-smoke bench-client bench-client-smoke bench-replica bench-replica-smoke bench-compare clean
+.PHONY: build test race vet lint check verify-policies fuzz-wire bench-smoke bench bench-obs bench-obs-smoke bench-fastpath bench-fastpath-smoke bench-wire bench-wire-smoke bench-batch bench-batch-smoke bench-client bench-client-smoke bench-replica bench-replica-smoke bench-e2e-smoke bench-compare clean
 
 build:
 	$(GO) build ./...
@@ -29,7 +30,7 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/rbacvet ./...
 
-check: build test race vet lint verify-policies fuzz-wire bench-fastpath-smoke bench-wire-smoke bench-client-smoke bench-batch-smoke bench-obs-smoke bench-replica-smoke
+check: build test race vet lint verify-policies fuzz-wire bench-fastpath-smoke bench-wire-smoke bench-client-smoke bench-batch-smoke bench-obs-smoke bench-replica-smoke bench-e2e-smoke
 
 # verify-policies runs the bounded symbolic verifier over every example
 # policy. Files named *-violating.acp are seeded-unsafe fixtures and
@@ -136,6 +137,18 @@ bench-replica: build
 
 bench-replica-smoke: build
 	$(GO) run ./cmd/bench -exp REPLICA -smoke
+
+# bench-e2e-smoke runs the repository's benchmark (BENCHMARK.json,
+# benchmark/README.md) for two seconds on the workload where every
+# decision is a verdict-cache miss and an insert: a real rbacd child,
+# every verdict checked against the oracle, the cache's hit share gated
+# (the exit code carries both). Then the multi-session batch probe: 200
+# 256-tuple frames spanning 64 sessions each against a multi-lane
+# server; the probe exits 0 even when the server dies, so its verdict
+# line is what is checked.
+bench-e2e-smoke: build
+	$(GO) run ./benchmark -workload cold_batch -seconds 2 -trace 0
+	$(GO) run ./benchmark -probe multi_session_batch | grep -q 'multi_session_batch: ok'
 
 # bench-compare diffs two benchmark JSON series benchstat-style, e.g.
 #   make bench-compare OLD=BENCH_lanes.json NEW=BENCH_fastpath.json

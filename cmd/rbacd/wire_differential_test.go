@@ -46,7 +46,9 @@ func wireStressPolicy(windowStart string) string {
 // included) through the sequential per-tuple path, in-process
 // CheckAccessBatch, HTTP POST /v1/check-batch, and the batch-native
 // CHECK_BATCH wire path, all required to agree element-wise in input
-// order, while churn goroutines hammer the invalidation machinery: equivalent
+// order, and a participant sending 256-tuple frames that span 64
+// sessions over the same three batch paths,
+// while churn goroutines hammer the invalidation machinery: equivalent
 // policy hot-reloads through POST /v1/policy (exercising the server's
 // swap lock against concurrent checks on every path), enable/disable
 // flips of an unrelated role, and simulated-clock advances that swing a
@@ -61,6 +63,7 @@ func TestWireDifferential(t *testing.T) {
 	sim := activerbac.NewSimClock(epoch)
 	sys, err := activerbac.Open(wireStressPolicy("09:00:00"), &activerbac.Options{
 		Clock:    sim,
+		Lanes:    4,    // scope groups of one batch frame run on different lanes
 		FastPath: true, // the wire path must agree with cached verdicts too
 		// Sampled tracing at a vanishing rate: the trace machinery is live
 		// (client-forced traces work, and the end-of-run traced
@@ -407,6 +410,71 @@ func TestWireDifferential(t *testing.T) {
 			}
 		}(w)
 	}
+
+	// The multi-session batch participant: 64 sessions of its own (four
+	// per user, the user's worker role active in each, never mutated) and
+	// one 256-tuple frame per round that spans all of them — 64 scope
+	// groups the four lanes deliver concurrently. Every element must equal
+	// the sequential per-tuple verdict and the model on the in-process
+	// batch path, HTTP /v1/check-batch and the batch-native wire
+	// CHECK_BATCH, under the same churn as the workers.
+	workers.Add(1)
+	go func() {
+		defer workers.Done()
+		const nSessions, nTuples = 64, 256
+		sids := make([]activerbac.SessionID, nSessions)
+		for i := range sids {
+			user := activerbac.UserID(fmt.Sprintf("u%02d", i%16))
+			sid, err := sys.CreateSession(user)
+			if err == nil {
+				err = sys.AddActiveRole(user, sid, activerbac.RoleID(fmt.Sprintf("W%d", i%8)))
+			}
+			if err != nil {
+				t.Errorf("multi-session batch: session %d: %v", i, err)
+				return
+			}
+			sids[i] = sid
+		}
+		checks := make([]activerbac.BatchCheck, nTuples)
+		reqs := make([]wire.CheckRequest, nTuples)
+		want := make([]bool, nTuples)
+		for round := 0; round < iters; round++ {
+			for i := range checks {
+				s := (i + round) % nSessions
+				r := s % 8 // the session's role; every third tuple asks a foreign permission
+				want[i] = i%3 != 0
+				if !want[i] {
+					r = (r + 1) % 8
+				}
+				checks[i] = activerbac.BatchCheck{Session: string(sids[s]), Operation: fmt.Sprintf("op%d", r), Object: fmt.Sprintf("obj%d", r)}
+				reqs[i] = wire.CheckRequest{Session: checks[i].Session, Operation: checks[i].Operation, Object: checks[i].Object}
+			}
+			inProc := sys.CheckAccessBatch(checks, nil)
+			overHTTP, err := httpCheckBatch(checks)
+			if err != nil {
+				t.Errorf("multi-session batch: round %d: http: %v", round, err)
+				return
+			}
+			overWire, err := wc.CheckMany(reqs)
+			if err != nil {
+				t.Errorf("multi-session batch: round %d: wire: %v", round, err)
+				return
+			}
+			if len(inProc) != nTuples || len(overHTTP) != nTuples || len(overWire) != nTuples {
+				t.Errorf("multi-session batch: round %d: verdict counts: in-process=%d http=%d wire=%d, want %d",
+					round, len(inProc), len(overHTTP), len(overWire), nTuples)
+				return
+			}
+			for i, c := range checks {
+				seq := sys.CheckAccessTuple(c.Session, c.Operation, c.Object)
+				if seq != want[i] || seq != inProc[i] || seq != overHTTP[i] || seq != overWire[i] {
+					t.Errorf("multi-session batch: round %d: verdict[%d] (%+v): model=%v sequential=%v in-process=%v http=%v wire=%v",
+						round, i, c, want[i], seq, inProc[i], overHTTP[i], overWire[i])
+					return
+				}
+			}
+		}
+	}()
 
 	workers.Wait()
 	stop.Store(true)

@@ -53,14 +53,14 @@ func (s *Store) deleteSessionLocked(sid SessionID) {
 // SessionExists reports whether sid names a live session (the paper's
 // "sessionId IN sessionL"). Reads the published view: lock-free.
 func (s *Store) SessionExists(sid SessionID) bool {
-	_, ok := s.view.Load().sessions[sid]
+	_, ok := s.view.Load().session(sid)
 	return ok
 }
 
 // SessionUser returns the owner of a session. Reads the published view:
 // lock-free.
 func (s *Store) SessionUser(sid SessionID) (UserID, error) {
-	sv, ok := s.view.Load().sessions[sid]
+	sv, ok := s.view.Load().session(sid)
 	if !ok {
 		return "", fmt.Errorf("session %q: %w", sid, ErrNotFound)
 	}
@@ -71,7 +71,7 @@ func (s *Store) SessionUser(sid SessionID) (UserID, error) {
 // it reports whether sid is a live session owned by u. Reads the
 // published view: lock-free.
 func (s *Store) CheckUserSession(u UserID, sid SessionID) bool {
-	sv, ok := s.view.Load().sessions[sid]
+	sv, ok := s.view.Load().session(sid)
 	return ok && sv.user == u
 }
 
@@ -315,7 +315,7 @@ func (s *Store) DropActiveRole(u UserID, sid SessionID, r RoleID) error {
 // published view — one atomic load, no lock, no allocation — so
 // concurrent decisions scale with cores.
 func (s *Store) CheckAccess(sid SessionID, p Permission) bool {
-	sv, ok := s.view.Load().sessions[sid]
+	sv, ok := s.view.Load().session(sid)
 	if !ok || sv.locked {
 		return false
 	}

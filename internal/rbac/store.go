@@ -85,10 +85,7 @@ func NewStore() *Store {
 		dsd:            make(map[string]*SoDSet),
 		maxActiveRoles: make(map[UserID]int),
 	}
-	s.view.Store(&accessView{
-		perms:    map[RoleID]map[Permission]struct{}{},
-		sessions: map[SessionID]*sessionView{},
-	})
+	s.view.Store(&accessView{perms: map[RoleID]map[Permission]struct{}{}})
 	return s
 }
 

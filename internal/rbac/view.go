@@ -1,5 +1,7 @@
 package rbac
 
+import "maps"
+
 // Copy-on-write read path. The hot enforcement predicates — CheckAccess
 // and the session lookups the CA1 rule and the facade issue per request
 // — read an immutable accessView published through an atomic pointer:
@@ -13,9 +15,24 @@ package rbac
 //     and every session projection, and bump the view epoch — the
 //     decision fast path invalidates its cache wholesale on the bump;
 //   - session mutations (create/delete session, role (de)activation)
-//     copy the session map and rebuild only the touched session,
-//     reusing the effective-permission maps; the epoch is unchanged
-//     and the fast path invalidates just that session.
+//     path-copy a fixed two-level index of small session maps: the
+//     view's array of viewFanout shard pointers, the touched shard's
+//     array of viewFanout leaf maps, and the one leaf the session
+//     hashes to, with only that session rebuilt in it. Everything else
+//     — the effective-permission maps, the other shards and leaves — is
+//     shared with the previous view. A leaf holds live sessions /
+//     viewFanout², so the cost is flat up to tens of thousands of
+//     sessions; the epoch is unchanged and the fast path invalidates
+//     just that session.
+
+// viewFanout is the width of both levels of the session index, a power
+// of two: viewFanout shards of viewFanout leaf maps each.
+const viewFanout = 64
+
+// sessionLeaves is one shard of the session index: the leaf maps of the
+// sessions whose hash selects this shard, by the hash's next bits. A nil
+// leaf is an empty one.
+type sessionLeaves [viewFanout]map[SessionID]*sessionView
 
 // accessView is the immutable read-side projection of the store. Fields
 // are written only by the builders below and never after publication.
@@ -30,8 +47,33 @@ type accessView struct {
 	// inherits. Maps are freshly built per policy publication and never
 	// alias the store's canonical maps.
 	perms map[RoleID]map[Permission]struct{}
-	// sessions projects each live session for the access decision.
-	sessions map[SessionID]*sessionView
+	// sessions projects each live session for the access decision,
+	// indexed by sessionSlot; a nil shard is an empty one. Views share
+	// the shards and leaf maps a publication did not touch.
+	sessions [viewFanout]*sessionLeaves
+}
+
+// session returns sid's projection in the view.
+func (v *accessView) session(sid SessionID) (*sessionView, bool) {
+	shard, leaf := sessionSlot(sid)
+	leaves := v.sessions[shard]
+	if leaves == nil {
+		return nil, false
+	}
+	sv, ok := leaves[leaf][sid]
+	return sv, ok
+}
+
+// sessionSlot is the shard and leaf a session id hashes to (FNV-1a,
+// folded: session ids differ in their last bytes).
+func sessionSlot(sid SessionID) (shard, leaf int) {
+	h := uint32(2166136261)
+	for i := 0; i < len(sid); i++ {
+		h ^= uint32(sid[i])
+		h *= 16777619
+	}
+	h ^= h >> 16
+	return int(h & (viewFanout - 1)), int(h / viewFanout & (viewFanout - 1))
 }
 
 // sessionView is one session's projection: the owner, the owner's lock
@@ -64,11 +106,19 @@ func (s *Store) Epoch() uint64 { return s.view.Load().epoch }
 // and all session projections — and bumps the epoch. Caller holds s.mu
 // (write side).
 func (s *Store) publishPolicyLocked() {
-	old := s.view.Load()
+	s.view.Store(s.projectLocked(s.view.Load().epoch + 1))
+	if h := s.chook; h != nil {
+		h(true, "")
+	}
+}
+
+// projectLocked builds the view of the store's current state from
+// scratch, shards and leaf maps allocated as sessions land in them.
+// Caller holds s.mu.
+func (s *Store) projectLocked(epoch uint64) *accessView {
 	v := &accessView{
-		epoch:    old.epoch + 1,
-		perms:    make(map[RoleID]map[Permission]struct{}, len(s.roles)),
-		sessions: make(map[SessionID]*sessionView, len(s.sessions)),
+		epoch: epoch,
+		perms: make(map[RoleID]map[Permission]struct{}, len(s.roles)),
 	}
 	for r := range s.roles {
 		eff := make(map[Permission]struct{})
@@ -80,32 +130,42 @@ func (s *Store) publishPolicyLocked() {
 		v.perms[r] = eff
 	}
 	for sid := range s.sessions {
-		v.sessions[sid] = s.sessionViewLocked(sid, v.perms)
+		shard, leaf := sessionSlot(sid)
+		if v.sessions[shard] == nil {
+			v.sessions[shard] = new(sessionLeaves)
+		}
+		leaves := v.sessions[shard]
+		if leaves[leaf] == nil {
+			leaves[leaf] = make(map[SessionID]*sessionView, 1)
+		}
+		leaves[leaf][sid] = s.sessionViewLocked(sid, v.perms)
 	}
-	s.view.Store(v)
-	if h := s.chook; h != nil {
-		h(true, "")
-	}
+	return v
 }
 
 // publishSessionLocked republishes the view with only sid's projection
-// rebuilt (or removed), reusing the effective-permission maps and
-// keeping the epoch. Caller holds s.mu (write side).
+// rebuilt (or removed): fresh copies of the shard array, sid's shard and
+// sid's leaf map beside everything else of the old view, epoch included.
+// Caller holds s.mu (write side).
 func (s *Store) publishSessionLocked(sid SessionID) {
 	old := s.view.Load()
-	v := &accessView{
-		epoch:    old.epoch,
-		perms:    old.perms,
-		sessions: make(map[SessionID]*sessionView, len(s.sessions)+1),
+	v := &accessView{epoch: old.epoch, perms: old.perms, sessions: old.sessions}
+	shard, leaf := sessionSlot(sid)
+	leaves := new(sessionLeaves)
+	if o := old.sessions[shard]; o != nil {
+		*leaves = *o
 	}
-	for id, sv := range old.sessions {
-		if id != sid {
-			v.sessions[id] = sv
+	m := maps.Clone(leaves[leaf])
+	if _, live := s.sessions[sid]; !live {
+		delete(m, sid)
+	} else {
+		if m == nil {
+			m = make(map[SessionID]*sessionView, 1)
 		}
+		m[sid] = s.sessionViewLocked(sid, old.perms)
 	}
-	if _, live := s.sessions[sid]; live {
-		v.sessions[sid] = s.sessionViewLocked(sid, old.perms)
-	}
+	leaves[leaf] = m
+	v.sessions[shard] = leaves
 	s.view.Store(v)
 	if h := s.chook; h != nil {
 		h(false, sid)

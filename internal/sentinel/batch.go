@@ -1,6 +1,7 @@
 package sentinel
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -55,8 +56,12 @@ type batchState struct {
 	// sessions, users, operations and objects repeat heavily within a
 	// batch, and boxing a string into an interface allocates every
 	// time — four allocations per tuple the per-tuple path cannot
-	// avoid but a batch can share.
-	box map[string]any
+	// avoid but a batch can share. Only the submitting goroutine
+	// touches the map: carrier fills run concurrently on different
+	// lanes, so they read tuple i's four boxes from
+	// boxes[4*i:4*i+4], written before the groups are raised.
+	box   map[string]any
+	boxes []any
 }
 
 var batchPool = sync.Pool{New: func() any {
@@ -105,6 +110,8 @@ func (bs *batchState) release() {
 	bs.keys = bs.keys[:0]
 	bs.scopes = bs.scopes[:0]
 	clear(bs.box)
+	clear(bs.boxes)
+	bs.boxes = bs.boxes[:0]
 	for i := range bs.groups {
 		g := bs.groups[i]
 		for j := range g {
@@ -322,6 +329,9 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 		if shape && fp == nil {
 			slab = bs.decSlab(n)
 		}
+		if shape {
+			bs.boxes = slices.Grow(bs.boxes, 4*n)[:4*n]
+		}
 		for i := range tuples {
 			if decs[i] != nil {
 				continue // served from the cache
@@ -352,6 +362,9 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 			}
 			if shape {
 				bs.gidx[gi] = append(bs.gidx[gi], int32(i))
+				bx := bs.boxes[4*i : 4*i+4]
+				bx[0], bx[1] = bs.boxed(t.User), bs.boxed(t.Session)
+				bx[2], bx[3] = bs.boxed(t.Operation), bs.boxed(t.Object)
 				continue
 			}
 			// One owned params map per decision, exactly as the
@@ -373,11 +386,9 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 				idx := bs.gidx[gi]
 				batch.RaiseGroupFn(scope, len(idx), func(k int, p event.Params) {
 					i := idx[k]
-					t := &tuples[i]
-					p["user"] = bs.boxed(t.User)
-					p["session"] = bs.boxed(t.Session)
-					p["operation"] = bs.boxed(t.Operation)
-					p["object"] = bs.boxed(t.Object)
+					bx := bs.boxes[4*i : 4*i+4]
+					p["user"], p["session"] = bx[0], bx[1]
+					p["operation"], p["object"] = bx[2], bx[3]
 					p[DecisionKey] = decs[i]
 				})
 			}

@@ -1,9 +1,11 @@
 package sentinel
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
+	"activerbac/internal/clock"
 	"activerbac/internal/core"
 	"activerbac/internal/event"
 )
@@ -329,4 +331,64 @@ func TestDecideCheckBatchCarrierConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestDecideCheckBatchManySessionsManyLanes: 256-tuple carrier-mode
+// batches spanning 64 sessions on a four-lane engine — each session is
+// a scope group, groups on different lanes fill their carriers at once
+// (-race: the fills share the batch's pooled scratch). Verdicts must
+// equal sequential DecideCheck, with and without the verdict cache, from
+// several submitters at a time.
+func TestDecideCheckBatchManySessionsManyLanes(t *testing.T) {
+	for _, fastpath := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fastpath=%v", fastpath), func(t *testing.T) {
+			opts := []EngineOption{WithLanes(4)}
+			if fastpath {
+				opts = append(opts, WithFastPath())
+			}
+			e := NewEngine(clock.NewSim(t0), opts...)
+			cacheSafeBobRule(e, "req")
+			if !e.cacheable("req") {
+				t.Fatal("test rule is not in the cache-safe shape; carrier mode untested")
+			}
+			users := [3]string{"bob", "eve", "bob"}
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					tuples := make([]CheckTuple, 256)
+					var got []Verdict
+					for round := 0; round < 20; round++ {
+						for i := range tuples {
+							tuples[i] = CheckTuple{
+								User:      users[(i+round)%3],
+								Session:   fmt.Sprintf("s%d", (i+g)%64),
+								Operation: "read",
+								Object:    fmt.Sprintf("o%d", (i*7+round)%40),
+							}
+						}
+						var err error
+						if got, err = e.DecideCheckBatch("req", tuples, got); err != nil {
+							t.Error(err)
+							return
+						}
+						for i, tp := range tuples {
+							dec, err := e.DecideCheck("req", tp.User, tp.Session, tp.Operation, tp.Object)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							allowed, reason := dec.Verdict()
+							if want := (Verdict{Allowed: allowed, Reason: reason}); got[i] != want {
+								t.Errorf("g%d round %d: verdict[%d] = %+v, sequential %+v (tuple %+v)", g, round, i, got[i], want, tp)
+								return
+							}
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+		})
+	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // The decision fast path serves repeat ALLOW verdicts for cacheable
-// enforcement events without re-running the rule cascade. It is an
-// epoch-tagged, sharded map from the request tuple
+// enforcement events without re-running the rule cascade. It is a
+// bounded, sharded, set-associative table from the request tuple
 // (event, user, session, operation, object) to the settled *Decision.
 //
 // Correctness rests on three guards, all enforced by the engine before
@@ -17,8 +17,8 @@ import (
 //     subscriber in the detector (no composite parents, no escalation)
 //     and every enabled rule on it must be CacheSafe with no outcome
 //     listeners registered — see Engine.cacheable;
-//   - epoch tagging: entries carry the fast-path epoch and the
-//     session's generation as observed BEFORE the cascade ran. Any
+//   - epoch tagging: a verdict is filed under the fast-path epoch and
+//     the session's generation as observed BEFORE the cascade ran. Any
 //     policy/rule/event-graph change bumps the epoch, any session
 //     change bumps the session generation, so a mutation that
 //     interleaves with a cascade always lands after the capture and
@@ -28,30 +28,62 @@ import (
 //
 // Sessions hash into a fixed array of generation slots; two sessions
 // sharing a slot merely over-invalidate each other, never under.
+//
+// Layout. A key hashes to one of fpShards tables and, inside the
+// table's current segment, to one fpWays-slot bucket. Every slot is an
+// atomically published pointer to an immutable entry, so a probe is
+// lock-free and allocation-free (at most fpWays full-key compares) and
+// an insert is O(1) however full the cache is — on a cold workload
+// every decision is a miss and an insert, so the insert must cost what
+// a probe costs. Inserts serialize on the table's mutex and pick, in
+// order: the slot already holding the key, an empty slot, a slot whose
+// session generation has moved on (a dead entry), a doubled segment
+// when the table is below fpSegMax, and otherwise one victim chosen by
+// the key's hash. Segments start at fpSegMin slots on a table's first
+// insert and double up to fpSegMax, so a small working set costs a
+// small table and the cache as a whole never holds more than
+// fpShards × fpSegMax = 131 072 verdicts. A segment carries the epoch
+// it was built under; the first insert after an epoch bump swaps in a
+// fresh fpSegMin one, which is what releases the dead epoch's entries.
 const (
-	fpShards       = 64
-	fpShardCap     = 4096
+	fpShardBits    = 6
+	fpShards       = 1 << fpShardBits
+	fpWayBits      = 2
+	fpWays         = 1 << fpWayBits
+	fpSegMin       = 64
+	fpSegMax       = 2048
 	fpSessionSlots = 256
 )
 
-// fpEntry is one cached verdict with the epoch pair it was computed
-// under.
+// fpEntry is one cached verdict, immutable once published into a slot.
+// Its epoch is its segment's.
 type fpEntry struct {
-	dec   *Decision
-	epoch uint64
-	sgen  uint64
+	key  string
+	dec  *Decision
+	sgen uint64
 }
 
-// fpShard is one cache shard: readers load the map pointer and index it
-// lock-free; writers clone-and-swap under the shard mutex. Misses are
-// rare after warm-up, so the O(n) clone on insert is off the hot path.
-type fpShard struct {
-	mu sync.Mutex
-	m  atomic.Pointer[map[string]fpEntry]
-	// mapEpoch is the fast-path epoch the current map was built under;
-	// an insert after an invalidation starts a fresh map instead of
-	// dragging dead entries along. Guarded by mu.
-	mapEpoch uint64
+// fpSegment is one table generation: a power-of-two run of slots
+// probed in buckets of fpWays, all filed under one fast-path epoch.
+type fpSegment struct {
+	epoch uint64
+	slots []atomic.Pointer[fpEntry]
+}
+
+// bucket returns the fpWays slots hash h probes: the bits above the
+// shard's index the bucket count's worth of them.
+func (s *fpSegment) bucket(h uint64) []atomic.Pointer[fpEntry] {
+	buckets := uint64(len(s.slots) / fpWays)
+	i := ((h >> fpShardBits) & (buckets - 1)) * fpWays
+	return s.slots[i : i+fpWays]
+}
+
+// fpTable is one cache shard: readers load the segment pointer and
+// probe it lock-free; writers publish entries, and grown or fresh
+// segments, under mu.
+type fpTable struct {
+	mu  sync.Mutex
+	seg atomic.Pointer[fpSegment]
 }
 
 // FastPath is the sharded decision cache. All methods are safe for
@@ -59,7 +91,7 @@ type fpShard struct {
 type FastPath struct {
 	epoch  atomic.Uint64
 	sgens  [fpSessionSlots]atomic.Uint64
-	shards [fpShards]fpShard
+	tables [fpShards]fpTable
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
@@ -76,14 +108,9 @@ type FastPathStats struct {
 	Epoch         uint64 `json:"epoch"`
 }
 
-func newFastPath() *FastPath {
-	f := &FastPath{}
-	for i := range f.shards {
-		empty := make(map[string]fpEntry)
-		f.shards[i].m.Store(&empty)
-	}
-	return f
-}
+// newFastPath returns an empty cache; tables allocate their first
+// segment on their first insert.
+func newFastPath() *FastPath { return &FastPath{} }
 
 // Stats snapshots the counters.
 func (f *FastPath) Stats() FastPathStats {
@@ -96,8 +123,8 @@ func (f *FastPath) Stats() FastPathStats {
 	}
 }
 
-// Invalidate drops every cached verdict by bumping the epoch; entries
-// tagged with older epochs fail validation and are discarded lazily.
+// Invalidate drops every cached verdict by bumping the epoch; segments
+// filed under older epochs fail validation and are replaced lazily.
 func (f *FastPath) Invalidate() {
 	f.epoch.Add(1)
 	f.invalidations.Add(1)
@@ -118,38 +145,106 @@ func (f *FastPath) sgen(session string) uint64 {
 // lookup returns the cached decision for key if it is still valid under
 // the given epoch pair.
 func (f *FastPath) lookup(key []byte, epoch, sgen uint64) (*Decision, bool) {
-	sh := &f.shards[fnv1a(key)&(fpShards-1)]
-	ent, ok := (*sh.m.Load())[string(key)] // no-alloc map index
-	if !ok || ent.epoch != epoch || ent.sgen != sgen {
+	h := fpHash(key)
+	seg := f.tables[h&(fpShards-1)].seg.Load()
+	if seg == nil || seg.epoch != epoch {
 		return nil, false
 	}
-	return ent.dec, true
+	b := seg.bucket(h)
+	for i := range b {
+		if ent := b[i].Load(); ent != nil && ent.key == string(key) { // no-alloc compare
+			if ent.sgen != sgen {
+				return nil, false
+			}
+			return ent.dec, true
+		}
+	}
+	return nil, false
 }
 
 // store publishes a settled decision under the epoch pair captured
-// before its cascade ran. A stale capture (epoch moved on) is dropped;
-// an over-full or pre-invalidation shard map is restarted fresh.
+// before its cascade ran. A stale capture (epoch moved on) is dropped.
 func (f *FastPath) store(key []byte, dec *Decision, epoch, sgen uint64) {
 	cur := f.epoch.Load()
 	if epoch != cur {
 		return
 	}
-	sh := &f.shards[fnv1a(key)&(fpShards-1)]
-	sh.mu.Lock()
-	old := *sh.m.Load()
-	var m map[string]fpEntry
-	if sh.mapEpoch != cur || len(old) >= fpShardCap {
-		m = make(map[string]fpEntry, 64)
-		sh.mapEpoch = cur
-	} else {
-		m = make(map[string]fpEntry, len(old)+1)
-		for k, v := range old {
-			m[k] = v
+	h := fpHash(key)
+	t := &f.tables[h&(fpShards-1)]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	seg := t.seg.Load()
+	if seg == nil || seg.epoch != cur {
+		seg = &fpSegment{epoch: cur, slots: make([]atomic.Pointer[fpEntry], fpSegMin)}
+		t.seg.Store(seg)
+	}
+	b := seg.bucket(h)
+	slot := fpSlotFor(b, key)
+	if slot < 0 {
+		slot = f.deadSlot(b)
+	}
+	for slot < 0 && len(seg.slots) < fpSegMax {
+		// Doubling splits the full bucket in two by one more hash bit;
+		// the half this key lands in has room unless all its entries
+		// share that bit too.
+		seg = seg.grown()
+		t.seg.Store(seg)
+		b = seg.bucket(h)
+		slot = fpSlotFor(b, key)
+	}
+	if slot < 0 {
+		slot = int(h >> (64 - fpWayBits)) // the victim: named by the hash's top bits
+	}
+	b[slot].Store(&fpEntry{key: string(key), dec: dec, sgen: sgen})
+}
+
+// fpSlotFor returns the slot of bucket b that already holds key, else
+// its first empty slot, else -1.
+func fpSlotFor(b []atomic.Pointer[fpEntry], key []byte) int {
+	empty := -1
+	for i := range b {
+		ent := b[i].Load()
+		if ent == nil {
+			if empty < 0 {
+				empty = i
+			}
+		} else if ent.key == string(key) {
+			return i
 		}
 	}
-	m[string(key)] = fpEntry{dec: dec, epoch: epoch, sgen: sgen}
-	sh.m.Store(&m)
-	sh.mu.Unlock()
+	return empty
+}
+
+// deadSlot returns a slot of the full bucket b whose entry can never
+// hit again because its session's generation has moved on, else -1.
+func (f *FastPath) deadSlot(b []atomic.Pointer[fpEntry]) int {
+	for i := range b {
+		if ent := b[i].Load(); ent.sgen != f.sgen(fpKeySession(ent.key)) {
+			return i
+		}
+	}
+	return -1
+}
+
+// grown returns a segment of twice the slots holding s's entries. A
+// bucket's entries split between two buckets of the wider index, so
+// the copy never overflows one.
+func (s *fpSegment) grown() *fpSegment {
+	g := &fpSegment{epoch: s.epoch, slots: make([]atomic.Pointer[fpEntry], 2*len(s.slots))}
+	for i := range s.slots {
+		ent := s.slots[i].Load()
+		if ent == nil {
+			continue
+		}
+		b := g.bucket(fpMix(fnv1aString(ent.key)))
+		for j := range b {
+			if b[j].Load() == nil {
+				b[j].Store(ent)
+				break
+			}
+		}
+	}
+	return g
 }
 
 // fpKeyPool recycles key buffers so the hit path allocates nothing.
@@ -169,6 +264,20 @@ func appendFPKey(buf []byte, event, user, session, operation, object string) ([]
 		buf = append(buf, s...)
 	}
 	return buf, true
+}
+
+// fpKeySession returns the session field — the third — of a key
+// appendFPKey built, or "" for any other string.
+func fpKeySession(key string) string {
+	for field := 0; ; field++ {
+		if len(key) == 0 || len(key) <= int(key[0]) {
+			return ""
+		}
+		if field == 2 {
+			return key[1 : 1+int(key[0])]
+		}
+		key = key[1+int(key[0]):]
+	}
 }
 
 // fpRequest extracts the cacheable request fields from params. Any
@@ -195,6 +304,17 @@ func fpRequest(params map[string]any) (user, session, operation, object string, 
 		}
 	}
 	return user, session, operation, object, true
+}
+
+// fpHash is the table hash of a key. FNV-1a's bit k depends only on
+// bits 0..k of its input bytes, so the mix folds the high half down
+// before the shard, bucket and victim bits are cut from it.
+func fpHash(key []byte) uint64 { return fpMix(fnv1a(key)) }
+
+func fpMix(h uint64) uint64 {
+	h ^= h >> 32
+	h *= 0x9e3779b97f4a7c15
+	return h ^ h>>29
 }
 
 // fnv1a is the 64-bit FNV-1a hash.
