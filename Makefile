@@ -15,8 +15,9 @@ build:
 test:
 	$(GO) test ./...
 
-# The lane-sharded engine is concurrent; the race detector is part of
-# the merge gate, not an optional extra.
+# Callers drain each other's queued work and the caches publish
+# copy-on-write views concurrently; the race detector is part of the
+# merge gate, not an optional extra.
 race:
 	$(GO) test -race ./...
 
@@ -25,7 +26,8 @@ vet:
 
 # lint runs the repo's own static analysis: go vet plus rbacvet, the
 # custom passes enforcing engine invariants (engine-clock discipline,
-# observer nil guards, lane lock order, snapshot immutability).
+# observer nil guards, snapshot immutability, one snapshot capture per
+# batch, sync.Pool return discipline).
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/rbacvet ./...
@@ -71,13 +73,12 @@ fuzz-wire:
 # still works; `make bench` regenerates everything (slow).
 bench-smoke: build
 	$(GO) run ./cmd/bench -exp F1
-	$(GO) run ./cmd/bench -exp E1P
 
 bench: build
 	$(GO) run ./cmd/bench
 
 # bench-obs regenerates the observability-overhead series (BENCH_obs.json):
-# the E1P parallel workload under tracing off / metrics / sampled / ring /
+# the parallel CheckAccess workload under tracing off / metrics / sampled / ring /
 # full, on the uncached and verdict-cached paths. The smoke variant runs
 # one short round and leaves the committed JSON untouched.
 bench-obs: build
@@ -87,7 +88,7 @@ bench-obs-smoke: build
 	$(GO) run ./cmd/bench -exp OBS -smoke
 
 # bench-fastpath regenerates the decision fast-path series
-# (BENCH_fastpath.json): the E1P parallel workload with the verdict
+# (BENCH_fastpath.json): the OBS parallel workload with the verdict
 # cache off and on. The smoke variant runs one short round and leaves
 # the committed JSON untouched.
 bench-fastpath: build
@@ -143,20 +144,24 @@ bench-replica-smoke: build
 # decision is a verdict-cache miss and an insert: a real rbacd child,
 # every verdict checked against the oracle, the cache's hit share gated
 # (the exit code carries both). Then the multi-session batch probe: 200
-# 256-tuple frames spanning 64 sessions each against a multi-lane
-# server; the probe exits 0 even when the server dies, so its verdict
-# line is what is checked.
+# 256-tuple frames spanning 64 sessions each; the probe exits 0 even
+# when the server dies, so its verdict line is what is checked.
 bench-e2e-smoke: build
 	$(GO) run ./benchmark -workload cold_batch -seconds 2 -trace 0
 	$(GO) run ./benchmark -probe multi_session_batch | grep -q 'multi_session_batch: ok'
 
-# bench-compare diffs two benchmark JSON series benchstat-style, e.g.
-#   make bench-compare OLD=BENCH_lanes.json NEW=BENCH_fastpath.json
-OLD ?= BENCH_lanes.json
-NEW ?= BENCH_fastpath.json
+# bench-compare diffs two benchmark JSON series benchstat-style; the
+# default matches the wire-batch identity rows of the two transport
+# series, e.g. a fresh `make bench-wire` run against the committed batch
+# series:
+#   make bench-compare OLD=BENCH_wire.json NEW=BENCH_batch.json
+OLD ?= BENCH_wire.json
+NEW ?= BENCH_batch.json
 bench-compare: build
 	$(GO) run ./cmd/bench -compare $(OLD) $(NEW)
 
+# clean removes build and gate leftovers only: the BENCH_*.json files
+# are committed baselines, regenerated by their bench-* targets.
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_lanes.json BENCH_obs.json BENCH_fastpath.json BENCH_wire.json BENCH_replica.json verify-findings.log
+	rm -rf verify-findings.log benchmark/out

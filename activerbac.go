@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -123,11 +122,10 @@ func (e *DenialError) Error() string {
 // Unwrap makes errors.Is(err, ErrDenied) true.
 func (e *DenialError) Unwrap() error { return ErrDenied }
 
-// LanesAuto selects one enforcement lane per CPU.
+// LanesAuto is kept for callers that still set Options.Lanes.
+//
+// Deprecated: ignored; enforcement runs on one drain.
 const LanesAuto = -1
-
-// LaneStat is a snapshot of one enforcement lane's counters.
-type LaneStat = event.LaneStat
 
 // Options configures Open.
 type Options struct {
@@ -136,15 +134,13 @@ type Options struct {
 	// AuditPath, when set, opens an append-only audit log recording
 	// every rule firing and alert.
 	AuditPath string
-	// Lanes sets the enforcement lane count. 0 or 1 (the default)
-	// serializes all enforcement through one lane — the paper's single
-	// Sentinel+ detector thread, and the mode with fully deterministic
-	// event ordering. LanesAuto (or any n > 1) shards scope-local
-	// enforcement (per-session activation and access checks) over
-	// parallel lanes, keeping globalized rules (SoD, cardinality,
-	// temporal, security) on a single ordered global lane.
+	// Lanes is kept for callers that still set it. Every decision runs
+	// on the event detector's one drain — the paper's single Sentinel+
+	// detector thread.
+	//
+	// Deprecated: ignored; enforcement runs on one drain.
 	Lanes int
-	// Metrics enables the metrics registry: decision latency, lane
+	// Metrics enables the metrics registry: decision latency, drain
 	// queueing, rule firings, operator matches, audit latency — rendered
 	// in Prometheus text format by WriteMetrics. Off by default (the
 	// engine then runs its zero-overhead path).
@@ -186,17 +182,6 @@ type Options struct {
 	FastPath bool
 }
 
-func (o *Options) laneCount() int {
-	switch {
-	case o.Lanes == LanesAuto:
-		return runtime.NumCPU()
-	case o.Lanes < 1:
-		return 1
-	default:
-		return o.Lanes
-	}
-}
-
 // System is the assembled authorization engine. All methods are safe
 // for concurrent use.
 type System struct {
@@ -204,9 +189,9 @@ type System struct {
 	audit *store.AuditLog
 	obs   *obs.Observer // nil = observability off
 
-	// srcMu guards source. Engine state has its own locking; the policy
-	// source string needs its own because replication exports read it
-	// concurrently with ApplyPolicy, outside any caller-side swap lock.
+	// srcMu guards source and makes (source, policy state) one cut:
+	// ApplyPolicy holds it for writing across regeneration and the swap,
+	// ExportSyncSnapshot holds it for reading across text and state.
 	srcMu  sync.RWMutex
 	source string
 }
@@ -237,7 +222,7 @@ func openSpec(spec *policy.Spec, source string, opts *Options) (*System, error) 
 	if clk == nil {
 		clk = clock.NewReal()
 	}
-	engOpts := []sentinel.EngineOption{sentinel.WithLanes(opts.laneCount())}
+	var engOpts []sentinel.EngineOption
 	if opts.FastPath {
 		engOpts = append(engOpts, sentinel.WithFastPath())
 	}
@@ -310,17 +295,10 @@ func openSpec(spec *policy.Spec, source string, opts *Options) (*System, error) 
 	return sys, nil
 }
 
-// Quiesce blocks until every enforcement lane is idle: all in-flight
+// Quiesce blocks until the enforcement drain is idle: all in-flight
 // decisions, rule cascades and deferred work have been processed. Used
-// by graceful shutdown and by tests that assert on cross-lane state.
+// by graceful shutdown and by tests that assert on settled state.
 func (s *System) Quiesce() { s.gen.Engine().Quiesce() }
-
-// Lanes returns the configured enforcement lane count.
-func (s *System) Lanes() int { return s.gen.Engine().Detector().Lanes() }
-
-// LaneStats snapshots per-lane depth and throughput counters (global
-// lane first) for status endpoints and benchmarks.
-func (s *System) LaneStats() []LaneStat { return s.gen.Engine().LaneStats() }
 
 // ErrObservabilityOff is returned by the metrics and trace accessors
 // when the System was opened without Options.Metrics or
@@ -415,7 +393,7 @@ func (s *System) SyncAudit() error {
 }
 
 // Close releases resources (the audit log, if any) after quiescing the
-// enforcement lanes, so buffered audit records for in-flight decisions
+// enforcement drain, so buffered audit records for in-flight decisions
 // are not lost.
 func (s *System) Close() error {
 	s.Quiesce()
@@ -500,7 +478,7 @@ func (s *System) CheckAccessTuple(session, operation, object string) bool {
 // CheckAccessTupleCacheable is CheckAccessTuple plus the cacheability
 // classification an embedded client cache needs: cacheable is true only
 // for allowed verdicts of the pure-snapshot checkAccess shape (the
-// fastpath CA1 classification — sole scoped subscriber, CacheSafe rules
+// fastpath CA1 classification — sole non-retaining subscriber, CacheSafe rules
 // only, no outcome listeners), i.e. verdicts that stay valid until the
 // next push-epoch bump. Time- or history-dependent decisions and
 // denials are never cacheable.
@@ -545,8 +523,8 @@ type BatchCheck struct {
 
 // CheckAccessBatch decides every check in one batch-native engine pass:
 // the engine captures its snapshot/epoch pair once, probes the fast
-// path for the whole batch, and crosses each lane boundary once per
-// scope group (see sentinel.Engine.DecideCheckBatch and DESIGN.md
+// path for the whole batch, and runs the misses as one drain work item
+// in input order (see sentinel.Engine.DecideCheckBatch and DESIGN.md
 // §5.6). Verdicts come back in input order, appended to the passed
 // slice (reused when capacity allows). Each check is decided exactly as
 // CheckAccessTuple would decide it; an undefined check event fails
@@ -735,19 +713,21 @@ func (s *System) RegisterExternal(name string) error {
 // Policy lifecycle
 
 // ApplyPolicy transitions to a new policy, regenerating exactly the
-// affected rules, and returns what changed.
+// affected rules, and returns what changed. The regeneration and the
+// source swap happen under one srcMu write hold, so an export never
+// pairs one policy's text with the other's state.
 func (s *System) ApplyPolicy(policySource string) (Report, error) {
 	spec, err := policy.ParseString(policySource)
 	if err != nil {
 		return Report{}, err
 	}
+	s.srcMu.Lock()
+	defer s.srcMu.Unlock()
 	rep, err := s.gen.Apply(spec)
 	if err != nil {
 		return rep, err
 	}
-	s.srcMu.Lock()
 	s.source = policySource
-	s.srcMu.Unlock()
 	return rep, nil
 }
 
@@ -822,9 +802,13 @@ func (s *System) CheckInvariants() []error {
 // non-nil result means the pool no longer matches the policy.
 func (s *System) VerifyRules() []error { return s.gen.Verify() }
 
-// SaveState writes a snapshot (state + policy source) to path.
+// SaveState writes a snapshot (state + policy source) to path, both
+// read in the same cut ExportSyncSnapshot takes.
 func (s *System) SaveState(path string) error {
-	return store.SaveSnapshot(path, s.PolicySource(), s.gen.Engine().Store().Snapshot())
+	s.srcMu.RLock()
+	src, state := s.source, s.gen.Engine().Store().Snapshot()
+	s.srcMu.RUnlock()
+	return store.SaveSnapshot(path, src, state)
 }
 
 // OpenSnapshot rebuilds a System from a snapshot file: the policy
@@ -850,7 +834,8 @@ func OpenSnapshot(path string, opts *Options) (*System, error) {
 	return sys, nil
 }
 
-// Stats summarizes the engine for dashboards.
+// Stats summarizes the engine for dashboards. Queued is the number of
+// work items waiting for the enforcement drain right now.
 type Stats struct {
 	Rules      int
 	Events     int
@@ -860,6 +845,7 @@ type Stats struct {
 	Detections uint64
 	Denials    uint64
 	Alerts     int
+	Queued     int
 }
 
 // Stats returns engine counters.
@@ -873,5 +859,6 @@ func (s *System) Stats() Stats {
 		Detections: es.Detected,
 		Denials:    s.gen.Security().Denials(),
 		Alerts:     len(s.gen.Security().Alerts()),
+		Queued:     es.Queued,
 	}
 }

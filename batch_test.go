@@ -90,6 +90,59 @@ func TestCheckAccessBatchMatchesSequential(t *testing.T) {
 			t.Errorf("metrics output missing %s", metric)
 		}
 	}
+
+	t.Run("threshold-input-order", batchMatchesSequentialUnderThreshold)
+}
+
+// batchMatchesSequentialUnderThreshold is the order-sensitive input: a
+// non-cacheable policy (an active-security denial threshold locks the
+// user on the third denial) and one batch interleaving two sessions of
+// that user. Denials mutate state, so the batch is only equal to
+// sequential CheckAccessTuple calls if it runs its tuples in input
+// order; grouping by session would lock bob before his second
+// session's allowed checks ran.
+func batchMatchesSequentialUnderThreshold(t *testing.T) {
+	checksFor := func(sys *activerbac.System) []activerbac.BatchCheck {
+		var sids [2]string
+		for i := range sids {
+			sid, err := sys.CreateSession("bob")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.AddActiveRole("bob", sid, "PC"); err != nil {
+				t.Fatal(err)
+			}
+			sids[i] = string(sid)
+		}
+		steal := activerbac.BatchCheck{Session: sids[0], Operation: "steal", Object: "secrets"}
+		write := activerbac.BatchCheck{Session: sids[1], Operation: "write", Object: "purchase-order.dat"}
+		return []activerbac.BatchCheck{steal, write, steal, write, steal, write}
+	}
+	open := func() *activerbac.System {
+		sys, err := activerbac.Open(xyzPolicy+"threshold intrusions 3 in 5m: lock-user\n",
+			&activerbac.Options{Clock: activerbac.NewSimClock(t0), FastPath: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sys.Close() })
+		return sys
+	}
+
+	seq := open()
+	var want []bool
+	for _, c := range checksFor(seq) {
+		want = append(want, seq.CheckAccessTuple(c.Session, c.Operation, c.Object))
+	}
+	if !want[1] || want[5] {
+		t.Fatalf("sequential verdicts %v: want the lock to land between the writes", want)
+	}
+	batched := open()
+	got := batched.CheckAccessBatch(checksFor(batched), nil)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("batch verdicts %v, sequential %v", got, want)
+		}
+	}
 }
 
 // TestCheckAccessBatchEmpty: zero checks answer zero verdicts without

@@ -6,13 +6,11 @@
 //
 // Usage:
 //
-//	bench [-exp all|F1|E1|E1P|OBS|FASTPATH|WIRE|BATCH|REPLICA|E2|E3|E4|E5|E6|E7|E8|E9] [-smoke]
+//	bench [-exp all|F1|E1|OBS|FASTPATH|WIRE|BATCH|REPLICA|E2|E3|E4|E5|E6|E7|E8|E9] [-smoke]
 //	bench -compare OLD.json NEW.json
 //
-// E1P additionally writes BENCH_lanes.json with the parallel-throughput
-// series (checks/sec, ns/op, B/op and allocs/op per goroutine count,
-// for 1 lane and NumCPU lanes). OBS writes BENCH_obs.json with the
-// observability-overhead series: the same parallel workload under
+// OBS writes BENCH_obs.json with the observability-overhead series: a
+// parallel CheckAccess workload (1..64 client goroutines) under
 // tracing off / metrics only / 1% sampled tracing / full-rate trace
 // ring / full trace retention, each measured uncached (full cascade)
 // and — for off and sampled — cached (fast path on); -smoke shrinks it
@@ -67,7 +65,7 @@ import (
 var epoch = time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, F1, E1, E1P, OBS, FASTPATH, WIRE, BATCH, REPLICA, E2..E9)")
+	exp := flag.String("exp", "all", "experiment to run (all, F1, E1, OBS, FASTPATH, WIRE, BATCH, REPLICA, E2..E9)")
 	smoke := flag.Bool("smoke", false, "one short round per experiment that supports it; skip JSON output")
 	compare := flag.Bool("compare", false, "compare two benchmark JSON series: bench -compare OLD.json NEW.json")
 	flag.Parse()
@@ -89,7 +87,6 @@ func main() {
 	}
 	run("F1", f1)
 	run("E1", e1)
-	run("E1P", e1p)
 	run("OBS", func() { obsBench(*smoke) })
 	run("FASTPATH", func() { fastpathBench(*smoke) })
 	run("WIRE", func() { wireBench(*smoke) })
@@ -214,79 +211,9 @@ func e1() {
 	}
 }
 
-// e1p: parallel CheckAccess throughput. The tentpole experiment for the
-// scope-sharded lane refactor: the same enterprise, driven by 1..64
-// client goroutines each hammering its own session, once on the classic
-// single-drain detector (lanes=1) and once sharded over NumCPU scope
-// lanes. Results are printed and written to BENCH_lanes.json.
-func e1p() {
-	header("E1P", "parallel CheckAccess throughput: enforcement lanes x client goroutines")
-	cfg := workload.EnterpriseConfig{
-		Roles: 64, Shape: workload.XYZShape, Branch: 4,
-		SSDFraction: 0.3, Users: 64, PermsPerRole: 3, Seed: 1,
-	}
-	spec := workload.MustEnterprise(cfg)
-	src := policy.Format(spec)
-
-	type point struct {
-		Lanes       int     `json:"lanes"`
-		Goroutines  int     `json:"goroutines"`
-		Checks      int     `json:"checks"`
-		OpsPerSec   float64 `json:"ops_per_sec"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		BPerOp      float64 `json:"b_per_op"`
-		AllocsPerOp float64 `json:"allocs_per_op"`
-	}
-	var series []point
-	shard := runtime.NumCPU()
-	if shard < 2 {
-		// Single-CPU host: a NumCPU shard count would duplicate the
-		// lanes=1 series; still run the sharded router so the series
-		// records its routing overhead (no speedup is possible here).
-		shard = 4
-	}
-	fmt.Printf("%-8s %-12s %14s %10s %10s %12s\n",
-		"lanes", "goroutines", "checks/sec", "ns/op", "B/op", "allocs/op")
-	for _, lanes := range []int{1, shard} {
-		sys, err := activerbac.Open(src, &activerbac.Options{
-			Clock: clock.NewSim(epoch), Lanes: lanes,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		clients := benchClients(sys, spec)
-		if len(clients) == 0 {
-			fmt.Fprintln(os.Stderr, "bench: E1P: no runnable clients")
-			os.Exit(1)
-		}
-		for _, g := range []int{1, 4, 16, 64} {
-			const checksPerGoroutine = 4000
-			st := parallelChecks(sys, clients, g, checksPerGoroutine)
-			series = append(series, point{
-				Lanes: lanes, Goroutines: g, Checks: st.total, OpsPerSec: round3(st.ops),
-				NsPerOp: round3(st.nsPerOp), BPerOp: round3(st.bPerOp), AllocsPerOp: round3(st.allocsPerOp),
-			})
-			fmt.Printf("%-8d %-12d %14.0f %10.0f %10.1f %12.2f\n",
-				lanes, g, st.ops, st.nsPerOp, st.bPerOp, st.allocsPerOp)
-		}
-		sys.Close()
-	}
-	data, err := json.MarshalIndent(series, "", "  ")
-	if err == nil {
-		err = os.WriteFile("BENCH_lanes.json", append(data, '\n'), 0o644)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench: BENCH_lanes.json:", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote BENCH_lanes.json")
-}
-
 // benchClient is one steady-state caller: a session with the user's own
 // (most junior assigned) role active and a permission that role actually
-// grants — the allow path the paper's E1 measures, with a per-session
-// scope key the lane router can shard.
+// grants — the allow path the paper's E1 measures.
 type benchClient struct {
 	sid  activerbac.SessionID
 	perm activerbac.Permission
@@ -341,8 +268,8 @@ func checkRound(sys *activerbac.System, clients []benchClient, g, perG int) time
 }
 
 // checkRoundMem is checkRound plus the allocator's view of it: the
-// process-wide malloc-count and byte deltas across the round. Lane
-// drains and detector delivery run on background goroutines, so the
+// process-wide malloc-count and byte deltas across the round. Drains
+// and detector delivery may run on other callers' goroutines, so the
 // process-wide delta is the honest per-check figure, at the price of a
 // little GC-bookkeeping noise in the byte column.
 func checkRoundMem(sys *activerbac.System, clients []benchClient, g, perG int) (time.Duration, uint64, uint64) {
@@ -366,7 +293,7 @@ type roundStats struct {
 }
 
 // parallelChecks runs the timed rounds for one (goroutines, perG)
-// point. An untimed warmup round settles lane buffers and the
+// point. An untimed warmup round settles drain buffers and the
 // scheduler; rounds repeat until half a second of samples accumulates
 // (at least three).
 func parallelChecks(sys *activerbac.System, clients []benchClient, g, perG int) roundStats {
@@ -394,10 +321,10 @@ func parallelChecks(sys *activerbac.System, clients []benchClient, g, perG int) 
 	}
 }
 
-// obsBench: observability overhead on the E1P parallel series. The same
-// enterprise and client setup as e1p, sharded over NumCPU lanes, driven
-// under two series of observability modes. The uncached (full-cascade)
-// series: off (no observer wired — the lane refactor's baseline),
+// obsBench: observability overhead on the parallel CheckAccess series:
+// a 64-role enterprise, one steady-state client per user (benchClients),
+// driven under two series of observability modes. The uncached
+// (full-cascade) series: off (no observer wired),
 // metrics (registry only, no trace ring), sampled (metrics plus a
 // 256-entry trace ring with 1% sampled tracing — the always-on
 // production posture), ring (same ring tracing every decision, the
@@ -417,10 +344,6 @@ func obsBench(smoke bool) {
 	}
 	spec := workload.MustEnterprise(cfg)
 	src := policy.Format(spec)
-	shard := runtime.NumCPU()
-	if shard < 2 {
-		shard = 4
-	}
 	checksPerGoroutine := 4000
 	goroutines := []int{1, 4, 16, 64}
 	rounds := 8
@@ -450,16 +373,16 @@ func obsBench(smoke bool) {
 		name, base string
 		opts       activerbac.Options
 	}{
-		{"off", "off", activerbac.Options{Lanes: shard}},
-		{"metrics", "off", activerbac.Options{Lanes: shard, Metrics: true}},
-		{"sampled", "metrics", activerbac.Options{Lanes: shard, Metrics: true, TraceBuffer: 256, TraceSample: sampleRate, TraceRateLimit: traceBudget}},
-		{"nolimit", "metrics", activerbac.Options{Lanes: shard, Metrics: true, TraceBuffer: 256, TraceSample: sampleRate}},
-		{"ring", "metrics", activerbac.Options{Lanes: shard, Metrics: true, TraceBuffer: 256}},
-		{"full", "metrics", activerbac.Options{Lanes: shard, Metrics: true, TraceBuffer: fullRing}},
-		{"off", "off", activerbac.Options{Lanes: shard, FastPath: true}},
-		{"metrics", "off", activerbac.Options{Lanes: shard, Metrics: true, FastPath: true}},
-		{"sampled", "metrics", activerbac.Options{Lanes: shard, Metrics: true, TraceBuffer: 256, TraceSample: sampleRate, TraceRateLimit: traceBudget, FastPath: true}},
-		{"nolimit", "metrics", activerbac.Options{Lanes: shard, Metrics: true, TraceBuffer: 256, TraceSample: sampleRate, FastPath: true}},
+		{"off", "off", activerbac.Options{}},
+		{"metrics", "off", activerbac.Options{Metrics: true}},
+		{"sampled", "metrics", activerbac.Options{Metrics: true, TraceBuffer: 256, TraceSample: sampleRate, TraceRateLimit: traceBudget}},
+		{"nolimit", "metrics", activerbac.Options{Metrics: true, TraceBuffer: 256, TraceSample: sampleRate}},
+		{"ring", "metrics", activerbac.Options{Metrics: true, TraceBuffer: 256}},
+		{"full", "metrics", activerbac.Options{Metrics: true, TraceBuffer: fullRing}},
+		{"off", "off", activerbac.Options{FastPath: true}},
+		{"metrics", "off", activerbac.Options{Metrics: true, FastPath: true}},
+		{"sampled", "metrics", activerbac.Options{Metrics: true, TraceBuffer: 256, TraceSample: sampleRate, TraceRateLimit: traceBudget, FastPath: true}},
+		{"nolimit", "metrics", activerbac.Options{Metrics: true, TraceBuffer: 256, TraceSample: sampleRate, FastPath: true}},
 	}
 
 	// All systems stay open for the whole experiment and the timed
@@ -632,7 +555,7 @@ func obsBench(smoke bool) {
 }
 
 // fastpathBench: the decision fast path (copy-on-write snapshots plus
-// the epoch-tagged verdict cache) off and on, on the E1P parallel
+// the epoch-tagged verdict cache) off and on, on the OBS parallel
 // series. The workload is repeat-heavy — every goroutine re-checks the
 // same (session, permission) pair — which is exactly the read-mostly
 // regime the cache targets, so the on series measures the hit path
@@ -650,10 +573,6 @@ func fastpathBench(smoke bool) {
 	}
 	spec := workload.MustEnterprise(cfg)
 	src := policy.Format(spec)
-	shard := runtime.NumCPU()
-	if shard < 2 {
-		shard = 4
-	}
 	checksPerGoroutine := 4000
 	goroutines := []int{1, 4, 16, 64}
 	sweeps, rounds := 3, 2
@@ -667,8 +586,8 @@ func fastpathBench(smoke bool) {
 		name string
 		opts activerbac.Options
 	}{
-		{"off", activerbac.Options{Lanes: shard}},
-		{"on", activerbac.Options{Lanes: shard, FastPath: true}},
+		{"off", activerbac.Options{}},
+		{"on", activerbac.Options{FastPath: true}},
 	}
 	type candidate struct {
 		name    string
@@ -728,7 +647,6 @@ func fastpathBench(smoke bool) {
 
 	type point struct {
 		Mode        string  `json:"mode"`
-		Lanes       int     `json:"lanes"`
 		Goroutines  int     `json:"goroutines"`
 		Checks      int     `json:"checks"`
 		OpsPerSec   float64 `json:"ops_per_sec"`
@@ -748,7 +666,7 @@ func fastpathBench(smoke bool) {
 			speed := (ops/base - 1) * 100
 			checks := float64(total) * float64(c.rounds[g])
 			series = append(series, point{
-				Mode: c.name, Lanes: shard, Goroutines: g, Checks: total,
+				Mode: c.name, Goroutines: g, Checks: total,
 				OpsPerSec: round3(ops), NsPerOp: round3(1e9 / ops),
 				BPerOp:      round3(float64(c.bytes[g]) / checks),
 				AllocsPerOp: round3(float64(c.mallocs[g]) / checks),
@@ -781,7 +699,7 @@ func fastpathBench(smoke bool) {
 }
 
 // wireBench: remote-check transport comparison. One live engine (fast
-// path on, sharded lanes) serves the same repeat-heavy check workload
+// path on) serves the same repeat-heavy check workload
 // over three transports: rbacd-style HTTP/JSON (GET /v1/check), single
 // wire CHECK frames, and wire CHECK_BATCH frames of 64. Sweeps are
 // interleaved across the goroutine ladder like FASTPATH so host drift
@@ -796,10 +714,6 @@ func wireBench(smoke bool) {
 	}
 	spec := workload.MustEnterprise(cfg)
 	src := policy.Format(spec)
-	shard := runtime.NumCPU()
-	if shard < 2 {
-		shard = 4
-	}
 	checksPerGoroutine := 4096
 	goroutines := []int{1, 4, 16, 64}
 	sweeps, rounds := 3, 2
@@ -810,7 +724,7 @@ func wireBench(smoke bool) {
 		sweeps, rounds = 1, 1
 	}
 
-	opts := activerbac.Options{Lanes: shard, FastPath: true, Clock: clock.NewSim(epoch)}
+	opts := activerbac.Options{FastPath: true, Clock: clock.NewSim(epoch)}
 	sys, err := activerbac.Open(src, &opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
@@ -1089,13 +1003,13 @@ func (b wireSysBatchBackend) CheckBatch(reqs []wire.CheckRequest, vs []bool) []b
 
 // batchBench: the batch-native decision path against per-tuple
 // evaluation, on one repeat-heavy workload whose batches cycle four
-// distinct sessions (so every batch splits into four scope groups).
+// distinct sessions.
 //
 // Two series:
 //   - inproc: a CheckAccessTuple loop vs one CheckAccessBatch call per
 //     batch, with the fast path off (every tuple runs the full cascade;
 //     the batch path amortizes the per-tuple raise/wait machinery into
-//     one lane crossing per group) and on (warm cache; the batch path
+//     one drain crossing per batch) and on (warm cache; the batch path
 //     probes the whole batch against one epoch capture).
 //   - wire: CHECK_BATCH frames against the same System behind a plain
 //     Backend (the server's per-tuple fan-out — the pre-batch baseline)
@@ -1112,10 +1026,6 @@ func batchBench(smoke bool) {
 	}
 	spec := workload.MustEnterprise(cfg)
 	src := policy.Format(spec)
-	shard := runtime.NumCPU()
-	if shard < 2 {
-		shard = 4
-	}
 	const groups = 4 // distinct sessions cycled through every batch
 	sizes := []int{16, 256, 1024}
 	totalChecks := 32768
@@ -1152,7 +1062,7 @@ func batchBench(smoke bool) {
 	}
 
 	// buildChecks cycles the first `groups` clients so a batch of n
-	// tuples lands on `groups` scope groups with n/groups tuples each.
+	// tuples spans `groups` sessions with n/groups tuples each.
 	buildChecks := func(clients []benchClient, n int) []activerbac.BatchCheck {
 		checks := make([]activerbac.BatchCheck, n)
 		for i := range checks {
@@ -1171,7 +1081,7 @@ func batchBench(smoke bool) {
 			fpName = "on"
 		}
 		sys, err := activerbac.Open(src, &activerbac.Options{
-			Lanes: shard, FastPath: fp, Clock: clock.NewSim(epoch),
+			FastPath: fp, Clock: clock.NewSim(epoch),
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
@@ -1237,7 +1147,7 @@ func batchBench(smoke bool) {
 	// Fast path off: the per-tuple fan-out pays the full cascade per
 	// tuple, which is exactly the cost the batch-native path amortizes.
 	sys, err := activerbac.Open(src, &activerbac.Options{
-		Lanes: shard, FastPath: false, Clock: clock.NewSim(epoch),
+		FastPath: false, Clock: clock.NewSim(epoch),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
@@ -1324,7 +1234,7 @@ func batchBench(smoke bool) {
 		NsPerOp    float64 `json:"ns_per_op"`
 	}
 	cmpSys, err := activerbac.Open(src, &activerbac.Options{
-		Lanes: shard, FastPath: true, Clock: clock.NewSim(epoch),
+		FastPath: true, Clock: clock.NewSim(epoch),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
@@ -1430,10 +1340,9 @@ func batchBench(smoke bool) {
 }
 
 // compareSeries prints a benchstat-style delta between two benchmark
-// JSON series files (any of BENCH_lanes.json / BENCH_obs.json /
-// BENCH_fastpath.json, old and new need not come from the same
-// experiment version). Rows are matched on every identity field (mode,
-// lanes, goroutines, ...) and each measurement column present in both
+// JSON series files (any of the BENCH_*.json series; old and new need
+// not come from the same experiment version). Rows are matched on every
+// identity field (mode, goroutines, ...) and each measurement column present in both
 // files is compared; the delta printed is new/old-1, so for ops_per_sec
 // positive is faster while for the per-op columns negative is leaner.
 func compareSeries(oldPath, newPath string) error {

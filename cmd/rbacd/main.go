@@ -6,7 +6,7 @@
 // Usage:
 //
 //	rbacd -policy policy.acp [-addr :8180] [-audit audit.log] [-audit-sync 3s]
-//	      [-snapshot state.json] [-lanes N] [-trace-buffer 256] [-debug-addr :6060]
+//	      [-snapshot state.json] [-trace-buffer 256] [-debug-addr :6060]
 //	      [-analyze off|warn|strict] [-verify off|warn|strict] [-wire-addr :8181]
 //	      [-mode leader|replica] [-leader-addr host:8181] [-replica-name NAME]
 //
@@ -118,7 +118,6 @@ import (
 // config collects the command-line settings.
 type config struct {
 	addr, policyPath, auditPath, snapshotPath string
-	lanes                                     int
 	auditSync                                 time.Duration
 	traceBuffer                               int
 	traceSample                               float64
@@ -153,7 +152,9 @@ func main() {
 	flag.DurationVar(&cfg.auditSync, "audit-sync", 3*time.Second,
 		"audit flush interval bounding crash loss; 0 = flush+fsync every append")
 	flag.StringVar(&cfg.snapshotPath, "snapshot", "", "state snapshot path, written on shutdown (optional)")
-	flag.IntVar(&cfg.lanes, "lanes", 0, "enforcement lanes: 0 = one per CPU, 1 = fully serialized")
+	// Deprecated: ignored; enforcement runs on one drain. Still parsed
+	// because the frozen benchmark/ starts every rbacd with -lanes 0.
+	flag.Int("lanes", 0, "deprecated, ignored: enforcement runs on one drain")
 	flag.IntVar(&cfg.traceBuffer, "trace-buffer", 256, "decision traces retained for /v1/traces; 0 disables tracing")
 	flag.Float64Var(&cfg.traceSample, "trace-sample", 0,
 		"sampled tracing: trace this fraction of decisions (0 = trace every decision, the pre-sampling behaviour); client-requested traces are always honoured")
@@ -243,12 +244,8 @@ func main() {
 }
 
 func run(cfg config) error {
-	if cfg.lanes == 0 {
-		cfg.lanes = activerbac.LanesAuto
-	}
 	opts := &activerbac.Options{
 		AuditPath:            cfg.auditPath,
-		Lanes:                cfg.lanes,
 		Metrics:              true,
 		TraceBuffer:          cfg.traceBuffer,
 		TraceSample:          cfg.traceSample,
@@ -282,7 +279,7 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	// Close quiesces the lanes once more and releases the audit log; it
+	// Close quiesces the drain once more and releases the audit log; it
 	// runs after the shutdown sequence below has drained everything.
 	defer sys.Close()
 
@@ -432,11 +429,11 @@ func run(cfg config) error {
 	}
 
 	if cfg.mode == "replica" {
-		log.Printf("rbacd: replica %q serving on %s (leader %s, %d lanes)",
-			cfg.replicaName, ln.Addr(), cfg.leaderAddr, sys.Lanes())
+		log.Printf("rbacd: replica %q serving on %s (leader %s)",
+			cfg.replicaName, ln.Addr(), cfg.leaderAddr)
 	} else {
-		log.Printf("rbacd: serving on %s (policy %s, %d rules, %d lanes)",
-			ln.Addr(), cfg.policyPath, len(sys.Rules()), sys.Lanes())
+		log.Printf("rbacd: serving on %s (policy %s, %d rules)",
+			ln.Addr(), cfg.policyPath, len(sys.Rules()))
 	}
 	return serve(sys, httpSrv, wireSrv, ln, done, cfg.snapshotPath)
 }
@@ -683,7 +680,7 @@ func debugMux() *http.ServeMux {
 // gracefully: stop accepting connections, let in-flight requests finish
 // (http.Server.Shutdown blocks until handlers return; the wire server
 // drains its admitted frames the same way), quiesce the enforcement
-// lanes so every admitted request's rule cascade settles, and only then
+// drain so every admitted request's rule cascade settles, and only then
 // write the snapshot. The audit log is closed afterwards by the
 // caller's sys.Close. wireSrv may be nil.
 func serve(sys *activerbac.System, httpSrv *http.Server, wireSrv *wire.Server, ln net.Listener,
@@ -980,8 +977,8 @@ func (s *server) check(w http.ResponseWriter, r *http.Request) {
 }
 
 // checkBatch decides a whole batch of access checks in one batch-native
-// engine pass (System.CheckAccessBatch): one snapshot capture, one lane
-// crossing per scope group. The batch size shares the wire protocol's
+// engine pass (System.CheckAccessBatch): one snapshot capture, one
+// drain crossing for the misses. The batch size shares the wire protocol's
 // MaxBatch bound so both transports accept the same frames.
 func (s *server) checkBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
@@ -1134,11 +1131,7 @@ func (s *server) rules(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
-	sys := s.system()
-	writeJSON(w, http.StatusOK, struct {
-		activerbac.Stats
-		Lanes []activerbac.LaneStat
-	}{sys.Stats(), sys.LaneStats()})
+	writeJSON(w, http.StatusOK, s.system().Stats())
 }
 
 func (s *server) fastpath(w http.ResponseWriter, _ *http.Request) {
@@ -1247,13 +1240,13 @@ func (s *server) healthz(w http.ResponseWriter, _ *http.Request) {
 	_, _ = io.WriteString(w, "ok\n")
 }
 
-// laneReadyDepth is the per-lane queue depth beyond which /readyz
+// readyQueueDepth is the drain queue depth beyond which /readyz
 // reports the engine as backlogged and flips to 503 so load balancers
-// shed traffic until the lanes drain.
-const laneReadyDepth = 4096
+// shed traffic until the drain catches up.
+const readyQueueDepth = 4096
 
 // readyz is readiness: the policy is loaded and clean, the enforcement
-// lanes are draining, and the wire listener (when configured) accepts.
+// drain keeps up, and the wire listener (when configured) accepts.
 func (s *server) readyz(w http.ResponseWriter, _ *http.Request) {
 	var problems []string
 	if s.analyzeErrors.Load() {
@@ -1262,10 +1255,8 @@ func (s *server) readyz(w http.ResponseWriter, _ *http.Request) {
 	if s.verifyErrors.Load() {
 		problems = append(problems, "live policy has error-severity verification findings")
 	}
-	for _, ls := range s.system().LaneStats() {
-		if ls.Depth > laneReadyDepth {
-			problems = append(problems, fmt.Sprintf("lane %s backlogged: depth %d > %d", ls.Lane, ls.Depth, laneReadyDepth))
-		}
+	if q := s.system().Stats().Queued; q > readyQueueDepth {
+		problems = append(problems, fmt.Sprintf("enforcement drain backlogged: %d queued > %d", q, readyQueueDepth))
 	}
 	if s.wireConfigured && !s.wireReady.Load() {
 		problems = append(problems, "wire listener not accepting")

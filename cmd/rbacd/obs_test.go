@@ -21,7 +21,6 @@ func newObsServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	sys, err := activerbac.Open(testPolicy, &activerbac.Options{
 		Clock:       activerbac.NewSimClock(time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)),
-		Lanes:       4,
 		Metrics:     true,
 		TraceBuffer: 64,
 	})
@@ -147,10 +146,6 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 		"activerbac_decisions_total":        "counter",
 		"activerbac_traces_total":           "counter",
 		"activerbac_lane_wait_seconds":      "histogram",
-		"activerbac_lane_queue_depth":       "gauge",
-		"activerbac_lane_queue_max_depth":   "gauge",
-		"activerbac_lane_enqueued_total":    "counter",
-		"activerbac_lane_processed_total":   "counter",
 		"activerbac_operator_matches_total": "counter",
 		"activerbac_events_raised_total":    "counter",
 		"activerbac_events_detected_total":  "counter",
@@ -179,7 +174,7 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 		}
 	}
 
-	// Traffic showed up: sessions gauge, decision counters, lane work.
+	// Traffic showed up: sessions gauge, decision counters, drain work.
 	if samples["activerbac_sessions"] != 1 {
 		t.Errorf("sessions = %v, want 1", samples["activerbac_sessions"])
 	}
@@ -192,14 +187,8 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 	if samples["activerbac_traces_total"] < 3 {
 		t.Errorf("traces_total = %v, want >= 3", samples["activerbac_traces_total"])
 	}
-	var laneWork float64
-	for k, v := range samples {
-		if strings.HasPrefix(k, "activerbac_lane_processed_total{") {
-			laneWork += v
-		}
-	}
-	if laneWork == 0 {
-		t.Error("no lane throughput recorded")
+	if samples["activerbac_lane_wait_seconds_count"] == 0 {
+		t.Error("no drain waits recorded")
 	}
 
 	// Histogram invariant: the +Inf bucket equals the count.
@@ -230,7 +219,6 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 func TestMetricsFastPathCounters(t *testing.T) {
 	sys, err := activerbac.Open(testPolicy, &activerbac.Options{
 		Clock:    activerbac.NewSimClock(time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)),
-		Lanes:    4,
 		Metrics:  true,
 		FastPath: true,
 	})
@@ -302,7 +290,7 @@ func TestTraceEndpoints(t *testing.T) {
 		t.Fatalf("/v1/traces: code=%d n=%d", code, len(traces))
 	}
 	// Newest first, each complete, and the activation trace carries its
-	// cascade (role-activation fan-out hops to the global lane).
+	// cascade (the role-activation fan-out).
 	for i, td := range traces {
 		if !td.Complete {
 			t.Fatalf("trace %d incomplete", td.ID)

@@ -63,7 +63,6 @@ func TestWireDifferential(t *testing.T) {
 	sim := activerbac.NewSimClock(epoch)
 	sys, err := activerbac.Open(wireStressPolicy("09:00:00"), &activerbac.Options{
 		Clock:    sim,
-		Lanes:    4,    // scope groups of one batch frame run on different lanes
 		FastPath: true, // the wire path must agree with cached verdicts too
 		// Sampled tracing at a vanishing rate: the trace machinery is live
 		// (client-forced traces work, and the end-of-run traced
@@ -160,7 +159,7 @@ func TestWireDifferential(t *testing.T) {
 	var stop atomic.Bool
 	var churn, workers sync.WaitGroup
 
-	// Churn is throttled: each mutation quiesces lanes or bumps epochs,
+	// Churn is throttled: each mutation runs on the drain or bumps epochs,
 	// and worker checks pay a network round trip per path, so unthrottled
 	// mutator spins would starve the workers into a minutes-long run
 	// without exercising anything extra. A pause of a few check RTTs
@@ -413,8 +412,8 @@ func TestWireDifferential(t *testing.T) {
 
 	// The multi-session batch participant: 64 sessions of its own (four
 	// per user, the user's worker role active in each, never mutated) and
-	// one 256-tuple frame per round that spans all of them — 64 scope
-	// groups the four lanes deliver concurrently. Every element must equal
+	// one 256-tuple frame per round that spans all of them, submitted
+	// concurrently with the workers' checks. Every element must equal
 	// the sequential per-tuple verdict and the model on the in-process
 	// batch path, HTTP /v1/check-batch and the batch-native wire
 	// CHECK_BATCH, under the same churn as the workers.

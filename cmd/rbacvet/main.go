@@ -13,8 +13,12 @@
 //	             engine clock (internal/clock)
 //	obsnil       optional observability pointers (obs, ins, Traces) are
 //	             nil-checked before every hot-path deref
-//	lockorder    lane mutexes acquired in the documented order (emu
-//	             before qmu)
+//	snapimmut    rbacvet:snapshot structs are never written after
+//	             publication
+//	batchsnap    batch-path loops in internal/sentinel never re-capture
+//	             the snapshot or epoch per tuple
+//	poolreturn   a sync.Pool value is put back or handed off on every
+//	             return path
 //
 // Diagnostics print one per line as "file:line:col: pass: message";
 // exit status is 1 when any were found, 2 on usage or parse errors.

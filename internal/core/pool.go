@@ -16,8 +16,8 @@ import (
 type OutcomeListener func(Outcome)
 
 // ruleState wraps a Rule with pool-managed runtime state. The firing
-// counters are atomic because rules on different scope lanes fire
-// concurrently.
+// counters are atomic because status readers load them while the drain
+// fires rules.
 type ruleState struct {
 	rule    Rule
 	enabled bool
@@ -36,7 +36,6 @@ type RuleInfo struct {
 	On          string
 	Class       Class
 	Granularity Granularity
-	Scope       Scope
 	Priority    int
 	Tags        []string
 	Enabled     bool
@@ -50,14 +49,11 @@ type RuleInfo struct {
 }
 
 // fireTable is the published per-event firing plan: the enabled rules
-// in priority order plus the facts lane routing and the decision fast
-// path need. Fields are written only by the builder (publishLocked) and
-// are immutable once published.
+// in priority order plus the facts the decision fast path needs. Fields
+// are written only by the builder (publishLocked) and are immutable once
+// published.
 type fireTable struct {
 	states []*ruleState // enabled rules only, (priority desc, order asc)
-	// local reports whether every rule bound to the event (enabled or
-	// not) is scope-local — the detector's routing advisor answer.
-	local bool
 	// cacheSafe reports whether the event's decisions may be served
 	// from the fast-path cache: at least one enabled rule, and every
 	// enabled rule marked Rule.CacheSafe.
@@ -79,8 +75,7 @@ type fireView struct {
 // Pool holds the active authorization rules of one system — the paper's
 // "rule pool" — and wires them to an event detector. Mutations are
 // guarded by one mutex and republish an immutable fireView; rule firing
-// happens on detector lanes, concurrently across scopes when the
-// detector is sharded, reading only the published view.
+// happens on the detector's drain, reading only the published view.
 type Pool struct {
 	det *event.Detector
 
@@ -104,9 +99,7 @@ type Pool struct {
 // off. Off (the default) keeps rule firing at one clock read.
 func (p *Pool) SetRuleTiming(on bool) { p.timed.Store(on) }
 
-// NewPool returns an empty rule pool bound to det and installs the pool
-// as the detector's scope advisor, so lane routing follows the
-// granularity of the registered rules.
+// NewPool returns an empty rule pool bound to det.
 func NewPool(det *event.Detector) *Pool {
 	p := &Pool{
 		det:     det,
@@ -115,7 +108,6 @@ func NewPool(det *event.Detector) *Pool {
 		subIDs:  make(map[string]int),
 	}
 	p.view.Store(&fireView{byEvent: map[string]*fireTable{}})
-	det.SetScopeAdvisor(p.EventScopeLocal)
 	return p
 }
 
@@ -127,11 +119,8 @@ func (p *Pool) publishLocked() {
 		listeners: append([]OutcomeListener(nil), p.listeners...),
 	}
 	for evt, states := range p.byEvent {
-		t := &fireTable{local: true, cacheSafe: true, subID: p.subIDs[evt]}
+		t := &fireTable{cacheSafe: true, subID: p.subIDs[evt]}
 		for _, st := range states {
-			if !st.rule.Scope.Local() {
-				t.local = false
-			}
 			if !st.enabled {
 				continue
 			}
@@ -161,14 +150,6 @@ func (p *Pool) SetChangeHook(fn func()) {
 	p.chook = fn
 	p.publishLocked()
 	p.mu.Unlock()
-}
-
-// EventScopeLocal reports whether every rule currently bound to evt is
-// scope-local (no ScopeGlobal rule), i.e. whether occurrences of evt
-// may execute on a scope lane as far as the rule pool is concerned.
-func (p *Pool) EventScopeLocal(evt string) bool {
-	t := p.view.Load().byEvent[evt]
-	return t == nil || t.local
 }
 
 // CacheVerdictSafe reports whether evt's ALLOW decisions may be served
@@ -226,10 +207,10 @@ func (p *Pool) Add(r Rule) error {
 
 	if _, subscribed := p.subIDs[r.On]; !subscribed {
 		evt := r.On
-		// The pool subscription is scope-marked: whether the event may
-		// actually leave the global lane is decided per event by the
-		// EventScopeLocal advisor above.
-		id, err := p.det.SubscribeScoped(evt, func(o *event.Occurrence) { p.fire(evt, o) })
+		// The firing handler never keeps the occurrence; outcome
+		// listeners that do are tracked separately (CacheVerdictSafe,
+		// the engine's pooling gate).
+		id, err := p.det.SubscribeNonRetaining(evt, func(o *event.Occurrence) { p.fire(evt, o) })
 		if err != nil {
 			// Undo the insert; Defined was checked above so this is
 			// unexpected, but keep the pool consistent.
@@ -386,7 +367,7 @@ func (st *ruleState) info() RuleInfo {
 	}
 	return RuleInfo{
 		Name: r.Name, On: r.On, Class: r.Class, Granularity: r.Granularity,
-		Scope: r.Scope, Priority: r.Priority, Tags: append([]string(nil), r.Tags...),
+		Priority: r.Priority, Tags: append([]string(nil), r.Tags...),
 		Enabled: st.enabled,
 		Fired:   st.fired.Load(), Allowed: st.allowed.Load(), Denied: st.denied.Load(),
 		EvalNanos:  st.evalNanos.Load(),
@@ -395,7 +376,7 @@ func (st *ruleState) info() RuleInfo {
 }
 
 // fire runs every enabled rule bound to evt against occurrence o, in
-// priority order. Runs on a detector lane; the published fire view
+// priority order. Runs on the detector's drain; the published fire view
 // makes it one atomic load with no locking and no per-firing
 // allocation.
 func (p *Pool) fire(evt string, o *event.Occurrence) {
@@ -433,7 +414,7 @@ func (p *Pool) runRule(st *ruleState, o *event.Occurrence) Outcome {
 			if err != nil {
 				detail += ": " + err.Error()
 			}
-			tr.Add(out.At, o.Lane(), obs.StepCondition, o.Event, r.Name, detail, ok && err == nil)
+			tr.Add(out.At, obs.StepCondition, o.Event, r.Name, detail, ok && err == nil)
 		}
 		if err != nil {
 			out.Allowed = false
@@ -452,7 +433,7 @@ func (p *Pool) runRule(st *ruleState, o *event.Occurrence) Outcome {
 		branch, branchName = r.Else, "else"
 	}
 	if tr != nil {
-		tr.Add(out.At, o.Lane(), obs.StepRule, o.Event, r.Name, branchName, out.Allowed)
+		tr.Add(out.At, obs.StepRule, o.Event, r.Name, branchName, out.Allowed)
 	}
 	for _, a := range branch {
 		err := a.Run(o)
@@ -461,7 +442,7 @@ func (p *Pool) runRule(st *ruleState, o *event.Occurrence) Outcome {
 			if err != nil {
 				detail += ": " + err.Error()
 			}
-			tr.Add(out.At, o.Lane(), obs.StepAction, o.Event, r.Name, detail, err == nil)
+			tr.Add(out.At, obs.StepAction, o.Event, r.Name, detail, err == nil)
 		}
 		if err != nil {
 			out.ActionErr = err

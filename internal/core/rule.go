@@ -119,45 +119,6 @@ func (g Granularity) String() string {
 	}
 }
 
-// Scope declares which partition of enforcement state a rule's
-// conditions and actions may observe, and therefore where occurrences
-// of its On event may execute. It refines Granularity for the event
-// router: a scope-local rule (session- or user-scoped) only reads and
-// writes state of the single scope named by the triggering occurrence's
-// ScopeKey, so its firings for different scopes may run concurrently on
-// scope lanes. A global rule (SoD oracles, cardinality counters,
-// security monitors, anything condition-dependent on other users) pins
-// its event to the global lane.
-type Scope int
-
-// Rule scopes.
-const (
-	// ScopeGlobal (the zero value, so unannotated rules stay safe) may
-	// observe cross-scope state and requires global-lane ordering.
-	ScopeGlobal Scope = iota
-	// ScopeSession rules touch only the triggering session's state.
-	ScopeSession
-	// ScopeUser rules touch only the triggering user's state.
-	ScopeUser
-)
-
-// String implements fmt.Stringer.
-func (s Scope) String() string {
-	switch s {
-	case ScopeGlobal:
-		return "global"
-	case ScopeSession:
-		return "session"
-	case ScopeUser:
-		return "user"
-	default:
-		return fmt.Sprintf("Scope(%d)", int(s))
-	}
-}
-
-// Local reports whether the rule scope permits scope-lane execution.
-func (s Scope) Local() bool { return s != ScopeGlobal }
-
 // Rule is one OWTE authorization rule:
 //
 //	RULE [ Name
@@ -181,10 +142,6 @@ type Rule struct {
 	// Class and Granularity classify the rule per Section 4.3.
 	Class       Class
 	Granularity Granularity
-	// Scope declares the state partition the rule touches; it drives
-	// lane routing. The zero value (ScopeGlobal) is the conservative
-	// default: such rules always execute with global ordering.
-	Scope Scope
 	// Priority orders rules triggered by the same event; higher runs
 	// first (ties break by insertion order).
 	Priority int

@@ -1,50 +1,20 @@
 package event
 
-import "sync"
-
-// Batch groups several synchronous raises of one primitive event into
-// per-scope lane work items: every occurrence of one scope group rides a
-// single queued item, so a thousand-tuple batch crosses each lane
-// boundary once per scope instead of once per tuple. All groups share
-// one cascade, so Wait gives the same settled-cascade guarantee
-// RaiseSync gives a single request — including cross-lane RaiseFrom
-// descendants — at one cascade allocation per batch.
+// Batch raises many synchronous occurrences of one primitive event as
+// group work items: every occurrence of a group rides a single queued
+// item, so a thousand-tuple batch crosses the drain boundary once per
+// group instead of once per tuple. Groups post in call order and
+// deliver their occurrences in slice order, so a batch keeps exactly
+// the total order of back-to-back RaiseSync calls; Wait gives the same
+// settled-cascade guarantee RaiseSync gives a single request.
 //
-// Groups are staged by RaiseGroupOwned or RaiseGroupFn and executed by
-// Wait: groups
-// routed to the same lane (notably the global lane, and everything in
-// the single-lane configuration) post in staging order and so keep
-// total order exactly like back-to-back RaiseSync calls, while groups
-// on distinct lanes execute concurrently — the same interleaving
-// concurrent per-tuple callers produce today, but with one posting
-// goroutine per lane instead of one round trip per tuple.
-//
-// A Batch is single-caller: build it, stage every group, Wait once. It
+// A Batch is single-caller: build it, raise every group, Wait once. It
 // must not be reused after Wait, and — like RaiseSync — must not be
 // driven from inside a handler.
 type Batch struct {
 	d    *Detector
 	prim *primitiveNode
 	name string
-	casc *cascade
-	// lanes are the distinct lanes groups were staged for, in first-use
-	// order; Wait runs one posting goroutine per lane and drains each to
-	// quiet, preserving RaiseSync's same-lane completion guarantee.
-	lanes []*lane
-	jobs  []batchJob
-}
-
-// batchJob is one staged scope group awaiting execution, in one of two
-// forms: an owned-params group (group non-nil) delivering one
-// caller-built map per occurrence, or a carrier group (fill non-nil)
-// delivering n occurrences through one reused occurrence struct and
-// params map that fill rewrites per index.
-type batchJob struct {
-	ln    *lane
-	scope string
-	group []Params
-	n     int
-	fill  func(i int, p Params)
 }
 
 // NewBatch resolves name once and prepares a batch raise of it.
@@ -53,140 +23,73 @@ func (d *Detector) NewBatch(name string) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Batch{d: d, prim: prim, name: name, casc: newCascade()}
-	// The batch itself holds one cascade slot until Wait: without it the
-	// cascade would settle the moment the first group finished, and
-	// later groups would run untracked.
-	b.casc.join()
-	return b, nil
+	return &Batch{d: d, prim: prim, name: name}, nil
 }
 
-// RaiseGroupOwned stages one scope group as a single lane work item.
-// The item builds and delivers an occurrence per params map in slice
-// order, so a group's occurrences process in submission order on their
-// lane. Ownership of every map in group transfers to the detector — the
-// caller must not touch them afterwards (the RaiseSyncTracedOwned
-// contract, batch-wide).
-func (b *Batch) RaiseGroupOwned(group []Params, scope string) {
+// RaiseGroupOwned posts one group as a single work item that builds and
+// delivers an occurrence per params map, in slice order. Ownership of
+// every map in group transfers to the detector — the caller must not
+// touch them afterwards (the RaiseSyncTracedOwned contract, batch-wide).
+func (b *Batch) RaiseGroupOwned(group []Params) {
 	if len(group) == 0 {
 		return
 	}
-	ln := b.d.laneFor(b.prim, scope)
-	b.noteLane(ln)
-	b.jobs = append(b.jobs, batchJob{ln: ln, scope: scope, group: group})
+	d, name, prim, now := b.d, b.name, b.prim, b.d.clk.Now()
+	d.post(func() {
+		d.raised.Add(uint64(len(group)))
+		pooled := d.occPoolOK.Load()
+		for _, p := range group {
+			var occ *Occurrence
+			if pooled {
+				occ = occPool.Get().(*Occurrence)
+			} else {
+				occ = new(Occurrence)
+			}
+			*occ = Occurrence{Event: name, Start: now, End: now, Params: p}
+			if recyclable := d.deliver(prim, occ); pooled && recyclable {
+				*occ = Occurrence{}
+				occPool.Put(occ)
+			}
+		}
+	})
 }
 
-// RaiseGroupFn stages one scope group of n occurrences delivered through
-// a single reused carrier: one occurrence struct and one params map,
-// which fill rewrites in place for each index before delivery. The
-// caller asserts that nothing retains occurrences of this event beyond
-// the synchronous delivery — the verdict-cache-safety shape (sole
-// scope-marked subscriber, no composite parents, no outcome listeners).
-// The shape is re-verified per delivery: the moment a delivery reports
-// the occurrence escaped (a subscriber or composite parent appeared
-// mid-batch), the tainted carrier is abandoned and every remaining
-// index gets fresh storage, so a mid-batch policy change degrades to
-// the owned-group cost instead of corrupting a retained occurrence.
-func (b *Batch) RaiseGroupFn(scope string, n int, fill func(i int, p Params)) {
+// RaiseGroupFn posts one group of n occurrences delivered through a
+// single reused carrier: one occurrence struct and one params map, which
+// fill rewrites in place for each index before delivery. The caller
+// asserts that nothing retains occurrences of this event beyond the
+// synchronous delivery — the verdict-cache-safety shape (sole
+// non-retaining subscriber, no composite parents, no outcome
+// listeners). The shape is re-verified per delivery: the moment a
+// delivery reports the occurrence escaped (a subscriber or composite
+// parent appeared mid-batch), the tainted carrier is abandoned and every
+// remaining index gets fresh storage, so a mid-batch policy change
+// degrades to the owned-group cost instead of corrupting a retained
+// occurrence.
+func (b *Batch) RaiseGroupFn(n int, fill func(i int, p Params)) {
 	if n == 0 {
 		return
 	}
-	ln := b.d.laneFor(b.prim, scope)
-	b.noteLane(ln)
-	b.jobs = append(b.jobs, batchJob{ln: ln, scope: scope, n: n, fill: fill})
-}
-
-// postLane posts ln's staged groups in staging order. Under the
-// caller-drains discipline each post of an idle lane drains it
-// synchronously, so by return every group posted here has been
-// delivered or handed to a concurrent drainer the final awaitQuiet
-// will observe.
-func (b *Batch) postLane(ln *lane) {
-	now := b.d.clk.Now()
-	name, prim := b.name, b.prim
-	for _, j := range b.jobs {
-		if j.ln != ln {
-			continue
-		}
-		if j.fill != nil {
-			n, fill, scope := j.n, j.fill, j.scope
-			ln.post(b.casc, func(ex exec) {
-				ex.d.raised.Add(uint64(n))
-				p := make(Params, 8)
-				occ := new(Occurrence)
-				reuse := true
-				for i := 0; i < n; i++ {
-					if !reuse {
-						// The previous delivery escaped: its occurrence
-						// and map are retained somewhere, so neither may
-						// be rewritten.
-						p = make(Params, 8)
-						occ = new(Occurrence)
-					}
-					fill(i, p)
-					*occ = Occurrence{Event: name, Start: now, End: now, Params: p, Scope: scope}
-					reuse = ex.d.deliver(ex, prim, occ)
-				}
-			})
-			continue
-		}
-		group, scope := j.group, j.scope
-		ln.post(b.casc, func(ex exec) {
-			ex.d.raised.Add(uint64(len(group)))
-			pooled := ex.d.occPoolOK.Load()
-			for _, p := range group {
-				var occ *Occurrence
-				if pooled {
-					occ = occPool.Get().(*Occurrence)
-				} else {
-					occ = new(Occurrence)
-				}
-				*occ = Occurrence{Event: name, Start: now, End: now, Params: p, Scope: scope}
-				if recyclable := ex.d.deliver(ex, prim, occ); pooled && recyclable {
-					*occ = Occurrence{}
-					occPool.Put(occ)
-				}
+	d, name, prim, now := b.d, b.name, b.prim, b.d.clk.Now()
+	d.post(func() {
+		d.raised.Add(uint64(n))
+		p := make(Params, 8)
+		occ := new(Occurrence)
+		reuse := true
+		for i := 0; i < n; i++ {
+			if !reuse {
+				// The previous delivery escaped: its occurrence and map
+				// are retained somewhere, so neither may be rewritten.
+				p = make(Params, 8)
+				occ = new(Occurrence)
 			}
-		})
-	}
+			fill(i, p)
+			*occ = Occurrence{Event: name, Start: now, End: now, Params: p}
+			reuse = d.deliver(prim, occ)
+		}
+	})
 }
 
-// Wait executes the staged groups — one posting goroutine per distinct
-// lane, the first lane on the caller — releases the batch's own cascade
-// hold, blocks until the whole cascade settled, then drains each
-// touched lane to quiet. Every post joins the cascade before Wait
-// releases its hold (the goroutines are joined first), so the cascade
-// cannot settle while groups are still in flight.
-func (b *Batch) Wait() {
-	if len(b.lanes) > 1 {
-		var wg sync.WaitGroup
-		for _, ln := range b.lanes[1:] {
-			wg.Add(1)
-			go func(ln *lane) {
-				defer wg.Done()
-				b.postLane(ln)
-			}(ln)
-		}
-		b.postLane(b.lanes[0])
-		wg.Wait()
-	} else if len(b.lanes) == 1 {
-		b.postLane(b.lanes[0])
-	}
-	b.casc.leave()
-	b.casc.wait()
-	for _, ln := range b.lanes {
-		ln.awaitQuiet()
-	}
-}
-
-// noteLane records a lane the batch staged work for, deduplicated. Lane
-// counts are small (bounded by the scope-lane count plus one), so a
-// linear scan beats a map.
-func (b *Batch) noteLane(ln *lane) {
-	for _, have := range b.lanes {
-		if have == ln {
-			return
-		}
-	}
-	b.lanes = append(b.lanes, ln)
-}
+// Wait blocks until every group raised on the batch, and every cascade
+// those groups triggered, has been processed.
+func (b *Batch) Wait() { b.d.awaitQuiet() }

@@ -6,8 +6,7 @@ import (
 )
 
 // TestBatchEmptyWait: a batch with no groups (every tuple served from a
-// cache) must settle immediately instead of deadlocking on its own
-// cascade hold.
+// cache) must settle immediately.
 func TestBatchEmptyWait(t *testing.T) {
 	d, _ := newTestDetector()
 	d.MustPrimitive("ev")
@@ -15,8 +14,8 @@ func TestBatchEmptyWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.RaiseGroupOwned(nil, "s1") // empty group: no-op
-	b.Wait()                     // must not block
+	b.RaiseGroupOwned(nil) // empty group: no-op
+	b.Wait()               // must not block
 }
 
 // TestBatchUndefinedEvent: resolution happens once, up front.
@@ -28,9 +27,8 @@ func TestBatchUndefinedEvent(t *testing.T) {
 	d.MustPrimitive("composite.base")
 }
 
-// TestBatchDeliversGroupsInOrder: one lane item per group, occurrences
-// of a group delivered in slice order, groups in posting order on a
-// shared lane.
+// TestBatchDeliversGroupsInOrder: one drain item per group, occurrences
+// of a group delivered in slice order, groups in posting order.
 func TestBatchDeliversGroupsInOrder(t *testing.T) {
 	d, _ := newTestDetector()
 	d.MustPrimitive("ev")
@@ -47,8 +45,8 @@ func TestBatchDeliversGroupsInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.RaiseGroupOwned([]Params{{"id": "a1"}, {"id": "a2"}}, "sA")
-	b.RaiseGroupOwned([]Params{{"id": "b1"}}, "sB")
+	b.RaiseGroupOwned([]Params{{"id": "a1"}, {"id": "a2"}})
+	b.RaiseGroupOwned([]Params{{"id": "b1"}})
 	b.Wait()
 	want := []string{"a1", "a2", "b1"}
 	if len(got) != len(want) {
@@ -64,8 +62,8 @@ func TestBatchDeliversGroupsInOrder(t *testing.T) {
 	}
 }
 
-// TestBatchWaitCoversCascades: a handler cascading with RaiseFrom joins
-// the batch cascade; Wait must cover the cascaded work, including a
+// TestBatchWaitCoversCascades: a handler cascading with RaiseFrom queues
+// behind the batch; Wait must cover the cascaded work, including a
 // second batch reusing the detector afterwards.
 func TestBatchWaitCoversCascades(t *testing.T) {
 	d, _ := newTestDetector()
@@ -92,7 +90,7 @@ func TestBatchWaitCoversCascades(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.RaiseGroupOwned([]Params{{}, {}}, "s1")
+		b.RaiseGroupOwned([]Params{{}, {}})
 		b.Wait()
 		mu.Lock()
 		want := 2 * (round + 1)
@@ -105,15 +103,16 @@ func TestBatchWaitCoversCascades(t *testing.T) {
 
 // TestBatchCarrierDeliversValues: RaiseGroupFn delivers every index with
 // the values fill wrote, in order, through the reused carrier — the
-// sole-scoped-subscriber shape where nothing retains the occurrence.
+// sole-non-retaining-subscriber shape where nothing retains the
+// occurrence.
 func TestBatchCarrierDeliversValues(t *testing.T) {
 	d, _ := newTestDetector()
 	d.MustPrimitive("ev")
 	var mu sync.Mutex
 	var got []string
-	if _, err := d.SubscribeScoped("ev", func(o *Occurrence) {
+	if _, err := d.SubscribeNonRetaining("ev", func(o *Occurrence) {
 		mu.Lock()
-		got = append(got, o.Params["id"].(string)+"@"+o.Scope)
+		got = append(got, o.Params["id"].(string))
 		mu.Unlock()
 	}); err != nil {
 		t.Fatal(err)
@@ -123,10 +122,10 @@ func TestBatchCarrierDeliversValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.RaiseGroupFn("sA", len(ids), func(i int, p Params) { p["id"] = ids[i] })
-	b.RaiseGroupFn("sB", 1, func(i int, p Params) { p["id"] = "b1" })
+	b.RaiseGroupFn(len(ids), func(i int, p Params) { p["id"] = ids[i] })
+	b.RaiseGroupFn(1, func(i int, p Params) { p["id"] = "b1" })
 	b.Wait()
-	want := []string{"a1@sA", "a2@sA", "a3@sA", "b1@sB"}
+	want := []string{"a1", "a2", "a3", "b1"}
 	if len(got) != len(want) {
 		t.Fatalf("delivered %v, want %v", got, want)
 	}
@@ -150,7 +149,7 @@ func TestBatchCarrierDegradesWhenRetained(t *testing.T) {
 	d.MustPrimitive("ev")
 	var mu sync.Mutex
 	var kept []*Occurrence
-	if _, err := d.SubscribeScoped("ev", func(*Occurrence) {}); err != nil {
+	if _, err := d.SubscribeNonRetaining("ev", func(*Occurrence) {}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Subscribe("ev", func(o *Occurrence) {
@@ -165,7 +164,7 @@ func TestBatchCarrierDegradesWhenRetained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.RaiseGroupFn("s1", n, func(i int, p Params) { p["i"] = i })
+	b.RaiseGroupFn(n, func(i int, p Params) { p["i"] = i })
 	b.Wait()
 	if len(kept) != n {
 		t.Fatalf("retained %d occurrences, want %d", len(kept), n)

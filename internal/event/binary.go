@@ -24,13 +24,13 @@ type seqNode struct {
 
 func (n *seqNode) kind() string { return "SEQ" }
 
-func (n *seqNode) process(src node, occ *Occurrence, ex exec) {
+func (n *seqNode) process(src node, occ *Occurrence, d *Detector) {
 	if n.left == n.right {
 		// SEQ(E, E): an occurrence first tries to terminate a pending
 		// initiator; whether it also becomes an initiator depends on the
 		// mode (consuming modes use each occurrence in one role only;
 		// Recent keeps the latest occurrence initiating).
-		terminated := n.terminate(occ, ex)
+		terminated := n.terminate(occ, d)
 		if !terminated || n.mode == Recent {
 			n.store(occ)
 		}
@@ -38,7 +38,7 @@ func (n *seqNode) process(src node, occ *Occurrence, ex exec) {
 	}
 	switch src {
 	case n.right:
-		n.terminate(occ, ex)
+		n.terminate(occ, d)
 	case n.left:
 		n.store(occ)
 	}
@@ -54,12 +54,12 @@ func (n *seqNode) store(occ *Occurrence) {
 
 // terminate pairs occ (a right-side occurrence) against pending
 // initiators; it reports whether at least one detection fired.
-func (n *seqNode) terminate(occ *Occurrence, ex exec) bool {
+func (n *seqNode) terminate(occ *Occurrence, d *Detector) bool {
 	eligible := func(init *Occurrence) bool { return init.End.Before(occ.Start) }
 	switch n.mode {
 	case Recent:
 		if len(n.inits) > 0 && eligible(n.inits[len(n.inits)-1]) {
-			ex.d.deliver(ex, n, compose(n.nm, 0, n.inits[len(n.inits)-1], occ))
+			d.deliver(n, compose(n.nm, 0, n.inits[len(n.inits)-1], occ))
 			return true
 		}
 	case Chronicle:
@@ -70,7 +70,7 @@ func (n *seqNode) terminate(occ *Occurrence, ex exec) bool {
 				} else {
 					n.inits = append(n.inits[:i], n.inits[i+1:]...)
 				}
-				ex.d.deliver(ex, n, compose(n.nm, 0, init, occ))
+				d.deliver(n, compose(n.nm, 0, init, occ))
 				return true
 			}
 		}
@@ -88,7 +88,7 @@ func (n *seqNode) terminate(occ *Occurrence, ex exec) bool {
 		if len(matched) > 0 {
 			n.inits = keep
 			for _, init := range matched {
-				ex.d.deliver(ex, n, compose(n.nm, 0, init, occ))
+				d.deliver(n, compose(n.nm, 0, init, occ))
 			}
 			fired = true
 		}
@@ -105,7 +105,7 @@ func (n *seqNode) terminate(occ *Occurrence, ex exec) bool {
 		if len(matched) > 0 {
 			n.inits = keep
 			parts := append(matched, occ)
-			ex.d.deliver(ex, n, compose(n.nm, 0, parts...))
+			d.deliver(n, compose(n.nm, 0, parts...))
 			return true
 		}
 	}
@@ -123,10 +123,10 @@ type andNode struct {
 
 func (n *andNode) kind() string { return "AND" }
 
-func (n *andNode) process(src node, occ *Occurrence, ex exec) {
+func (n *andNode) process(src node, occ *Occurrence, d *Detector) {
 	if n.left == n.right {
 		// AND(E, E): pair consecutive occurrences from one buffer.
-		if n.pair(&n.lbuf, occ, ex) {
+		if n.pair(&n.lbuf, occ, d) {
 			return
 		}
 		n.storeSide(&n.lbuf, occ)
@@ -141,7 +141,7 @@ func (n *andNode) process(src node, occ *Occurrence, ex exec) {
 	default:
 		return
 	}
-	if n.pair(opposite, occ, ex) {
+	if n.pair(opposite, occ, d) {
 		return
 	}
 	n.storeSide(own, occ)
@@ -156,7 +156,7 @@ func (n *andNode) storeSide(buf *[]*Occurrence, occ *Occurrence) {
 
 // pair matches occ (acting as terminator) against the opposite buffer;
 // it reports whether a detection fired.
-func (n *andNode) pair(opposite *[]*Occurrence, occ *Occurrence, ex exec) bool {
+func (n *andNode) pair(opposite *[]*Occurrence, occ *Occurrence, d *Detector) bool {
 	buf := *opposite
 	if len(buf) == 0 {
 		return false
@@ -164,23 +164,23 @@ func (n *andNode) pair(opposite *[]*Occurrence, occ *Occurrence, ex exec) bool {
 	switch n.mode {
 	case Recent:
 		// Latest opposite remains for future pairings.
-		ex.d.deliver(ex, n, compose(n.nm, 0, buf[len(buf)-1], occ))
+		d.deliver(n, compose(n.nm, 0, buf[len(buf)-1], occ))
 		return true
 	case Chronicle:
 		init := buf[0]
 		*opposite = buf[1:]
-		ex.d.deliver(ex, n, compose(n.nm, 0, init, occ))
+		d.deliver(n, compose(n.nm, 0, init, occ))
 		return true
 	case Continuous:
 		*opposite = nil
 		for _, init := range buf {
-			ex.d.deliver(ex, n, compose(n.nm, 0, init, occ))
+			d.deliver(n, compose(n.nm, 0, init, occ))
 		}
 		return true
 	case Cumulative:
 		*opposite = nil
 		parts := append(append([]*Occurrence{}, buf...), occ)
-		ex.d.deliver(ex, n, compose(n.nm, 0, parts...))
+		d.deliver(n, compose(n.nm, 0, parts...))
 		return true
 	}
 	return false

@@ -15,29 +15,29 @@ import (
 // check; individual fields may also be nil.
 type Instruments struct {
 	// LaneWait observes the queued time, in seconds, of each drained
-	// work item, labelled by lane name.
-	LaneWait func(lane string, seconds float64)
+	// work item: the wait for the detector's one drain.
+	LaneWait func(seconds float64)
 	// OperatorMatch counts composite detections by operator kind.
 	OperatorMatch func(operator string)
 }
 
 // Handler is invoked for every detected occurrence of a subscribed event.
-// Handlers run on a detector lane and must not block; they may call
+// Handlers run on the detector's drain and must not block; they may call
 // Raise, RaiseFrom, Defer, Define, or Subscribe (cascaded events are
 // queued and processed after the current propagation completes).
 type Handler func(*Occurrence)
 
 // node is a vertex in the event graph. Node *state* (pending occurrence
-// buffers) is only touched by the global lane's drain; node *structure*
-// (parent lists) is guarded by the detector's structure lock.
+// buffers) is only touched by the drain; node *structure* (parent
+// lists) is guarded by the detector's structure lock.
 type node interface {
 	name() string
 	// kind names the node's operator for traces and metrics
 	// ("primitive", "SEQ", "AND", ...).
 	kind() string
 	// process handles an occurrence delivered from src (one of the
-	// node's declared children). Runs on the global lane only.
-	process(src node, occ *Occurrence, ex exec)
+	// node's declared children). Runs on the drain only.
+	process(src node, occ *Occurrence, d *Detector)
 	// addParent subscribes an operator node to this node's detections.
 	// Caller holds the detector's structure lock.
 	addParent(p node)
@@ -76,25 +76,24 @@ type primitiveNode struct {
 
 func (n *primitiveNode) kind() string { return "primitive" }
 
-func (n *primitiveNode) process(node, *Occurrence, exec) {
+func (n *primitiveNode) process(node, *Occurrence, *Detector) {
 	// Primitives have no children; nothing delivers to them.
 }
 
-// subEntry is one subscription. scoped marks handlers whose state is
-// partitioned by ScopeKey (rule-pool subscriptions); an event with any
-// unscoped subscriber always runs on the global lane.
+// subEntry is one subscription. nonRetaining marks handlers that never
+// keep an occurrence past the callback (rule-pool subscriptions); only
+// such a sole subscriber lets the detector recycle occurrences.
 type subEntry struct {
-	h      Handler
-	scoped bool
+	h            Handler
+	nonRetaining bool
 }
 
 // graphView is the immutable read-side projection of the event graph.
-// Every structural mutation (define, subscribe, advisor install)
-// rebuilds one under smu and publishes it through an atomic pointer, so
-// the raise/deliver hot path — handler fanout, parent propagation, lane
-// routing — is a single pointer load with zero lock traffic and zero
-// per-delivery allocation. Fields must never be written after Store;
-// the builder is publishLocked.
+// Every structural mutation (define, subscribe) rebuilds one under smu
+// and publishes it through an atomic pointer, so the raise/deliver hot
+// path — handler fanout, parent propagation — is a single pointer load
+// with zero lock traffic and zero per-delivery allocation. Fields must
+// never be written after Store; the builder is publishLocked.
 //
 // rbacvet:snapshot
 type graphView struct {
@@ -102,44 +101,32 @@ type graphView struct {
 	handlers map[string][]Handler // per event, subscription order
 	parents  map[string][]node    // per event; absent = no parents
 	info     map[string]eventInfo
-	advisor  func(eventName string) bool
 }
 
-// eventInfo carries the per-event facts lane routing and the decision
-// fast path need: the primitive node (nil for composites), whether the
-// node feeds composite operators, whether every subscriber is
-// scope-marked, and — when the event has exactly one subscriber and it
-// is scope-marked — that subscription's id (else -1).
+// eventInfo carries the per-event facts the decision fast path needs:
+// the primitive node (nil for composites), whether the node feeds
+// composite operators, and — when the event has exactly one subscriber
+// and it is non-retaining — that subscription's id (else -1).
 type eventInfo struct {
-	prim          *primitiveNode
-	hasParents    bool
-	allScoped     bool
-	soleScopedSub int
+	prim             *primitiveNode
+	hasParents       bool
+	soleNonRetaining int
 }
 
-// Detector owns an event graph and propagates occurrences through drain
-// lanes. In the default single-lane configuration every occurrence is
-// serialized through one global lane — the single event-detector thread
-// of the paper's Sentinel+ system, and the mode the deterministic tests
-// pin. With WithLanes(n>1) the detector adds n scope lanes: an
-// occurrence carrying a ScopeKey whose event is entirely scope-local
-// (no composite parents, every subscriber scope-marked, and the scope
-// advisor — fed by rule granularity — approves) runs on the lane its
-// key hashes to, concurrently with other scopes, while everything else
-// (composite operators, SoD oracles, cardinality counters, security
-// monitors, temporal ticks) keeps global-lane ordering.
+// Detector owns an event graph and propagates occurrences through one
+// caller-drains FIFO queue — the single event-detector thread of the
+// paper's Sentinel+ system. Every occurrence, cascaded raise, deferred
+// step and temporal tick runs on that drain, in queue order.
 type Detector struct {
 	clk clock.Clock
 
-	// smu guards graph structure: the name maps, subscriber maps, node
-	// parent lists, and the scope advisor. It is never held while user
-	// code runs.
-	smu     sync.RWMutex
-	nodes   map[string]node
-	subs    map[string]map[int]subEntry
-	anon    int
-	subSeq  int
-	advisor func(eventName string) bool
+	// smu guards graph structure: the name maps, subscriber maps and
+	// node parent lists. It is never held while user code runs.
+	smu    sync.RWMutex
+	nodes  map[string]node
+	subs   map[string]map[int]subEntry
+	anon   int
+	subSeq int
 
 	// view is the published read-side snapshot of the structure above;
 	// never nil after New. Readers load it once and never take smu.
@@ -152,11 +139,12 @@ type Detector struct {
 	// callback (see SetOccurrencePooling).
 	occPoolOK atomic.Bool
 
-	// global serializes cross-scope propagation; scoped (empty in
-	// single-lane mode) partitions scope-local propagation by key hash.
-	global *lane
-	scoped []*lane
-	lanes  int // configured lane count (1 = classic single drain)
+	// qmu guards the drain queue and drain ownership (draining); quiet
+	// is broadcast whenever a drain completes. See drain.go.
+	qmu      sync.Mutex
+	quiet    *sync.Cond
+	queue    []item
+	draining bool
 
 	seq      atomic.Uint64
 	raised   atomic.Uint64
@@ -168,40 +156,15 @@ type Detector struct {
 	ins *Instruments
 }
 
-// Option configures a Detector.
-type Option func(*Detector)
-
-// WithLanes sets the lane count. n <= 1 (the default) selects the
-// classic fully-serialized single drain; n > 1 adds n scope lanes next
-// to the global lane.
-func WithLanes(n int) Option {
-	return func(d *Detector) {
-		if n < 1 {
-			n = 1
-		}
-		d.lanes = n
-	}
-}
-
 // New returns a Detector whose temporal operators schedule on clk.
-func New(clk clock.Clock, opts ...Option) *Detector {
+func New(clk clock.Clock) *Detector {
 	d := &Detector{
 		clk:     clk,
 		nodes:   make(map[string]node),
 		subs:    make(map[string]map[int]subEntry),
-		lanes:   1,
 		maxCade: 1 << 20,
 	}
-	for _, o := range opts {
-		o(d)
-	}
-	d.global = newLane(d, "global")
-	if d.lanes > 1 {
-		d.scoped = make([]*lane, d.lanes)
-		for i := range d.scoped {
-			d.scoped[i] = newLane(d, fmt.Sprintf("scope-%d", i))
-		}
-	}
+	d.quiet = sync.NewCond(&d.qmu)
 	d.publishLocked()
 	return d
 }
@@ -215,7 +178,6 @@ func (d *Detector) publishLocked() {
 		handlers: make(map[string][]Handler, len(d.subs)),
 		parents:  make(map[string][]node, len(d.nodes)),
 		info:     make(map[string]eventInfo, len(d.nodes)),
-		advisor:  d.advisor,
 	}
 	for name, n := range d.nodes {
 		v.nodes[name] = n
@@ -223,15 +185,12 @@ func (d *Detector) publishLocked() {
 		if len(ps) > 0 {
 			v.parents[name] = ps
 		}
-		inf := eventInfo{hasParents: len(ps) > 0, allScoped: true, soleScopedSub: -1}
+		inf := eventInfo{hasParents: len(ps) > 0, soleNonRetaining: -1}
 		inf.prim, _ = n.(*primitiveNode)
 		subs := d.subs[name]
 		ids := make([]int, 0, len(subs))
-		for id, e := range subs {
+		for id := range subs {
 			ids = append(ids, id)
-			if !e.scoped {
-				inf.allScoped = false
-			}
 		}
 		sort.Ints(ids)
 		if len(ids) > 0 {
@@ -241,8 +200,8 @@ func (d *Detector) publishLocked() {
 			}
 			v.handlers[name] = hs
 		}
-		if len(ids) == 1 && subs[ids[0]].scoped {
-			inf.soleScopedSub = ids[0]
+		if len(ids) == 1 && subs[ids[0]].nonRetaining {
+			inf.soleNonRetaining = ids[0]
 		}
 		v.info[name] = inf
 	}
@@ -253,10 +212,10 @@ func (d *Detector) publishLocked() {
 }
 
 // SetChangeHook installs a callback run after every structural change
-// (event definition, subscription, advisor install) publishes a new
-// graph view. The hook runs under the structure lock and must not block
-// or call back into the detector; the decision fast path uses it to
-// bump its invalidation epoch. Install once during engine assembly.
+// (event definition, subscription) publishes a new graph view. The hook
+// runs under the structure lock and must not block or call back into
+// the detector; the decision fast path uses it to bump its invalidation
+// epoch. Install once during engine assembly.
 func (d *Detector) SetChangeHook(fn func()) {
 	d.smu.Lock()
 	d.chook = fn
@@ -264,7 +223,7 @@ func (d *Detector) SetChangeHook(fn func()) {
 }
 
 // SetOccurrencePooling enables recycling of primitive occurrences whose
-// event has no composite parents and exactly one scope-marked
+// event has no composite parents and exactly one non-retaining
 // subscriber. The caller asserts that subscriber (and any outcome
 // consumers behind it) extracts what it needs during the callback and
 // never retains the *Occurrence; the engine turns this on only for
@@ -276,23 +235,9 @@ func (d *Detector) SetOccurrencePooling(ok bool) { d.occPoolOK.Store(ok) }
 func (d *Detector) Clock() clock.Clock { return d.clk }
 
 // SetInstruments installs the metric hooks. Call once during engine
-// assembly, before traffic: lanes read the pointer without
+// assembly, before traffic: the drain reads the pointer without
 // synchronization.
 func (d *Detector) SetInstruments(ins *Instruments) { d.ins = ins }
-
-// Lanes returns the configured lane count (1 in single-drain mode).
-func (d *Detector) Lanes() int { return d.lanes }
-
-// SetScopeAdvisor installs the routing oracle consulted for scope-keyed
-// occurrences: it reports whether every rule on the named event is
-// scope-local. A nil advisor (the default) lets subscriber marking alone
-// decide. The rule pool installs one derived from rule granularity.
-func (d *Detector) SetScopeAdvisor(f func(eventName string) bool) {
-	d.smu.Lock()
-	d.advisor = f
-	d.publishLocked()
-	d.smu.Unlock()
-}
 
 // DefinePrimitive registers a primitive (simple) event name. It is
 // idempotent for primitives but fails if the name is already bound to a
@@ -346,37 +291,36 @@ func (d *Detector) Events() []string {
 	return out
 }
 
-// SoleScopedSub reports whether name is a primitive event with no
-// composite parents and exactly one scope-marked subscriber — the shape
-// the decision fast path can cache — and, when so, that subscription's
-// id (so the caller can confirm the subscriber's identity with its
-// owner).
-func (d *Detector) SoleScopedSub(name string) (id int, ok bool) {
+// SoleNonRetainingSub reports whether name is a primitive event with no
+// composite parents and exactly one non-retaining subscriber — the
+// shape the decision fast path can cache — and, when so, that
+// subscription's id (so the caller can confirm the subscriber's
+// identity with its owner).
+func (d *Detector) SoleNonRetainingSub(name string) (id int, ok bool) {
 	inf, defined := d.view.Load().info[name]
-	if !defined || inf.prim == nil || inf.hasParents || inf.soleScopedSub < 0 {
+	if !defined || inf.prim == nil || inf.hasParents || inf.soleNonRetaining < 0 {
 		return 0, false
 	}
-	return inf.soleScopedSub, true
+	return inf.soleNonRetaining, true
 }
 
 // Subscribe registers h to run on every detection of the named event and
 // returns a subscription id for Unsubscribe. The event must already be
-// defined. A plain subscription pins the event to the global lane; use
-// SubscribeScoped for handlers safe to run on scope lanes.
+// defined. A plain subscription may retain occurrences; use
+// SubscribeNonRetaining for handlers that never do.
 func (d *Detector) Subscribe(name string, h Handler) (int, error) {
 	return d.subscribe(name, h, false)
 }
 
-// SubscribeScoped registers h like Subscribe but marks the handler
-// scope-safe: its observable state is partitioned by the occurrence
-// ScopeKey, so it may run on a scope lane concurrently with other
-// scopes. Only subscribe rule machinery that is per-user/per-session
-// this way.
-func (d *Detector) SubscribeScoped(name string, h Handler) (int, error) {
+// SubscribeNonRetaining registers h like Subscribe but asserts that h
+// extracts what it needs during the callback and never keeps the
+// *Occurrence or its Params afterwards. As an event's sole subscriber it
+// licenses occurrence pooling and batch carrier delivery.
+func (d *Detector) SubscribeNonRetaining(name string, h Handler) (int, error) {
 	return d.subscribe(name, h, true)
 }
 
-func (d *Detector) subscribe(name string, h Handler, scoped bool) (int, error) {
+func (d *Detector) subscribe(name string, h Handler, nonRetaining bool) (int, error) {
 	d.smu.Lock()
 	defer d.smu.Unlock()
 	if _, ok := d.nodes[name]; !ok {
@@ -389,7 +333,7 @@ func (d *Detector) subscribe(name string, h Handler, scoped bool) (int, error) {
 		m = make(map[int]subEntry)
 		d.subs[name] = m
 	}
-	m[id] = subEntry{h: h, scoped: scoped}
+	m[id] = subEntry{h: h, nonRetaining: nonRetaining}
 	d.publishLocked()
 	return id, nil
 }
@@ -417,115 +361,68 @@ func (d *Detector) resolvePrimitive(name string) (*primitiveNode, error) {
 	return inf.prim, nil
 }
 
-// laneFor picks the lane an occurrence of prim with the given scope key
-// runs on. Everything routes to the global lane except scope-keyed
-// occurrences of events that are provably scope-local: the node has no
-// composite parents, every subscriber is scope-marked, and the scope
-// advisor (rule granularity) approves.
-func (d *Detector) laneFor(prim node, scope string) *lane {
-	if len(d.scoped) == 0 || scope == "" {
-		return d.global
-	}
-	v := d.view.Load()
-	inf := v.info[prim.name()]
-	if inf.hasParents || !inf.allScoped || (v.advisor != nil && !v.advisor(prim.name())) {
-		return d.global
-	}
-	return d.scoped[fnv1a(scope)%uint32(len(d.scoped))]
-}
-
-// fnv1a is the 32-bit FNV-1a hash, used to shard scope keys over lanes.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
 // Raise injects an occurrence of a primitive event stamped with the
 // detector clock's current instant and the given parameters, then
 // propagates it (and any cascaded events) to completion, unless a drain
-// is already in progress on its lane — in that case the occurrence is
-// queued behind it.
+// is already in progress — in that case the occurrence is queued behind
+// it.
 func (d *Detector) Raise(name string, p Params) error {
-	return d.raise(name, p, "", nil, nil)
-}
-
-// RaiseScoped is Raise with an explicit scope key, allowing the
-// occurrence to run on a scope lane when its event is scope-local.
-func (d *Detector) RaiseScoped(name string, p Params, scope string) error {
-	return d.raise(name, p, scope, nil, nil)
+	return d.raise(name, p, nil, false)
 }
 
 // RaiseFrom raises a cascaded event from inside a handler processing
-// parent: the new occurrence inherits parent's scope key and joins
-// parent's request cascade, so a RaiseSync waiting on that request does
-// not return until the cascaded occurrence — possibly on another lane —
-// has been fully processed. Rule actions that re-enter the event system
-// (role-activation fan-out, cardinality rollbacks) must use this instead
-// of Raise to keep synchronous enforcement exact across lanes.
-//
-// The cascaded occurrence also inherits parent's decision trace (if
-// any) and records a cascade step into it, so a trace follows the
-// request across lanes.
+// parent: the new occurrence queues behind parent's on the one drain, so
+// a RaiseSync waiting on the request does not return until it has been
+// processed, and it inherits parent's decision trace (if any), recording
+// a cascade step into it. Rule actions that re-enter the event system
+// (role-activation fan-out, cardinality rollbacks) use this instead of
+// Raise so the trace follows the whole cascade.
 func (d *Detector) RaiseFrom(parent *Occurrence, name string, p Params) error {
 	if parent == nil {
-		return d.raise(name, p, "", nil, nil)
+		return d.raise(name, p, nil, false)
 	}
 	if tr := parent.trace; tr != nil {
-		tr.Add(d.clk.Now(), parent.lane, obs.StepCascade, name, "",
-			"raised from "+parent.Event, true)
+		tr.Add(d.clk.Now(), obs.StepCascade, name, "", "raised from "+parent.Event, true)
 	}
-	return d.raise(name, p, parent.Scope, parent.casc, parent.trace)
-}
-
-func (d *Detector) raise(name string, p Params, scope string, casc *cascade, tr *obs.Trace) error {
-	return d.raiseWith(name, p, scope, casc, tr, false)
+	return d.raise(name, p, parent.trace, false)
 }
 
 // occPool recycles primitive occurrences on the gated hot path (no
-// composite parents, sole scope-marked subscriber, pooling enabled, no
+// composite parents, sole non-retaining subscriber, pooling enabled, no
 // trace); everything else allocates as before.
 var occPool = sync.Pool{New: func() any { return new(Occurrence) }}
 
-// raiseWith is the shared raise implementation. owned marks params the
+// raise is the shared raise implementation: it queues the
+// occurrence-building closure on the drain. owned marks params the
 // caller hands over (already private to this raise), skipping the
-// defensive clone on the lane.
-func (d *Detector) raiseWith(name string, p Params, scope string, casc *cascade, tr *obs.Trace, owned bool) error {
+// defensive clone.
+func (d *Detector) raise(name string, p Params, tr *obs.Trace, owned bool) error {
 	prim, err := d.resolvePrimitive(name)
 	if err != nil {
 		return err
 	}
-	d.postRaise(d.laneFor(prim, scope), prim, name, p, scope, casc, tr, owned)
-	return nil
-}
-
-// postRaise queues the occurrence-building closure on ln. Split from
-// raiseWith so the synchronous path can pin the lane it will await.
-func (d *Detector) postRaise(ln *lane, prim *primitiveNode, name string, p Params, scope string, casc *cascade, tr *obs.Trace, owned bool) {
 	now := d.clk.Now()
-	ln.post(casc, func(ex exec) {
-		ex.d.raised.Add(1)
+	d.post(func() {
+		d.raised.Add(1)
 		params := p
 		if !owned {
 			params = p.Clone()
 		}
-		pooled := tr == nil && ex.d.occPoolOK.Load()
+		pooled := tr == nil && d.occPoolOK.Load()
 		var occ *Occurrence
 		if pooled {
 			occ = occPool.Get().(*Occurrence)
-			*occ = Occurrence{Event: name, Start: now, End: now, Params: params, Scope: scope}
+			*occ = Occurrence{Event: name, Start: now, End: now, Params: params}
 		} else {
-			occ = &Occurrence{Event: name, Start: now, End: now, Params: params, Scope: scope, trace: tr}
+			occ = &Occurrence{Event: name, Start: now, End: now, Params: params, trace: tr}
 		}
-		recyclable := ex.d.deliver(ex, prim, occ)
+		recyclable := d.deliver(prim, occ)
 		if pooled && recyclable {
 			*occ = Occurrence{}
 			occPool.Put(occ)
 		}
 	})
+	return nil
 }
 
 // MustRaise is Raise that panics on error.
@@ -535,122 +432,57 @@ func (d *Detector) MustRaise(name string, p Params) {
 	}
 }
 
-// Defer queues fn to run on the global lane after the current
-// propagation step; handlers use it to sequence work after the cascade
-// in flight.
-func (d *Detector) Defer(fn func()) {
-	d.global.post(nil, func(exec) { fn() })
-}
+// Defer queues fn to run on the drain after the current propagation
+// step; handlers use it to sequence work after the cascade in flight.
+func (d *Detector) Defer(fn func()) { d.post(fn) }
 
 // RaiseSync raises a primitive event like Raise and then blocks until
 // the occurrence *and every cascade it triggered* have been fully
-// processed (its lane reached a quiescent point after the item and all
-// cross-lane RaiseFrom descendants ran). It is how synchronous
-// request/response enforcement (CheckAccess, AddActiveRole) is built on
-// the asynchronous rule machinery.
+// processed (the drain went quiet after the item and everything queued
+// behind it). It is how synchronous request/response enforcement
+// (CheckAccess, AddActiveRole) is built on the asynchronous rule
+// machinery.
 //
 // RaiseSync must not be called from inside a handler — a handler runs on
-// a drain, and waiting there for the drain to finish would deadlock.
+// the drain, and waiting there for the drain to finish would deadlock.
 // Handlers cascade with RaiseFrom (or Raise) instead.
 func (d *Detector) RaiseSync(name string, p Params) error {
-	return d.RaiseSyncScoped(name, p, "")
+	return d.raiseSync(name, p, nil, false)
 }
 
-// RaiseSyncScoped is RaiseSync with an explicit scope key; enforcement
-// engines stamp the requesting session/user here so independent scopes
-// proceed in parallel.
-func (d *Detector) RaiseSyncScoped(name string, p Params, scope string) error {
-	return d.RaiseSyncTraced(name, p, scope, nil)
+// RaiseSyncTracedOwned is RaiseSync for callers that hand over ownership
+// of p, with a decision trace attached. The detector uses the map
+// directly instead of cloning it; the caller must not read or write p
+// after the call — the enforcement engine builds a private param map per
+// decision and passes it here, eliminating the second per-request map
+// allocation. A non-nil tr records a step for every delivery, operator
+// match, rule firing and cascaded raise of the request.
+func (d *Detector) RaiseSyncTracedOwned(name string, p Params, tr *obs.Trace) error {
+	return d.raiseSync(name, p, tr, true)
 }
 
-// RaiseSyncTraced is RaiseSyncScoped with a decision trace attached to
-// the occurrence: every delivery, operator match, rule firing and
-// cascaded raise of the request records a step into tr. A nil tr is
-// exactly RaiseSyncScoped.
-func (d *Detector) RaiseSyncTraced(name string, p Params, scope string, tr *obs.Trace) error {
-	return d.raiseSync(name, p, scope, tr, false)
-}
-
-// RaiseSyncTracedOwned is RaiseSyncTraced for callers that hand over
-// ownership of p: the detector uses the map directly instead of cloning
-// it on the lane. The caller must not read or write p after the call —
-// the enforcement engine builds a private param map per decision and
-// passes it here, eliminating the second per-request map allocation.
-func (d *Detector) RaiseSyncTracedOwned(name string, p Params, scope string, tr *obs.Trace) error {
-	return d.raiseSync(name, p, scope, tr, true)
-}
-
-func (d *Detector) raiseSync(name string, p Params, scope string, tr *obs.Trace, owned bool) error {
-	prim, err := d.resolvePrimitive(name)
-	if err != nil {
+func (d *Detector) raiseSync(name string, p Params, tr *obs.Trace, owned bool) error {
+	if err := d.raise(name, p, tr, owned); err != nil {
 		return err
 	}
-	ln := d.laneFor(prim, scope)
-	casc := newCascade()
-	d.postRaise(ln, prim, name, p, scope, casc, tr, owned)
-	// First wait for the request's own cascade (which may hop lanes via
-	// RaiseFrom), then for the lane that ran it to go quiet — the latter
-	// preserves the seed's guarantee that same-lane work batched behind
-	// the request (plain Raise from handlers, Defer) also completed.
-	casc.wait()
-	ln.awaitQuiet()
+	d.awaitQuiet()
 	return nil
 }
 
-// Quiesce blocks until every lane is idle: no queued work and no drain
-// in progress anywhere. Because a draining lane can post to another
-// lane (scope → global escalation, cascaded raises), it re-checks until
-// a full pass observes no new work.
-func (d *Detector) Quiesce() {
-	all := d.allLanes()
-	for {
-		before := d.totalEnqueued(all)
-		for _, ln := range all {
-			ln.awaitQuiet()
-		}
-		if d.totalEnqueued(all) == before {
-			return
-		}
-	}
-}
-
-func (d *Detector) allLanes() []*lane {
-	out := make([]*lane, 0, len(d.scoped)+1)
-	out = append(out, d.global)
-	out = append(out, d.scoped...)
-	return out
-}
-
-func (d *Detector) totalEnqueued(lanes []*lane) uint64 {
-	var n uint64
-	for _, ln := range lanes {
-		n += ln.enqueued.Load()
-	}
-	return n
-}
-
-// LaneStats snapshots per-lane counters (global lane first) for status
-// endpoints and benchmarks.
-func (d *Detector) LaneStats() []LaneStat {
-	all := d.allLanes()
-	out := make([]LaneStat, 0, len(all))
-	for _, ln := range all {
-		out = append(out, ln.stat())
-	}
-	return out
-}
+// Quiesce blocks until the drain is idle: no queued work and no drain in
+// progress — every in-flight occurrence, cascade and deferred step
+// processed.
+func (d *Detector) Quiesce() { d.awaitQuiet() }
 
 // deliver assigns a sequence number to occ, runs subscribers of the
 // source node's event, and propagates to parent operator nodes. Runs on
-// a lane drain only. It reports whether the occurrence is provably dead
+// the drain only. It reports whether the occurrence is provably dead
 // after delivery — no composite parent buffered it and its sole
-// subscriber is scope-marked (the rule pool's firing handler) — so the
+// subscriber is non-retaining (the rule pool's firing handler) — so the
 // gated raise path can recycle it.
-func (d *Detector) deliver(ex exec, src node, occ *Occurrence) bool {
+func (d *Detector) deliver(src node, occ *Occurrence) bool {
 	occ.Seq = d.seq.Add(1)
 	d.detected.Add(1)
-	occ.casc = ex.casc
-	occ.lane = ex.ln.name
 
 	if occ.Constituents != nil {
 		if ins := d.ins; ins != nil && ins.OperatorMatch != nil {
@@ -663,33 +495,20 @@ func (d *Detector) deliver(ex exec, src node, occ *Occurrence) bool {
 			kind = obs.StepOperator
 			detail = fmt.Sprintf("%s(%d constituents) %s", src.kind(), len(occ.Constituents), detail)
 		}
-		tr.Add(occ.End, ex.ln.name, kind, occ.Event, "", detail, true)
+		tr.Add(occ.End, kind, occ.Event, "", detail, true)
 	}
 
 	v := d.view.Load()
 	nm := src.name()
-	handlers := v.handlers[nm]
-	parents := v.parents[nm]
-
-	for _, h := range handlers {
+	for _, h := range v.handlers[nm] {
 		h(occ)
 	}
+	parents := v.parents[nm]
 	if len(parents) == 0 {
-		return v.info[nm].soleScopedSub >= 0
-	}
-	if ex.ln != d.global {
-		// The node gained a composite parent after routing (a policy
-		// change mid-flight): operator state lives on the global lane,
-		// so escalate the propagation there, keeping the cascade.
-		d.global.post(ex.casc, func(gex exec) {
-			for _, p := range parents {
-				p.process(src, occ, gex)
-			}
-		})
-		return false
+		return v.info[nm].soleNonRetaining >= 0
 	}
 	for _, p := range parents {
-		p.process(src, occ, ex)
+		p.process(src, occ, d)
 	}
 	return false
 }
@@ -717,6 +536,7 @@ type Stats struct {
 	Raised   uint64 // primitive occurrences injected via Raise
 	Detected uint64 // all occurrences, primitive and composite
 	Events   int    // defined event count
+	Queued   int    // work items waiting for the drain right now
 }
 
 // Stats returns a snapshot of the detector's counters. Counter reads are
@@ -724,7 +544,10 @@ type Stats struct {
 // quiescent (tests, benchmarks) for exact values.
 func (d *Detector) Stats() Stats {
 	events := len(d.view.Load().nodes)
-	return Stats{Raised: d.raised.Load(), Detected: d.detected.Load(), Events: events}
+	d.qmu.Lock()
+	queued := len(d.queue)
+	d.qmu.Unlock()
+	return Stats{Raised: d.raised.Load(), Detected: d.detected.Load(), Events: events, Queued: queued}
 }
 
 // anonName synthesizes a unique name for an unnamed operator node; caller

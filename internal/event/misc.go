@@ -11,8 +11,8 @@ type orNode struct {
 
 func (n *orNode) kind() string { return "OR" }
 
-func (n *orNode) process(_ node, occ *Occurrence, ex exec) {
-	ex.d.deliver(ex, n, compose(n.nm, 0, occ))
+func (n *orNode) process(_ node, occ *Occurrence, d *Detector) {
+	d.deliver(n, compose(n.nm, 0, occ))
 }
 
 // notNode detects NOT(a, b, c): an occurrence of a followed by an
@@ -28,7 +28,7 @@ type notNode struct {
 
 func (n *notNode) kind() string { return "NOT" }
 
-func (n *notNode) process(src node, occ *Occurrence, ex exec) {
+func (n *notNode) process(src node, occ *Occurrence, d *Detector) {
 	// Role priority for shared children: invalidator, then terminator,
 	// then initiator. A single occurrence may act in several roles when
 	// children alias (e.g. NOT(A, B, A)).
@@ -39,7 +39,7 @@ func (n *notNode) process(src node, occ *Occurrence, ex exec) {
 		}
 	}
 	if src == n.c {
-		n.terminate(occ, ex)
+		n.terminate(occ, d)
 		if n.c != n.a {
 			return
 		}
@@ -64,12 +64,12 @@ func (n *notNode) invalidate(b *Occurrence) {
 	n.inits = keep
 }
 
-func (n *notNode) terminate(occ *Occurrence, ex exec) {
+func (n *notNode) terminate(occ *Occurrence, d *Detector) {
 	eligible := func(init *Occurrence) bool { return init.End.Before(occ.Start) }
 	switch n.mode {
 	case Recent:
 		if len(n.inits) > 0 && eligible(n.inits[len(n.inits)-1]) {
-			ex.d.deliver(ex, n, compose(n.nm, 0, n.inits[len(n.inits)-1], occ))
+			d.deliver(n, compose(n.nm, 0, n.inits[len(n.inits)-1], occ))
 		}
 	case Chronicle:
 		for i, init := range n.inits {
@@ -79,7 +79,7 @@ func (n *notNode) terminate(occ *Occurrence, ex exec) {
 				} else {
 					n.inits = append(n.inits[:i], n.inits[i+1:]...)
 				}
-				ex.d.deliver(ex, n, compose(n.nm, 0, init, occ))
+				d.deliver(n, compose(n.nm, 0, init, occ))
 				return
 			}
 		}
@@ -94,7 +94,7 @@ func (n *notNode) terminate(occ *Occurrence, ex exec) {
 		}
 		n.inits = keep
 		for _, init := range matched {
-			ex.d.deliver(ex, n, compose(n.nm, 0, init, occ))
+			d.deliver(n, compose(n.nm, 0, init, occ))
 		}
 	case Cumulative:
 		var keep, matched []*Occurrence
@@ -107,7 +107,7 @@ func (n *notNode) terminate(occ *Occurrence, ex exec) {
 		}
 		if len(matched) > 0 {
 			n.inits = keep
-			ex.d.deliver(ex, n, compose(n.nm, 0, append(matched, occ)...))
+			d.deliver(n, compose(n.nm, 0, append(matched, occ)...))
 		}
 	}
 }
@@ -127,7 +127,7 @@ type anyNode struct {
 
 func (n *anyNode) kind() string { return "ANY" }
 
-func (n *anyNode) process(src node, occ *Occurrence, ex exec) {
+func (n *anyNode) process(src node, occ *Occurrence, d *Detector) {
 	if n.got == nil {
 		n.got = make(map[node]*Occurrence, len(n.children))
 	}
@@ -146,7 +146,7 @@ func (n *anyNode) process(src node, occ *Occurrence, ex exec) {
 		}
 		n.got = nil
 		n.order = nil
-		ex.d.deliver(ex, n, compose(n.nm, 0, parts...))
+		d.deliver(n, compose(n.nm, 0, parts...))
 	}
 }
 

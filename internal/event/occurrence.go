@@ -92,35 +92,19 @@ type Occurrence struct {
 	// Constituents lists the child occurrences a composite occurrence
 	// was built from, in detection order. Nil for primitive events.
 	Constituents []*Occurrence
-	// Seq is a detector-assigned sequence number; total order of
-	// detection within one Detector (per-lane order only when the
-	// detector runs multiple lanes).
+	// Seq is a detector-assigned sequence number: total order of
+	// detection within one Detector.
 	Seq uint64
-	// Scope is the sharding key the occurrence was raised under (the
-	// requesting session or user), empty for unscoped events. It is
-	// carried outside Params so parameter rendering and golden logs are
-	// unchanged by routing.
-	Scope string
 
-	// casc links the occurrence to the synchronous request cascade it
-	// belongs to, so RaiseFrom can attribute cascaded raises.
-	casc *cascade
 	// trace, when non-nil, is the decision trace this occurrence belongs
 	// to; cascaded occurrences and composites built from this one
-	// inherit it, so the whole cross-lane cascade records into one
-	// trace. lane names the drain pipeline that delivered the
-	// occurrence, for trace steps and rule firings.
+	// inherit it, so the whole cascade records into one trace.
 	trace *obs.Trace
-	lane  string
 }
 
 // Trace returns the decision trace the occurrence records into, or nil
 // when tracing is off — the nil check is the entire disabled path.
 func (o *Occurrence) Trace() *obs.Trace { return o.trace }
-
-// Lane names the lane that delivered the occurrence ("global",
-// "scope-0", ...); empty before delivery.
-func (o *Occurrence) Lane() string { return o.lane }
 
 // At reports the point timestamp for point occurrences and the interval
 // end otherwise; used where legacy point semantics are needed.
@@ -143,7 +127,6 @@ func compose(name string, seq uint64, parts ...*Occurrence) *Occurrence {
 		return &Occurrence{Event: name, Seq: seq}
 	}
 	start, end := parts[0].Start, parts[0].End
-	scope := parts[0].Scope
 	trace := parts[0].trace
 	var params Params
 	for _, p := range parts {
@@ -152,9 +135,6 @@ func compose(name string, seq uint64, parts ...*Occurrence) *Occurrence {
 		}
 		if p.End.After(end) {
 			end = p.End
-		}
-		if p.Scope != scope {
-			scope = "" // constituents span scopes: composite is unscoped
 		}
 		if trace == nil {
 			trace = p.trace // any traced constituent attributes the match
@@ -170,7 +150,6 @@ func compose(name string, seq uint64, parts ...*Occurrence) *Occurrence {
 		Params:       params,
 		Constituents: kids,
 		Seq:          seq,
-		Scope:        scope,
 		trace:        trace,
 	}
 }

@@ -26,7 +26,7 @@ type plusNode struct {
 
 func (n *plusNode) kind() string { return "PLUS" }
 
-func (n *plusNode) process(_ node, occ *Occurrence, ex exec) {
+func (n *plusNode) process(_ node, occ *Occurrence, d *Detector) {
 	if n.pending == nil {
 		n.pending = make(map[uint64]clock.Timer)
 	}
@@ -39,22 +39,21 @@ func (n *plusNode) process(_ node, occ *Occurrence, ex exec) {
 	n.gen++
 	g := n.gen
 	deadline := occ.End.Add(n.delta)
-	det := ex.d
-	n.pending[g] = det.clk.At(deadline, func() {
-		// Timer callbacks fire off-lane; operator state belongs to the
-		// global lane, so the detection step is posted there.
-		det.global.post(nil, func(tex exec) { n.fire(g, occ, tex) })
+	n.pending[g] = d.clk.At(deadline, func() {
+		// Timer callbacks fire off the drain; operator state belongs to
+		// it, so the detection step is posted there.
+		d.post(func() { n.fire(g, occ, d) })
 	})
 }
 
 // fire runs on the drain goroutine when a PLUS deadline elapses.
-func (n *plusNode) fire(g uint64, started *Occurrence, ex exec) {
+func (n *plusNode) fire(g uint64, started *Occurrence, d *Detector) {
 	if _, ok := n.pending[g]; !ok {
 		return // superseded or cancelled
 	}
 	delete(n.pending, g)
-	now := ex.d.clk.Now()
-	ex.d.deliver(ex, n, &Occurrence{
+	now := d.clk.Now()
+	d.deliver(n, &Occurrence{
 		Event:        n.nm,
 		Start:        started.Start,
 		End:          now,
@@ -88,16 +87,16 @@ func (n *aperiodicNode) kind() string {
 	return "APERIODIC"
 }
 
-func (n *aperiodicNode) process(src node, occ *Occurrence, ex exec) {
+func (n *aperiodicNode) process(src node, occ *Occurrence, d *Detector) {
 	// Role priority for aliased children: middle, terminator, starter.
 	if src == n.b {
-		n.middle(occ, ex)
+		n.middle(occ, d)
 		if src != n.c && src != n.a {
 			return
 		}
 	}
 	if src == n.c {
-		n.terminate(occ, ex)
+		n.terminate(occ, d)
 		if src != n.a {
 			return
 		}
@@ -136,17 +135,17 @@ func (n *aperiodicNode) selected(occ *Occurrence) []*aperiodicWindow {
 	}
 }
 
-func (n *aperiodicNode) middle(occ *Occurrence, ex exec) {
+func (n *aperiodicNode) middle(occ *Occurrence, d *Detector) {
 	for _, w := range n.selected(occ) {
 		if n.cumulative {
 			w.mids = append(w.mids, occ)
 		} else {
-			ex.d.deliver(ex, n, compose(n.nm, 0, w.starter, occ))
+			d.deliver(n, compose(n.nm, 0, w.starter, occ))
 		}
 	}
 }
 
-func (n *aperiodicNode) terminate(occ *Occurrence, ex exec) {
+func (n *aperiodicNode) terminate(occ *Occurrence, d *Detector) {
 	closing := n.selected(occ)
 	if len(closing) == 0 {
 		return
@@ -173,7 +172,7 @@ func (n *aperiodicNode) terminate(occ *Occurrence, ex exec) {
 			}
 			parts := append([]*Occurrence{w.starter}, w.mids...)
 			parts = append(parts, occ)
-			ex.d.deliver(ex, n, compose(n.nm, 0, parts...))
+			d.deliver(n, compose(n.nm, 0, parts...))
 		}
 	}
 }
@@ -210,19 +209,19 @@ func (n *periodicNode) kind() string {
 	return "PERIODIC"
 }
 
-func (n *periodicNode) process(src node, occ *Occurrence, ex exec) {
+func (n *periodicNode) process(src node, occ *Occurrence, d *Detector) {
 	if src == n.c {
-		n.terminate(occ, ex)
+		n.terminate(occ, d)
 		if src != n.a {
 			return
 		}
 	}
 	if src == n.a {
-		n.start(occ, ex)
+		n.start(occ, d)
 	}
 }
 
-func (n *periodicNode) start(occ *Occurrence, ex exec) {
+func (n *periodicNode) start(occ *Occurrence, d *Detector) {
 	if n.windows == nil {
 		n.windows = make(map[uint64]*periodicWindow)
 	}
@@ -239,25 +238,24 @@ func (n *periodicNode) start(occ *Occurrence, ex exec) {
 	w := &periodicWindow{starter: occ, gen: n.gen, first: occ.End}
 	n.windows[w.gen] = w
 	n.order = append(n.order, w.gen)
-	n.arm(w, occ.End.Add(n.tau), ex)
+	n.arm(w, occ.End.Add(n.tau), d)
 }
 
-func (n *periodicNode) arm(w *periodicWindow, at time.Time, ex exec) {
+func (n *periodicNode) arm(w *periodicWindow, at time.Time, d *Detector) {
 	g := w.gen
-	det := ex.d
-	w.timer = det.clk.At(at, func() {
-		det.global.post(nil, func(tex exec) { n.tick(g, at, tex) })
+	w.timer = d.clk.At(at, func() {
+		d.post(func() { n.tick(g, at, d) })
 	})
 }
 
 // tick runs on the drain goroutine at each period boundary.
-func (n *periodicNode) tick(g uint64, at time.Time, ex exec) {
+func (n *periodicNode) tick(g uint64, at time.Time, d *Detector) {
 	w, ok := n.windows[g]
 	if !ok {
 		return // window closed before the queued tick ran
 	}
 	w.ticks++
-	n.arm(w, at.Add(n.tau), ex)
+	n.arm(w, at.Add(n.tau), d)
 	if n.cumulative {
 		return
 	}
@@ -266,7 +264,7 @@ func (n *periodicNode) tick(g uint64, at time.Time, ex exec) {
 		params = Params{}
 	}
 	params["tick"] = w.ticks
-	ex.d.deliver(ex, n, &Occurrence{
+	d.deliver(n, &Occurrence{
 		Event:        n.nm,
 		Start:        at,
 		End:          at,
@@ -275,7 +273,7 @@ func (n *periodicNode) tick(g uint64, at time.Time, ex exec) {
 	})
 }
 
-func (n *periodicNode) terminate(occ *Occurrence, ex exec) {
+func (n *periodicNode) terminate(occ *Occurrence, d *Detector) {
 	var closing []uint64
 	for _, g := range n.order {
 		w, ok := n.windows[g]
@@ -304,7 +302,7 @@ func (n *periodicNode) terminate(occ *Occurrence, ex exec) {
 				params = Params{}
 			}
 			params["ticks"] = w.ticks
-			ex.d.deliver(ex, n, &Occurrence{
+			d.deliver(n, &Occurrence{
 				Event:        n.nm,
 				Start:        w.starter.Start,
 				End:          occ.End,

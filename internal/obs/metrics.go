@@ -86,7 +86,7 @@ func (r *Registry) register(name, help string, typ metricType, buckets []float64
 
 // OnScrape registers fn to run at the start of every WritePrometheus
 // call, before rendering. Collectors use it to mirror engine-internal
-// counters (lane stats, per-rule firing counts) into the registry with
+// counters (per-rule firing counts, store sizes) into the registry with
 // zero hot-path cost.
 func (r *Registry) OnScrape(fn func()) {
 	r.mu.Lock()

@@ -28,7 +28,7 @@ type Observer struct {
 	// pre-resolved so the hot path observes without a label lookup.
 	StageSeconds  *HistogramVec // activerbac_stage_seconds{stage}
 	StageFastPath *Histogram    // stage="fastpath_probe": key encode + cache probe
-	StageLaneWait *Histogram    // stage="lane_wait": queue time before drain
+	StageLaneWait *Histogram    // stage="lane_wait": queue time before the drain
 	StageCascade  *Histogram    // stage="cascade": raise-to-settle rule evaluation
 
 	// Decision fast path (scrape-set from the cache's atomic counters).
@@ -43,12 +43,8 @@ type Observer struct {
 	BatchGroups       *Counter   // activerbac_batch_groups_total
 	BatchFastPathHits *Counter   // activerbac_batch_fastpath_hits_total
 
-	// Lanes (wait observed at drain time; depth/throughput scrape-set).
-	LaneWait      *HistogramVec // activerbac_lane_wait_seconds{lane}
-	LaneDepth     *GaugeVec     // activerbac_lane_queue_depth{lane}
-	LaneMaxDepth  *GaugeVec     // activerbac_lane_queue_max_depth{lane}
-	LaneEnqueued  *CounterVec   // activerbac_lane_enqueued_total{lane}
-	LaneProcessed *CounterVec   // activerbac_lane_processed_total{lane}
+	// Drain wait (observed at drain time).
+	LaneWait *Histogram // activerbac_lane_wait_seconds
 
 	// Event graph.
 	OperatorMatches *CounterVec // activerbac_operator_matches_total{operator}
@@ -162,20 +158,12 @@ func NewObserver(traceCapacity int) *Observer {
 		BatchSize: r.Histogram("activerbac_batch_size",
 			"Tuples per DecideCheckBatch call.", BatchSizeBuckets).With(),
 		BatchGroups: r.Counter("activerbac_batch_groups_total",
-			"Scope groups batches fanned out to (one lane crossing each).").With(),
+			"Group work items batches posted to the drain (one drain crossing each).").With(),
 		BatchFastPathHits: r.Counter("activerbac_batch_fastpath_hits_total",
 			"Batch tuples served from the fast-path cache during the up-front probe.").With(),
 
 		LaneWait: r.Histogram("activerbac_lane_wait_seconds",
-			"Time a work item spent queued on a lane before draining.", nil, "lane"),
-		LaneDepth: r.Gauge("activerbac_lane_queue_depth",
-			"Current queue depth per enforcement lane.", "lane"),
-		LaneMaxDepth: r.Gauge("activerbac_lane_queue_max_depth",
-			"High-water queue depth per enforcement lane.", "lane"),
-		LaneEnqueued: r.Counter("activerbac_lane_enqueued_total",
-			"Work items enqueued per lane over its lifetime.", "lane"),
-		LaneProcessed: r.Counter("activerbac_lane_processed_total",
-			"Work items drained per lane over its lifetime.", "lane"),
+			"Time a work item spent queued before the event detector's drain ran it.", nil).With(),
 
 		OperatorMatches: r.Counter("activerbac_operator_matches_total",
 			"Composite-operator detections by operator kind.", "operator"),

@@ -12,7 +12,7 @@ type StepKind string
 
 // Trace step kinds, in the order they typically appear in a cascade.
 const (
-	// StepRaise is the delivery of a primitive occurrence on a lane.
+	// StepRaise is the delivery of a primitive occurrence.
 	StepRaise StepKind = "raise"
 	// StepOperator is a composite-operator match (SEQ, AND, ...).
 	StepOperator StepKind = "operator"
@@ -23,17 +23,16 @@ const (
 	// StepAction is one Then/Else action execution.
 	StepAction StepKind = "action"
 	// StepCascade is a cascaded raise (RaiseFrom) joining the request's
-	// cascade, possibly hopping to another lane.
+	// cascade.
 	StepCascade StepKind = "cascade"
 )
 
 // Step is one recorded step of a decision trace. At is the engine-clock
 // instant; Seq the trace-local append order (the total order even when
-// a simulated clock yields equal timestamps across lanes).
+// a simulated clock yields equal timestamps).
 type Step struct {
 	Seq    int       `json:"seq"`
 	At     time.Time `json:"at"`
-	Lane   string    `json:"lane,omitempty"`
 	Kind   StepKind  `json:"kind"`
 	Event  string    `json:"event,omitempty"`
 	Rule   string    `json:"rule,omitempty"`
@@ -48,9 +47,6 @@ func (s Step) String() string {
 		verdict = "fail"
 	}
 	out := fmt.Sprintf("#%d %s %s", s.Seq, s.Kind, verdict)
-	if s.Lane != "" {
-		out += " lane=" + s.Lane
-	}
 	if s.Event != "" {
 		out += " event=" + s.Event
 	}
@@ -65,9 +61,9 @@ func (s Step) String() string {
 
 // Trace records the full OWTE cascade of one decision: the primitive
 // raise, composite-operator matches, per-rule condition evaluations,
-// the Then/Else branch taken, and cascaded raises — across every lane
-// the cascade touches. Steps append under a mutex because a cascade may
-// hop lanes; the disabled path (nil *Trace on the occurrence) costs one
+// the Then/Else branch taken, and cascaded raises. Steps append under a
+// mutex because a late timer firing may append while a reader
+// snapshots; the disabled path (nil *Trace on the occurrence) costs one
 // pointer check.
 type Trace struct {
 	id    uint64
@@ -90,10 +86,10 @@ func (t *Trace) ID() uint64 { return t.id }
 func (t *Trace) TraceID() TraceID { return t.tid }
 
 // Add appends one step stamped at the engine-clock instant at.
-func (t *Trace) Add(at time.Time, lane string, kind StepKind, event, rule, detail string, ok bool) {
+func (t *Trace) Add(at time.Time, kind StepKind, event, rule, detail string, ok bool) {
 	t.mu.Lock()
 	t.steps = append(t.steps, Step{
-		Seq: len(t.steps), At: at, Lane: lane, Kind: kind,
+		Seq: len(t.steps), At: at, Kind: kind,
 		Event: event, Rule: rule, Detail: detail, OK: ok,
 	})
 	t.mu.Unlock()
@@ -159,8 +155,9 @@ func NewTraceRing(capacity int) *TraceRing {
 // Cap returns the ring capacity.
 func (r *TraceRing) Cap() int { return len(r.buf) }
 
-// Start creates a new in-flight trace for a decision on event with the
-// given scope key, beginning at the engine-clock instant at.
+// Start creates a new in-flight trace for a decision on event about the
+// given scope (the request's session, else its user), beginning at the
+// engine-clock instant at.
 func (r *TraceRing) Start(event, scope string, at time.Time) *Trace {
 	return r.StartID(TraceID{}, event, scope, at)
 }

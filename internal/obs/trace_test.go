@@ -12,9 +12,9 @@ var t0 = time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)
 func TestTraceStepsOrdered(t *testing.T) {
 	ring := NewTraceRing(4)
 	tr := ring.Start("req.checkAccess", "s1", t0)
-	tr.Add(t0, "scope-0", StepRaise, "req.checkAccess", "", "{session=s1}", true)
-	tr.Add(t0.Add(time.Millisecond), "scope-0", StepCondition, "req.checkAccess", "CA1", "user IN userL", true)
-	tr.Add(t0.Add(time.Millisecond), "scope-0", StepRule, "req.checkAccess", "CA1", "then", true)
+	tr.Add(t0, StepRaise, "req.checkAccess", "", "{session=s1}", true)
+	tr.Add(t0.Add(time.Millisecond), StepCondition, "req.checkAccess", "CA1", "user IN userL", true)
+	tr.Add(t0.Add(time.Millisecond), StepRule, "req.checkAccess", "CA1", "then", true)
 	ring.Finish(tr, t0.Add(2*time.Millisecond))
 
 	d, ok := ring.Get(tr.ID())
@@ -75,7 +75,7 @@ func TestTraceConcurrentAdds(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
-				tr.Add(t0, "global", StepCascade, "e2", "", "", true)
+				tr.Add(t0, StepCascade, "e2", "", "", true)
 			}
 		}()
 	}

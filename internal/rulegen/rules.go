@@ -61,8 +61,8 @@ func (g *Generator) generateGlobalRules() error {
 	if err := pool.Add(core.Rule{
 		Name: "CA1", On: EvCheckAccess,
 		Class: core.ActivityControl, Granularity: core.Globalized,
-		Scope: core.ScopeSession, CacheSafe: true,
-		Tags: []string{TagGlobal, TagCritical},
+		CacheSafe: true,
+		Tags:      []string{TagGlobal, TagCritical},
 		When: []core.Condition{
 			core.BoolCond("sessionId IN sessionL", func(o *event.Occurrence) bool {
 				return st.SessionExists(sessionOf(o))
@@ -83,7 +83,6 @@ func (g *Generator) generateGlobalRules() error {
 	if err := pool.Add(core.Rule{
 		Name: "CAP1", On: EvCheckPurposeAccess,
 		Class: core.ActivityControl, Granularity: core.Globalized,
-		Scope: core.ScopeSession,
 		Tags: []string{TagGlobal, TagCritical},
 		When: []core.Condition{
 			core.BoolCond("sessionId IN sessionL", func(o *event.Occurrence) bool {
@@ -158,7 +157,6 @@ func (g *Generator) generateGlobalRules() error {
 	if err := pool.Add(core.Rule{
 		Name: "ADM.createSession", On: EvCreateSession,
 		Class: core.Administrative, Granularity: core.Globalized,
-		Scope: core.ScopeUser,
 		Tags: []string{TagGlobal},
 		When: []core.Condition{
 			core.BoolCond("user IN userL", func(o *event.Occurrence) bool {
@@ -189,7 +187,6 @@ func (g *Generator) generateGlobalRules() error {
 	return pool.Add(core.Rule{
 		Name: "ADM.deleteSession", On: EvDeleteSession,
 		Class: core.Administrative, Granularity: core.Globalized,
-		Scope: core.ScopeSession,
 		Tags: []string{TagGlobal},
 		When: []core.Condition{
 			core.BoolCond("sessionId IN sessionL", func(o *event.Occurrence) bool {
@@ -317,19 +314,10 @@ func (g *Generator) generateRole(role rbac.RoleID) error {
 			}))
 	}
 	aarName := fmt.Sprintf("AAR%d.%s", variant, role)
-	// Activation touches only the requesting session's state, so it is
-	// session-scoped — unless a condition reads cross-scope state (CFD
-	// activation dependencies, environmental context), which pins the
-	// rule (and with it the role's activation event) to the global lane.
-	aarScope := core.ScopeSession
-	if node.CFD || len(ctxReqs) > 0 {
-		aarScope = core.ScopeGlobal
-	}
 	if err := pool.Add(core.Rule{
 		Name: aarName, On: EvAddActiveRole(role),
 		Class: core.ActivityControl, Granularity: core.Localized,
-		Scope: aarScope,
-		Tags:  []string{tag},
+		Tags: []string{tag},
 		When: conds,
 		Then: []core.Action{
 			core.Act(fmt.Sprintf("addSessionRole%s(sessionId)", role), func(o *event.Occurrence) error {
@@ -388,8 +376,7 @@ func (g *Generator) generateRole(role rbac.RoleID) error {
 	if err := pool.Add(core.Rule{
 		Name: darName, On: EvDropActiveRole(role),
 		Class: core.ActivityControl, Granularity: core.Localized,
-		Scope: core.ScopeSession,
-		Tags:  []string{tag},
+		Tags: []string{tag},
 		When: []core.Condition{
 			core.BoolCond("sessionId IN checkUserSessions(user)", func(o *event.Occurrence) bool {
 				return st.CheckUserSession(userOf(o), sessionOf(o))
@@ -529,8 +516,7 @@ func (g *Generator) generateSpecializedRules(spec *policy.Spec) error {
 		if err := pool.Add(core.Rule{
 			Name: name, On: gtrbac.EvSessionRoleAdded,
 			Class: core.ActivityControl, Granularity: core.Specialized,
-			Scope: core.ScopeUser,
-			Tags:  []string{TagUser(user)},
+			Tags: []string{TagUser(user)},
 			When: []core.Condition{
 				core.BoolCond(fmt.Sprintf("user != %s OR activeRoles <= %d", m.User, m.N), func(o *event.Occurrence) bool {
 					if userOf(o) != user {

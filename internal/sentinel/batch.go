@@ -32,7 +32,7 @@ const fpKeyNone = -1
 
 // batchState is the pooled per-batch scratch: decision slots, the
 // shared fast-path key buffer with per-tuple offsets, captured session
-// generations, and the scope-group index. One Get/Put per batch
+// generations, and the cascading tuples. One Get/Put per batch
 // amortizes every allocation the per-tuple path would pay N times.
 type batchState struct {
 	decs   []*Decision
@@ -41,10 +41,8 @@ type batchState struct {
 	keyEnd []int32 // per tuple: end of its key in keys
 	sgens  []uint64
 
-	scopes  []string         // distinct scope keys in first-appearance order
-	groups  [][]event.Params // parallel to scopes: each scope's params, in input order
-	gidx    [][]int32        // carrier mode: each scope's tuple indices, in input order
-	groupOf map[string]int
+	group []event.Params // owned mode: each cascading tuple's params, in input order
+	idx   []int32        // carrier mode: each cascading tuple's index, in input order
 
 	// slab backs the batch's Decisions when the engine shape proves no
 	// decision outlives the verdict merge (cache-safe rules, no outcome
@@ -56,16 +54,17 @@ type batchState struct {
 	// sessions, users, operations and objects repeat heavily within a
 	// batch, and boxing a string into an interface allocates every
 	// time — four allocations per tuple the per-tuple path cannot
-	// avoid but a batch can share. Only the submitting goroutine
-	// touches the map: carrier fills run concurrently on different
-	// lanes, so they read tuple i's four boxes from
-	// boxes[4*i:4*i+4], written before the groups are raised.
+	// avoid but a batch can share. The submitter interns every tuple's
+	// four boxes into boxes[4*i:4*i+4] before raising the group, so the
+	// carrier fill — which runs on the drain, possibly another caller's
+	// goroutine — only reads the slice and the serialized drain does no
+	// map work.
 	box   map[string]any
 	boxes []any
 }
 
 var batchPool = sync.Pool{New: func() any {
-	return &batchState{groupOf: make(map[string]int), box: make(map[string]any)}
+	return &batchState{box: make(map[string]any)}
 }}
 
 // boxed returns s as an interface value, allocating the box at most
@@ -99,7 +98,7 @@ func (bs *batchState) grow(n int) []*Decision {
 	return bs.decs
 }
 
-// release drops every reference the batch held (decisions, group params)
+// release drops every reference the batch held (decisions, params)
 // while keeping the backing arrays for the next batch, then returns the
 // state to the pool.
 func (bs *batchState) release() {
@@ -108,21 +107,12 @@ func (bs *batchState) release() {
 	}
 	bs.decs = bs.decs[:0]
 	bs.keys = bs.keys[:0]
-	bs.scopes = bs.scopes[:0]
 	clear(bs.box)
 	clear(bs.boxes)
 	bs.boxes = bs.boxes[:0]
-	for i := range bs.groups {
-		g := bs.groups[i]
-		for j := range g {
-			g[j] = nil
-		}
-		bs.groups[i] = g[:0]
-	}
-	for i := range bs.gidx {
-		bs.gidx[i] = bs.gidx[i][:0]
-	}
-	clear(bs.groupOf)
+	clear(bs.group)
+	bs.group = bs.group[:0]
+	bs.idx = bs.idx[:0]
 	batchPool.Put(bs)
 }
 
@@ -138,22 +128,18 @@ func (bs *batchState) decSlab(n int) []Decision {
 // DecideCheckBatch decides a whole batch of four-field enforcement
 // tuples as one unit, returning verdicts in input order (verdicts[i]
 // answers tuples[i]); the passed slice is reused when its capacity
-// allows. Semantically each tuple is decided exactly as DecideCheck
-// would — duplicates cascade independently, denials never cache — but
-// the batch amortizes everything around the per-tuple rule work:
+// allows. Semantically the batch is exactly sequential DecideCheck
+// calls in input order — duplicates cascade independently, denials
+// never cache, and a denial that changes state (an active-security
+// lock) is seen by every later tuple — but the batch amortizes
+// everything around the per-tuple rule work:
 //
 //   - fast-path eligibility and the cache epoch are captured ONCE per
 //     batch, and the whole batch is probed up front against that
 //     capture, with every key encoded into one pooled buffer;
-//   - cache misses are grouped by scope key (session, else user) and
-//     each group crosses its lane boundary as a single work item, in
-//     first-appearance order — groups sharing a lane (notably the
-//     global lane) serialize in that order, preserving the total order
-//     global-scope rules, SoD oracles and temporal ticks rely on,
-//     while groups on distinct lanes execute concurrently (the same
-//     interleaving concurrent per-tuple callers produce);
-//   - one cascade tracks every group, so a single Wait settles the
-//     batch, and ALLOW verdicts are then stored under the pre-captured
+//   - the cache misses cross the drain boundary as a single work item
+//     that delivers them in input order, and a single Wait settles the
+//     batch; ALLOW verdicts are then stored under the pre-captured
 //     epoch pair — the born-stale protocol applied per batch: any
 //     mutation interleaving with the batch lands after the capture and
 //     the affected entries are already stale when stored.
@@ -243,7 +229,7 @@ func (e *Engine) decideBatchSplit(o *obs.Observer, t0 time.Time, eventName strin
 
 // decideBatchCore is the batch-native evaluation floor shared by every
 // entry point above: one snapshot capture, one up-front cache probe,
-// scope-group lane submission, one settle. batchN is the size of the
+// one group work item for the misses, one settle. batchN is the size of the
 // originally submitted batch (tuples may be a remainder after a traced
 // split), recorded once into the batch-size distribution.
 func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string, tuples []CheckTuple, verdicts []Verdict, batchN int) ([]Verdict, error) {
@@ -260,7 +246,7 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 	// the snapshot; they are captured per tuple, still before any
 	// cascade of the batch runs.
 	fp := e.fp
-	// shape is the verdict-cache-safety shape — sole scope-marked
+	// shape is the verdict-cache-safety shape — sole non-retaining
 	// subscriber firing only cache-safe rules, no outcome listeners —
 	// captured once per batch. With a fast path it gates the cache
 	// probe; independently it licenses the carrier cascade mode below,
@@ -346,22 +332,8 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 			dec.votes = dec.vbuf[:0]
 			decs[i] = dec
 			t := &tuples[i]
-			scope := t.Session
-			if scope == "" {
-				scope = t.User
-			}
-			gi, ok := bs.groupOf[scope]
-			if !ok {
-				gi = len(bs.scopes)
-				bs.groupOf[scope] = gi
-				bs.scopes = append(bs.scopes, scope)
-				if gi >= len(bs.groups) {
-					bs.groups = append(bs.groups, nil)
-					bs.gidx = append(bs.gidx, nil)
-				}
-			}
 			if shape {
-				bs.gidx[gi] = append(bs.gidx[gi], int32(i))
+				bs.idx = append(bs.idx, int32(i))
 				bx := bs.boxes[4*i : 4*i+4]
 				bx[0], bx[1] = bs.boxed(t.User), bs.boxed(t.Session)
 				bx[2], bx[3] = bs.boxed(t.Operation), bs.boxed(t.Object)
@@ -370,32 +342,28 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 			// One owned params map per decision, exactly as the
 			// per-tuple cascade builds; ownership transfers to the
 			// detector with the group.
-			bs.groups[gi] = append(bs.groups[gi], event.Params{
+			bs.group = append(bs.group, event.Params{
 				"user": bs.boxed(t.User), "session": bs.boxed(t.Session),
 				"operation": bs.boxed(t.Operation), "object": bs.boxed(t.Object),
 				DecisionKey: dec,
 			})
 		}
 		if shape {
-			// Carrier mode: each group delivers through one reused
+			// Carrier mode: the group delivers through one reused
 			// occurrence and params map, rewritten per tuple — zero
 			// per-tuple allocation on the cascade floor. The event layer
 			// re-verifies the shape per delivery and degrades to fresh
 			// storage if a mid-batch policy change breaks it.
-			for gi, scope := range bs.scopes {
-				idx := bs.gidx[gi]
-				batch.RaiseGroupFn(scope, len(idx), func(k int, p event.Params) {
-					i := idx[k]
-					bx := bs.boxes[4*i : 4*i+4]
-					p["user"], p["session"] = bx[0], bx[1]
-					p["operation"], p["object"] = bx[2], bx[3]
-					p[DecisionKey] = decs[i]
-				})
-			}
+			idx := bs.idx
+			batch.RaiseGroupFn(len(idx), func(k int, p event.Params) {
+				i := idx[k]
+				bx := bs.boxes[4*i : 4*i+4]
+				p["user"], p["session"] = bx[0], bx[1]
+				p["operation"], p["object"] = bx[2], bx[3]
+				p[DecisionKey] = decs[i]
+			})
 		} else {
-			for gi, scope := range bs.scopes {
-				batch.RaiseGroupOwned(bs.groups[gi], scope)
-			}
+			batch.RaiseGroupOwned(bs.group)
 		}
 		batch.Wait()
 	}
@@ -424,7 +392,9 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 		// once, not once per tuple.
 		o.DecisionLatency.With(eventName).Observe(e.clk.Now().Sub(t0).Seconds())
 		o.BatchSize.Observe(float64(batchN))
-		o.BatchGroups.Add(float64(len(bs.scopes)))
+		if cascades > 0 {
+			o.BatchGroups.Inc()
+		}
 		o.BatchFastPathHits.Add(float64(hits))
 	}
 	return verdicts, nil

@@ -99,7 +99,7 @@ func TestDecideCheckBatchEdgeCases(t *testing.T) {
 
 // TestDecideCheckBatchCascadedVeto: a cascaded rule firing on a
 // follow-up event must veto the right tuple of the batch — the
-// cross-lane settled-cascade guarantee, batch-wide.
+// settled-cascade guarantee, batch-wide.
 func TestDecideCheckBatchCascadedVeto(t *testing.T) {
 	e, _ := newEngine()
 	det := e.Detector()
@@ -148,9 +148,8 @@ func TestDecideCheckBatchCascadedVeto(t *testing.T) {
 }
 
 // TestDecideCheckBatchGroupOrder pins the documented execution order:
-// misses are grouped by scope in first-appearance order and each group
-// delivers in input order, so on a single lane the interleaved batch
-// s1,s2,s1,s2 executes as s1,s1,s2,s2.
+// the misses form one group that delivers in input order, so the
+// interleaved batch s1,s2,s1,s2 executes exactly as submitted.
 func TestDecideCheckBatchGroupOrder(t *testing.T) {
 	e, _ := newEngine()
 	var mu sync.Mutex
@@ -178,7 +177,7 @@ func TestDecideCheckBatchGroupOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"s1/o1", "s1/o3", "s2/o2", "s2/o4"}
+	want := []string{"s1/o1", "s2/o2", "s1/o3", "s2/o4"}
 	if len(order) != len(want) {
 		t.Fatalf("delivered %v, want %v", order, want)
 	}
@@ -225,14 +224,14 @@ func TestDecideCheckBatchConcurrent(t *testing.T) {
 }
 
 // cacheSafeBobRule wires the allow-bob rule in the verdict-cache-safe
-// shape (session-scoped, CacheSafe, sole pool subscription, no outcome
-// listeners) so the batch path takes its carrier mode: one reused
-// occurrence and params map per scope group, slab-backed decisions.
+// shape (CacheSafe, sole pool subscription, no outcome listeners) so
+// the batch path takes its carrier mode: one reused occurrence and
+// params map for the batch, slab-backed decisions.
 func cacheSafeBobRule(e *Engine, on string) {
 	e.Detector().MustPrimitive(on)
 	e.Pool().MustAdd(core.Rule{
 		Name: "R", On: on,
-		Scope: core.ScopeSession, CacheSafe: true,
+		CacheSafe: true,
 		When: []core.Condition{core.BoolCond("user==bob", func(o *event.Occurrence) bool {
 			return o.Params["user"] == "bob"
 		})},
@@ -298,7 +297,7 @@ func TestDecideCheckBatchCarrierMode(t *testing.T) {
 
 // TestDecideCheckBatchCarrierConcurrent hammers carrier-mode batches
 // from several goroutines — the -race proof for the slab-backed
-// decisions and per-group carrier reuse.
+// decisions and carrier reuse.
 func TestDecideCheckBatchCarrierConcurrent(t *testing.T) {
 	e, _ := newEngine()
 	cacheSafeBobRule(e, "req")
@@ -333,16 +332,15 @@ func TestDecideCheckBatchCarrierConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDecideCheckBatchManySessionsManyLanes: 256-tuple carrier-mode
-// batches spanning 64 sessions on a four-lane engine — each session is
-// a scope group, groups on different lanes fill their carriers at once
-// (-race: the fills share the batch's pooled scratch). Verdicts must
-// equal sequential DecideCheck, with and without the verdict cache, from
-// several submitters at a time.
-func TestDecideCheckBatchManySessionsManyLanes(t *testing.T) {
+// TestDecideCheckBatchManySessions: 256-tuple carrier-mode batches
+// spanning 64 sessions from four concurrent submitters (-race: a
+// carrier fill may run on another submitter's drain while reading the
+// batch's pooled scratch). Verdicts must equal sequential DecideCheck,
+// with and without the verdict cache.
+func TestDecideCheckBatchManySessions(t *testing.T) {
 	for _, fastpath := range []bool{false, true} {
 		t.Run(fmt.Sprintf("fastpath=%v", fastpath), func(t *testing.T) {
-			opts := []EngineOption{WithLanes(4)}
+			var opts []EngineOption
 			if fastpath {
 				opts = append(opts, WithFastPath())
 			}

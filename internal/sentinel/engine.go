@@ -32,8 +32,8 @@ type Vote struct {
 // and a request no rule voted on at all is denied (no applicable rule —
 // fail closed).
 type Decision struct {
-	mu     sync.Mutex
-	votes  []Vote
+	mu    sync.Mutex
+	votes []Vote
 	// vbuf is inline backing for votes: Decide points votes at it so
 	// the common few-vote cascade records verdicts without a second
 	// allocation. Access only through votes, under mu.
@@ -195,17 +195,14 @@ type Engine struct {
 type EngineOption func(*engineConfig)
 
 type engineConfig struct {
-	lanes    int
 	observer *obs.Observer
 	fastpath bool
 }
 
-// WithLanes sets the detector lane count: 1 (the default) is the
-// classic fully-serialized Sentinel+ drain; n > 1 shards scope-local
-// enforcement over n parallel lanes next to the global lane.
-func WithLanes(n int) EngineOption {
-	return func(c *engineConfig) { c.lanes = n }
-}
+// WithLanes is kept for callers that still pass a lane count.
+//
+// Deprecated: ignored; enforcement runs on one drain.
+func WithLanes(int) EngineOption { return func(*engineConfig) {} }
 
 // WithFastPath enables the read-mostly decision fast path: Decide
 // serves repeat ALLOW verdicts for cacheable events from an
@@ -217,7 +214,7 @@ func WithFastPath() EngineOption {
 }
 
 // WithObserver attaches an observability bundle: the engine feeds the
-// observer's lane/operator instruments on the hot path, mirrors its
+// observer's drain-wait/operator instruments on the hot path, mirrors its
 // counters into the registry at scrape time, and — when the observer
 // carries a trace ring — records a full cascade trace per Decide. A nil
 // observer (the default) keeps the zero-overhead path.
@@ -227,11 +224,11 @@ func WithObserver(o *obs.Observer) EngineOption {
 
 // NewEngine builds an empty engine on the given clock.
 func NewEngine(clk clock.Clock, opts ...EngineOption) *Engine {
-	cfg := engineConfig{lanes: 1}
+	var cfg engineConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	det := event.New(clk, event.WithLanes(cfg.lanes))
+	det := event.New(clk)
 	e := &Engine{
 		clk:     clk,
 		det:     det,
@@ -243,8 +240,8 @@ func NewEngine(clk clock.Clock, opts ...EngineOption) *Engine {
 	}
 	if o := cfg.observer; o != nil {
 		det.SetInstruments(&event.Instruments{
-			LaneWait: func(lane string, s float64) {
-				o.LaneWait.With(lane).Observe(s)
+			LaneWait: func(s float64) {
+				o.LaneWait.Observe(s)
 				o.StageLaneWait.Observe(s)
 			},
 			OperatorMatch: func(op string) { o.OperatorMatches.With(op).Inc() },
@@ -325,12 +322,12 @@ func (e *Engine) SetPushHook(fn func(epoch uint64)) {
 func (e *Engine) FastPath() *FastPath { return e.fp }
 
 // cacheable reports whether eventName's ALLOW verdicts may be served
-// from the fast-path cache: the detector must route it to exactly one
-// scope-marked subscriber (no composite parents, no escalation) and the
-// pool must confirm that subscriber is its own, firing only CacheSafe
-// rules with no outcome listeners.
+// from the fast-path cache: the detector must deliver it to exactly one
+// non-retaining subscriber (no composite parents) and the pool must
+// confirm that subscriber is its own, firing only CacheSafe rules with
+// no outcome listeners.
 func (e *Engine) cacheable(eventName string) bool {
-	sub, ok := e.det.SoleScopedSub(eventName)
+	sub, ok := e.det.SoleNonRetainingSub(eventName)
 	return ok && e.pool.CacheVerdictSafe(eventName, sub)
 }
 
@@ -345,15 +342,9 @@ func (e *Engine) Observer() *obs.Observer { return e.obs }
 
 // collect mirrors the engine's own atomic counters into the metric
 // registry. Runs at scrape time only, so the hot path pays nothing for
-// lane depth, rule-firing or store-size metrics.
+// rule-firing or store-size metrics.
 func (e *Engine) collect() {
 	o := e.obs
-	for _, ls := range e.det.LaneStats() {
-		o.LaneDepth.With(ls.Lane).Set(float64(ls.Depth))
-		o.LaneMaxDepth.With(ls.Lane).Set(float64(ls.MaxDepth))
-		o.LaneEnqueued.With(ls.Lane).Set(float64(ls.Enqueued))
-		o.LaneProcessed.With(ls.Lane).Set(float64(ls.Processed))
-	}
 	st := e.det.Stats()
 	o.EventsRaised.Set(float64(st.Raised))
 	o.EventsDetected.Set(float64(st.Detected))
@@ -399,9 +390,7 @@ func (e *Engine) Monitor() *ExternalMonitor { return e.monitor }
 
 // Decide raises an enforcement event carrying a fresh Decision and
 // blocks until the rule cascade settles, returning the verdict. The
-// caller's params are not mutated. The occurrence is stamped with a
-// ScopeKey derived from the request — the session it concerns, else the
-// user — so a sharded detector can run independent scopes in parallel.
+// caller's params are not mutated.
 //
 // With the fast path enabled, a repeat ALLOW verdict for a cacheable
 // request is served from the epoch-tagged cache, skipping the cascade
@@ -522,7 +511,7 @@ func (e *Engine) decideCached(o *obs.Observer, t0 time.Time, eventName, user, se
 			if sl := o.Slow; sl != nil && sl.Exceeds(elapsed) {
 				o.SlowDecisions.Inc()
 				sl.Record(obs.SlowRecord{
-					At: t0, Event: eventName, Scope: scopeOfCheck(user, session),
+					At: t0, Event: eventName, Scope: subject(user, session),
 					Seconds: elapsed.Seconds(), Allowed: true,
 				})
 			}
@@ -554,7 +543,9 @@ func (e *Engine) cascade(o *obs.Observer, t0 time.Time, eventName string, params
 		p[k] = v
 	}
 	p[DecisionKey] = dec
-	scope := scopeOf(p)
+	user, _ := p["user"].(string)
+	session, _ := p["session"].(string)
+	scope := subject(user, session)
 
 	var tr *obs.Trace
 	if traced && o != nil && o.Traces != nil {
@@ -562,16 +553,16 @@ func (e *Engine) cascade(o *obs.Observer, t0 time.Time, eventName string, params
 		dec.trace = tr // no concurrent access before the raise below
 	}
 	// Stage attribution: the raise-to-settle window is the cascade
-	// stage — rule matching, condition evaluation and actions across
-	// every lane the request touches (queue time is attributed
-	// separately, to lane_wait, by the drain instrument).
+	// stage — rule matching, condition evaluation and actions (queue
+	// time is attributed separately, to lane_wait, by the drain
+	// instrument).
 	var tRaise time.Time
 	if o != nil {
 		tRaise = e.clk.Now()
 	}
 	// p was built here and is never touched again: hand ownership to the
 	// detector so it skips its defensive clone.
-	if err := e.det.RaiseSyncTracedOwned(eventName, p, scope, tr); err != nil {
+	if err := e.det.RaiseSyncTracedOwned(eventName, p, tr); err != nil {
 		if fpBuf != nil {
 			*fpBuf = fpKey[:0]
 			fpKeyPool.Put(fpBuf)
@@ -620,42 +611,24 @@ func (e *Engine) cascade(o *obs.Observer, t0 time.Time, eventName string, params
 	return dec, nil
 }
 
-// scopeOfCheck is scopeOf for the four-field tuple entry points: the
-// session when present, else the user.
-func scopeOfCheck(user, session string) string {
+// subject names whom a decision is about, for the trace and
+// slow-record scope field: the session when present, else the user.
+func subject(user, session string) string {
 	if session != "" {
 		return session
 	}
 	return user
 }
 
-// scopeOf derives the sharding key of a request from its parameters:
-// the session id when present, else the user id, else "" (unscoped).
-func scopeOf(p event.Params) string {
-	if s, ok := p["session"].(string); ok && s != "" {
-		return s
-	}
-	if u, ok := p["user"].(string); ok && u != "" {
-		return u
-	}
-	return ""
-}
-
-// Quiesce blocks until every detector lane is idle — all in-flight
+// Quiesce blocks until the detector's drain is idle — all in-flight
 // occurrences, cascades and deferred work processed. Used by graceful
-// shutdown and by tests that assert on cross-lane state.
+// shutdown and by tests that assert on settled state.
 func (e *Engine) Quiesce() { e.det.Quiesce() }
 
-// LaneStats snapshots the detector's per-lane counters.
-func (e *Engine) LaneStats() []event.LaneStat { return e.det.LaneStats() }
-
 // Notify raises a fire-and-forget event (no decision expected), e.g. a
-// state-change notification consumed by temporal or security rules. The
-// occurrence is stamped with the same request-derived scope key Decide
-// uses, so notifications about a session or user shard onto that
-// scope's lane instead of serializing through the global lane.
+// state-change notification consumed by temporal or security rules.
 func (e *Engine) Notify(eventName string, params event.Params) error {
-	return e.det.RaiseScoped(eventName, params, scopeOf(params))
+	return e.det.Raise(eventName, params)
 }
 
 // Summary describes the engine's contents for tools.

@@ -13,8 +13,8 @@ import (
 // Correctness rests on three guards, all enforced by the engine before
 // a verdict is served or stored:
 //
-//   - eligibility: the event must have exactly one scope-marked
-//     subscriber in the detector (no composite parents, no escalation)
+//   - eligibility: the event must have exactly one non-retaining
+//     subscriber in the detector (no composite parents)
 //     and every enabled rule on it must be CacheSafe with no outcome
 //     listeners registered — see Engine.cacheable;
 //   - epoch tagging: a verdict is filed under the fast-path epoch and

@@ -13,20 +13,18 @@ import (
 )
 
 // tracedEngine builds an engine with a trace ring and two chained
-// rules: a scope-local activation rule on req.activate that allows and
-// cascades to roleAdded, and a global cardinality rule on roleAdded
-// that denies sessions named in veto. With lanes > 1 the activation
-// runs on a scope lane and the cascade hops to the global lane, so the
-// trace must follow the request across lanes.
-func tracedEngine(t *testing.T, lanes, ring int, veto map[string]bool) (*Engine, *clock.Sim) {
+// rules: an activation rule on req.activate that allows and cascades to
+// roleAdded, and a cardinality rule on roleAdded that denies sessions
+// named in veto. The trace must follow the request through the cascade.
+func tracedEngine(t *testing.T, ring int, veto map[string]bool) (*Engine, *clock.Sim) {
 	t.Helper()
 	sim := clock.NewSim(t0)
-	e := NewEngine(sim, WithLanes(lanes), WithObserver(obs.NewObserver(ring)))
+	e := NewEngine(sim, WithObserver(obs.NewObserver(ring)))
 	det := e.Detector()
 	det.MustPrimitive("req.activate")
 	det.MustPrimitive("roleAdded")
 	e.Pool().MustAdd(core.Rule{
-		Name: "AAR", On: "req.activate", Scope: core.ScopeSession,
+		Name: "AAR", On: "req.activate",
 		When: []core.Condition{core.BoolCond("session set", func(o *event.Occurrence) bool {
 			s, _ := o.Params["session"].(string)
 			return s != ""
@@ -45,7 +43,7 @@ func tracedEngine(t *testing.T, lanes, ring int, veto map[string]bool) (*Engine,
 		})},
 	})
 	e.Pool().MustAdd(core.Rule{
-		Name: "CC1", On: "roleAdded", // ScopeGlobal: runs on the global lane
+		Name: "CC1", On: "roleAdded",
 		When: []core.Condition{core.BoolCond("cardinality", func(o *event.Occurrence) bool {
 			s, _ := o.Params["session"].(string)
 			return !veto[s]
@@ -69,7 +67,7 @@ func kindsOf(steps []obs.Step) map[obs.StepKind]int {
 }
 
 func TestDecideTraceCompleteCascade(t *testing.T) {
-	e, _ := tracedEngine(t, 4, 16, nil)
+	e, _ := tracedEngine(t, 16, nil)
 	dec, err := e.Decide("req.activate", event.Params{"session": "s1", "user": "bob"})
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +91,7 @@ func TestDecideTraceCompleteCascade(t *testing.T) {
 	}
 
 	// The full cascade: the primitive raise, AAR's condition, verdict and
-	// action on a scope lane; the cascaded raise; then CC1's condition
-	// and verdict on the global lane.
+	// action; the cascaded raise; then CC1's condition and verdict.
 	k := kindsOf(td.Steps)
 	if k[obs.StepRaise] != 2 || k[obs.StepCascade] != 1 {
 		t.Fatalf("raise/cascade steps = %v\n%v", k, td.Steps)
@@ -102,7 +99,6 @@ func TestDecideTraceCompleteCascade(t *testing.T) {
 	if k[obs.StepCondition] != 2 || k[obs.StepRule] != 2 || k[obs.StepAction] < 1 {
 		t.Fatalf("rule steps = %v\n%v", k, td.Steps)
 	}
-	lanes := make(map[string]bool)
 	for i, s := range td.Steps {
 		if s.Seq != i {
 			t.Fatalf("step %d has Seq %d", i, s.Seq)
@@ -110,13 +106,6 @@ func TestDecideTraceCompleteCascade(t *testing.T) {
 		if !s.At.Equal(t0) {
 			t.Fatalf("step %d not engine-clock stamped: %v", i, s.At)
 		}
-		if s.Lane != "" {
-			lanes[s.Lane] = true
-		}
-	}
-	// The request hopped lanes: AAR on a scope lane, CC1 on global.
-	if !lanes["global"] || len(lanes) < 2 {
-		t.Fatalf("lanes touched = %v, want scope lane + global", lanes)
 	}
 
 	// The same trace is retained in the ring under its id.
@@ -130,7 +119,7 @@ func TestDecideTraceCompleteCascade(t *testing.T) {
 }
 
 func TestDecideTraceDenyBranch(t *testing.T) {
-	e, _ := tracedEngine(t, 1, 8, map[string]bool{"s9": true})
+	e, _ := tracedEngine(t, 8, map[string]bool{"s9": true})
 	dec, err := e.Decide("req.activate", event.Params{"session": "s9"})
 	if err != nil {
 		t.Fatal(err)
@@ -181,13 +170,13 @@ func TestDecideTracingDisabled(t *testing.T) {
 	}
 }
 
-// TestTraceLifecycleConcurrent drives N goroutines × M scopes through a
-// sharded engine under the race detector and asserts every decision
+// TestTraceLifecycleConcurrent drives N goroutines × M scopes through
+// the engine under the race detector and asserts every decision
 // produced a complete, ordered trace whose steps never mention another
 // scope's session.
 func TestTraceLifecycleConcurrent(t *testing.T) {
 	const goroutines, scopes, rounds = 8, 4, 20
-	e, _ := tracedEngine(t, 4, goroutines*scopes*rounds, nil)
+	e, _ := tracedEngine(t, goroutines*scopes*rounds, nil)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)

@@ -16,7 +16,7 @@ import (
 //
 // The pass is syntactic: within any for/range statement of a
 // batch-path function it flags calls whose callee is one of the
-// capture functions (cacheable, SoleScopedSub, CacheVerdictSafe) or a
+// capture functions (cacheable, SoleNonRetainingSub, CacheVerdictSafe) or a
 // selector chain ending in the epoch reads (.epoch.Load, .Epoch).
 // Session-generation reads (sgen) are exempt — they are per-session
 // state, legitimately captured per tuple.
@@ -29,10 +29,10 @@ var BatchSnap = &Analyzer{
 // batchSnapCallees are banned callee names (method or function) inside
 // batch-path loops.
 var batchSnapCallees = map[string]bool{
-	"cacheable":        true,
-	"SoleScopedSub":    true,
-	"CacheVerdictSafe": true,
-	"Epoch":            true,
+	"cacheable":           true,
+	"SoleNonRetainingSub": true,
+	"CacheVerdictSafe":    true,
+	"Epoch":               true,
 }
 
 func runBatchSnap(pass *Pass) {

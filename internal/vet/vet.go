@@ -79,7 +79,7 @@ type Package struct {
 
 // Analyzers returns the repo's invariant checks.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{EngineClock, ObsNil, LockOrder, SnapImmut, BatchSnap, PoolReturn}
+	return []*Analyzer{EngineClock, ObsNil, SnapImmut, BatchSnap, PoolReturn}
 }
 
 // Run executes the analyzers over the packages and returns every

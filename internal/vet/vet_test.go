@@ -144,9 +144,9 @@ func (e *Engine) snapshot() {
 	}
 }
 
-func (ln *lane) scoped() {
-	if ins := ln.d.ins; ins != nil {
-		ins.LaneWait("g", 0)
+func (d *Detector) drain() {
+	if ins := d.ins; ins != nil {
+		ins.LaneWait(0)
 	}
 }
 `
@@ -189,66 +189,6 @@ func TestObsNilIgnoresOtherPackages(t *testing.T) {
 func run(s *server) { s.obs.Decisions.Inc() }
 `
 	wantDiags(t, runOn(t, ObsNil, "cmd/rbacd", src), 0)
-}
-
-// --- lockorder -----------------------------------------------------
-
-// TestLockOrderFlagsInversion: taking emu while qmu is held inverts the
-// documented order and can deadlock against drain().
-func TestLockOrderFlagsInversion(t *testing.T) {
-	src := `package event
-
-func (ln *lane) bad() {
-	ln.qmu.Lock()
-	ln.emu.Lock()
-	ln.emu.Unlock()
-	ln.qmu.Unlock()
-}
-`
-	diags := runOn(t, LockOrder, "internal/event", src)
-	wantDiags(t, diags, 1)
-	if !strings.Contains(diags[0].Message, "qmu") {
-		t.Errorf("diagnostic should name the held mutex, got %q", diags[0].Message)
-	}
-}
-
-// TestLockOrderAcceptsDocumentedOrder mirrors drain(): emu first, qmu
-// taken and released repeatedly inside.
-func TestLockOrderAcceptsDocumentedOrder(t *testing.T) {
-	src := `package event
-
-func (ln *lane) drain() {
-	ln.emu.Lock()
-	for {
-		ln.qmu.Lock()
-		ln.qmu.Unlock()
-		break
-	}
-	ln.emu.Unlock()
-}
-
-func (ln *lane) sequential() {
-	ln.qmu.Lock()
-	ln.qmu.Unlock()
-	ln.emu.Lock()
-	ln.emu.Unlock()
-}
-`
-	wantDiags(t, runOn(t, LockOrder, "internal/event", src), 0)
-}
-
-// TestLockOrderSkipsDefer: a deferred emu.Lock runs at function exit,
-// after the linear body released qmu; the scan must not misread it.
-func TestLockOrderSkipsDefer(t *testing.T) {
-	src := `package event
-
-func (ln *lane) deferred() {
-	ln.qmu.Lock()
-	defer func() { ln.emu.Lock(); ln.emu.Unlock() }()
-	ln.qmu.Unlock()
-}
-`
-	wantDiags(t, runOn(t, LockOrder, "internal/event", src), 0)
 }
 
 // --- snapimmut -----------------------------------------------------
@@ -341,7 +281,7 @@ func (e *Engine) DecideCheckBatch(tuples []CheckTuple) {
 	for i := range tuples {
 		_ = e.cacheable("ev")
 		_ = e.fp.epoch.Load()
-		_, _ = e.det.SoleScopedSub("ev")
+		_, _ = e.det.SoleNonRetainingSub("ev")
 		_ = e.store.Epoch()
 		_ = i
 	}
@@ -552,7 +492,7 @@ func TestAnalyzersRegistry(t *testing.T) {
 	for _, a := range Analyzers() {
 		names[a.Name] = true
 	}
-	for _, want := range []string{"engineclock", "obsnil", "lockorder", "snapimmut", "batchsnap", "poolreturn"} {
+	for _, want := range []string{"engineclock", "obsnil", "snapimmut", "batchsnap", "poolreturn"} {
 		if !names[want] {
 			t.Errorf("registry missing analyzer %q", want)
 		}

@@ -26,10 +26,17 @@ const exportRetries = 8
 // safe: the replica records an older epoch than it may actually hold
 // and simply resyncs once more on the next push it observes — a
 // harmless extra transfer, never a missed one.
+//
+// Text and state are read under one srcMu read hold — the cut
+// ApplyPolicy's write hold makes atomic. The field is read directly:
+// calling PolicySource here would re-enter RLock, which deadlocks
+// behind a waiting writer.
 func (s *System) ExportSyncSnapshot() (epoch uint64, data []byte, err error) {
 	for i := 0; i < exportRetries; i++ {
 		before := s.PushEpoch()
-		encoded, eerr := store.EncodeSnapshot(s.PolicySource(), s.gen.Engine().Store().Snapshot())
+		s.srcMu.RLock()
+		encoded, eerr := store.EncodeSnapshot(s.source, s.gen.Engine().Store().Snapshot())
+		s.srcMu.RUnlock()
 		if eerr != nil {
 			return 0, nil, eerr
 		}

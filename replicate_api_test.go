@@ -2,10 +2,91 @@ package activerbac_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"activerbac"
 )
+
+// TestExportIsOneCutWithApplyPolicy: a SYNC export racing ApplyPolicy
+// must pair the policy text with the state that text produced. One
+// goroutine alternates two non-idempotent variants (a role and a
+// permission added, then removed); the test exports in a loop, and every
+// export must install into a fresh replica with matching text, the
+// text's role set, clean invariants, and a follow-on install of the
+// other variant (the next sync a real replica would see) must not wedge
+// on "role already exists".
+func TestExportIsOneCutWithApplyPolicy(t *testing.T) {
+	const rounds = 200
+	variants := []string{xyzPolicy, xyzPolicy + "role Auditor\npermission Auditor: read ledger.dat\n"}
+	wantRoles := map[string]int{variants[0]: 5, variants[1]: 6}
+	leader := openXYZ(t)
+
+	done, stop := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	defer func() { close(stop); wg.Wait() }() // also runs on t.Fatal
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 1; i <= rounds; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := leader.ApplyPolicy(variants[i%2]); err != nil {
+				t.Errorf("apply round %d: %v", i, err)
+				return
+			}
+		}
+	}()
+
+	seen := map[string]bool{}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		_, data, err := leader.ExportSyncSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[string(data)] {
+			continue
+		}
+		seen[string(data)] = true
+		src, err := activerbac.SyncSnapshotPolicy(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replica, err := activerbac.Open("", &activerbac.Options{Clock: activerbac.NewSimClock(t0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := replica.InstallSyncSnapshot(data); err != nil {
+			t.Fatalf("install of export %d: %v", len(seen), err)
+		}
+		if replica.PolicySource() != src {
+			t.Fatal("replica policy text differs from the exported text")
+		}
+		if got, want := replica.Stats().Roles, wantRoles[src]; got != want {
+			t.Fatalf("export %d pairs a %d-role text with %d-role state", len(seen), want, got)
+		}
+		if errs := replica.CheckInvariants(); len(errs) != 0 {
+			t.Fatalf("replica invariants: %v", errs)
+		}
+		next := variants[0]
+		if src == variants[0] {
+			next = variants[1]
+		}
+		if _, err := replica.ApplyPolicy(next); err != nil {
+			t.Fatalf("replica wedged on the next variant: %v", err)
+		}
+		replica.Close()
+	}
+}
 
 // TestExportInstallSyncSnapshot is the facade half of replication: a
 // snapshot exported from one system installs into another (bootstrapped
