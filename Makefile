@@ -1,9 +1,10 @@
 # Developer entry points. `make check` is the tier-1 gate from
 # ROADMAP.md: build, tests, race detector, vet, lint, plus one-round
 # bench smokes (fast path, wire transports, batch, telemetry overhead),
-# a short wire-codec fuzz and a two-second run of the out-of-process
-# benchmark's cold workload so the cached, uncached and remote decide
-# paths are exercised end to end on every merge.
+# a short wire-codec fuzz and two-second runs of the out-of-process
+# benchmark's cold and reload workloads so the cached, uncached and
+# remote decide paths and hot reload → SYNC → replica install are
+# exercised end to end on every merge.
 
 GO ?= go
 
@@ -143,11 +144,15 @@ bench-replica-smoke: build
 # benchmark/README.md) for two seconds on the workload where every
 # decision is a verdict-cache miss and an insert: a real rbacd child,
 # every verdict checked against the oracle, the cache's hit share gated
-# (the exit code carries both). Then the multi-session batch probe: 200
-# 256-tuple frames spanning 64 sessions each; the probe exits 0 even
-# when the server dies, so its verdict line is what is checked.
+# (the exit code carries both). Then two seconds of the reload workload:
+# hot policy reloads on a leader, SYNC to a replica and the replica's
+# install, with every check against the replica held to the oracle.
+# Then the multi-session batch probe: 200 256-tuple frames spanning 64
+# sessions each; the probe exits 0 even when the server dies, so its
+# verdict line is what is checked.
 bench-e2e-smoke: build
 	$(GO) run ./benchmark -workload cold_batch -seconds 2 -trace 0
+	$(GO) run ./benchmark -workload reload_fleet -seconds 2 -trace 0
 	$(GO) run ./benchmark -probe multi_session_batch | grep -q 'multi_session_batch: ok'
 
 # bench-compare diffs two benchmark JSON series benchstat-style; the

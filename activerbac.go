@@ -379,7 +379,9 @@ func (s *System) FastPathStats() (FastPathStats, error) {
 }
 
 // SnapshotEpoch reports the policy epoch of the RBAC store's published
-// copy-on-write snapshot (bumped by every policy-grade mutation).
+// copy-on-write snapshot (bumped once per policy transaction: once per
+// Open, ApplyPolicy or sync install, and once per direct policy-grade
+// store edit).
 func (s *System) SnapshotEpoch() uint64 { return s.gen.Engine().Store().Epoch() }
 
 // SyncAudit flushes buffered audit records to disk (a no-op without an
@@ -489,7 +491,7 @@ func (s *System) CheckAccessTupleCacheable(session, operation, object string) (a
 
 // PushEpoch reports the engine's push epoch: a monotonic counter
 // bumped by every change that can invalidate a cached verdict —
-// policy-grade mutations (like SnapshotEpoch) and session-grade ones
+// policy transactions (like SnapshotEpoch) and session-grade changes
 // (role drops, session deletes) alike. Epoch-push subscribers and
 // client.Cache key on it.
 func (s *System) PushEpoch() uint64 { return s.gen.Engine().PushEpoch() }
@@ -713,9 +715,10 @@ func (s *System) RegisterExternal(name string) error {
 // Policy lifecycle
 
 // ApplyPolicy transitions to a new policy, regenerating exactly the
-// affected rules, and returns what changed. The regeneration and the
-// source swap happen under one srcMu write hold, so an export never
-// pairs one policy's text with the other's state.
+// affected rules, and returns what changed. The store edits run in one
+// policy transaction, published once. The regeneration and the source
+// swap happen under one srcMu write hold, so an export never pairs one
+// policy's text with the other's state.
 func (s *System) ApplyPolicy(policySource string) (Report, error) {
 	spec, err := policy.ParseString(policySource)
 	if err != nil {

@@ -604,6 +604,29 @@ func BenchmarkA3_ApplyNoChange(b *testing.B) {
 }
 
 // --------------------------------------------------------------------------
+// Open: the cost of one policy load, the facade.open_ms layer of the
+// out-of-process benchmark (E16 is its enterprise, E32 the same shape
+// at twice the roles). The analyze gate pays it once per hot reload.
+
+func BenchmarkOpen(b *testing.B) {
+	for _, roles := range []int{16, 32} {
+		cfg := e16
+		cfg.Roles = roles
+		src := policySourceOf(workload.MustEnterprise(cfg))
+		b.Run(fmt.Sprintf("E%d", roles), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sys, err := activerbac.Open(src, &activerbac.Options{Clock: clock.NewSim(benchEpoch)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sys.Close()
+			}
+		})
+	}
+}
+
+// --------------------------------------------------------------------------
 // helpers
 
 // policySourceOf renders a spec back to .acp text. The workload

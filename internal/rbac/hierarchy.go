@@ -11,8 +11,13 @@ import "fmt"
 // make a user authorized for an SSD-conflicting role set — static SoD
 // violations.
 func (s *Store) AddInheritance(senior, junior RoleID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	return s.autoTx().AddInheritance(senior, junior)
+}
+
+// AddInheritance is Store.AddInheritance within the transaction.
+func (tx *Tx) AddInheritance(senior, junior RoleID) error {
+	s := tx.lock()
+	defer tx.unlock()
 	sr, ok := s.roles[senior]
 	if !ok {
 		return fmt.Errorf("role %q: %w", senior, ErrNotFound)
@@ -41,14 +46,19 @@ func (s *Store) AddInheritance(senior, junior RoleID) error {
 		jr.seniors.del(senior)
 		return fmt.Errorf("inheritance %q -> %q violates SSD set %q: %w", senior, junior, name, ErrSSD)
 	}
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 
 // DeleteInheritance removes the immediate edge senior -> junior.
 func (s *Store) DeleteInheritance(senior, junior RoleID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	return s.autoTx().DeleteInheritance(senior, junior)
+}
+
+// DeleteInheritance is Store.DeleteInheritance within the transaction.
+func (tx *Tx) DeleteInheritance(senior, junior RoleID) error {
+	s := tx.lock()
+	defer tx.unlock()
 	sr, ok := s.roles[senior]
 	if !ok {
 		return fmt.Errorf("role %q: %w", senior, ErrNotFound)
@@ -64,7 +74,7 @@ func (s *Store) DeleteInheritance(senior, junior RoleID) error {
 	// Authorized sets shrank; activations made through the removed edge
 	// must not survive it.
 	s.pruneUnauthorizedAllLocked()
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 

@@ -82,12 +82,15 @@ func (s *Store) Snapshot() Snapshot {
 
 // Restore replaces the store's state with the snapshot's. On error the
 // store is left empty (the snapshot was internally inconsistent).
-func (s *Store) Restore(snap Snapshot) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Store) Restore(snap Snapshot) error { return s.autoTx().Restore(snap) }
+
+// Restore is Store.Restore within the transaction.
+func (tx *Tx) Restore(snap Snapshot) error {
+	s := tx.lock()
+	defer tx.unlock()
 	// State is replaced wholesale on every path out of here — success or
-	// the fail() cleanup — so republish unconditionally.
-	defer s.publishPolicyLocked()
+	// the fail() cleanup — so the transaction is dirty either way.
+	tx.dirty = true
 	s.users = make(map[UserID]*userState, len(snap.Users))
 	s.roles = make(map[RoleID]*roleState, len(snap.Roles))
 	s.sessions = make(map[SessionID]*sessionState, len(snap.Sessions))

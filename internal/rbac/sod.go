@@ -36,9 +36,12 @@ func (s *Store) validateSoDLocked(set SoDSet) error {
 
 // CreateSSD installs a static SoD relation after verifying that no
 // existing user assignment already violates it.
-func (s *Store) CreateSSD(set SoDSet) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Store) CreateSSD(set SoDSet) error { return s.autoTx().CreateSSD(set) }
+
+// CreateSSD is Store.CreateSSD within the transaction.
+func (tx *Tx) CreateSSD(set SoDSet) error {
+	s := tx.lock()
+	defer tx.unlock()
 	if err := s.validateSoDLocked(set); err != nil {
 		return err
 	}
@@ -54,27 +57,33 @@ func (s *Store) CreateSSD(set SoDSet) error {
 			return fmt.Errorf("SSD set %q already violated by user %q: %w", set.Name, u, ErrSSD)
 		}
 	}
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 
 // DeleteSSD removes a static SoD relation.
-func (s *Store) DeleteSSD(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Store) DeleteSSD(name string) error { return s.autoTx().DeleteSSD(name) }
+
+// DeleteSSD is Store.DeleteSSD within the transaction.
+func (tx *Tx) DeleteSSD(name string) error {
+	s := tx.lock()
+	defer tx.unlock()
 	if _, ok := s.ssd[name]; !ok {
 		return fmt.Errorf("SSD set %q: %w", name, ErrNotFound)
 	}
 	delete(s.ssd, name)
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 
 // CreateDSD installs a dynamic SoD relation after verifying no live
 // session already violates it.
-func (s *Store) CreateDSD(set SoDSet) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Store) CreateDSD(set SoDSet) error { return s.autoTx().CreateDSD(set) }
+
+// CreateDSD is Store.CreateDSD within the transaction.
+func (tx *Tx) CreateDSD(set SoDSet) error {
+	s := tx.lock()
+	defer tx.unlock()
 	if err := s.validateSoDLocked(set); err != nil {
 		return err
 	}
@@ -89,19 +98,22 @@ func (s *Store) CreateDSD(set SoDSet) error {
 		}
 	}
 	s.dsd[set.Name] = &cp
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 
 // DeleteDSD removes a dynamic SoD relation.
-func (s *Store) DeleteDSD(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Store) DeleteDSD(name string) error { return s.autoTx().DeleteDSD(name) }
+
+// DeleteDSD is Store.DeleteDSD within the transaction.
+func (tx *Tx) DeleteDSD(name string) error {
+	s := tx.lock()
+	defer tx.unlock()
 	if _, ok := s.dsd[name]; !ok {
 		return fmt.Errorf("DSD set %q: %w", name, ErrNotFound)
 	}
 	delete(s.dsd, name)
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 

@@ -58,6 +58,9 @@ type sessionState struct {
 // Store is the RBAC database: element sets, assignment relations, the
 // role hierarchy, SoD relations and live sessions. It is safe for
 // concurrent use.
+//
+// Every policy-grade mutator is a one-operation policy transaction (see
+// Tx); Update batches many into one publication.
 type Store struct {
 	mu       sync.RWMutex
 	users    map[UserID]*userState
@@ -93,21 +96,27 @@ func NewStore() *Store {
 // Administrative commands: element sets
 
 // AddUser creates a user.
-func (s *Store) AddUser(u UserID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Store) AddUser(u UserID) error { return s.autoTx().AddUser(u) }
+
+// AddUser is Store.AddUser within the transaction.
+func (tx *Tx) AddUser(u UserID) error {
+	s := tx.lock()
+	defer tx.unlock()
 	if _, ok := s.users[u]; ok {
 		return fmt.Errorf("user %q: %w", u, ErrExists)
 	}
 	s.users[u] = &userState{assigned: roleSet{}, sessions: map[SessionID]struct{}{}}
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 
 // DeleteUser removes a user, its assignments and its sessions.
-func (s *Store) DeleteUser(u UserID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Store) DeleteUser(u UserID) error { return s.autoTx().DeleteUser(u) }
+
+// DeleteUser is Store.DeleteUser within the transaction.
+func (tx *Tx) DeleteUser(u UserID) error {
+	s := tx.lock()
+	defer tx.unlock()
 	us, ok := s.users[u]
 	if !ok {
 		return fmt.Errorf("user %q: %w", u, ErrNotFound)
@@ -117,14 +126,17 @@ func (s *Store) DeleteUser(u UserID) error {
 	}
 	delete(s.users, u)
 	delete(s.maxActiveRoles, u)
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 
 // AddRole creates a role (enabled, no permissions, no hierarchy edges).
-func (s *Store) AddRole(r RoleID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Store) AddRole(r RoleID) error { return s.autoTx().AddRole(r) }
+
+// AddRole is Store.AddRole within the transaction.
+func (tx *Tx) AddRole(r RoleID) error {
+	s := tx.lock()
+	defer tx.unlock()
 	if _, ok := s.roles[r]; ok {
 		return fmt.Errorf("role %q: %w", r, ErrExists)
 	}
@@ -134,15 +146,18 @@ func (s *Store) AddRole(r RoleID) error {
 		seniors: roleSet{},
 		enabled: true,
 	}
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 
 // DeleteRole removes a role, detaching it from users, sessions, the
 // hierarchy and SoD sets.
-func (s *Store) DeleteRole(r RoleID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Store) DeleteRole(r RoleID) error { return s.autoTx().DeleteRole(r) }
+
+// DeleteRole is Store.DeleteRole within the transaction.
+func (tx *Tx) DeleteRole(r RoleID) error {
+	s := tx.lock()
+	defer tx.unlock()
 	rs, ok := s.roles[r]
 	if !ok {
 		return fmt.Errorf("role %q: %w", r, ErrNotFound)
@@ -167,7 +182,7 @@ func (s *Store) DeleteRole(r RoleID) error {
 	// Removing the role removed hierarchy paths; activations that relied
 	// on them are no longer authorized.
 	s.pruneUnauthorizedAllLocked()
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 
@@ -196,9 +211,12 @@ func removeRole(roles []RoleID, r RoleID) []RoleID {
 // Administrative commands: relations
 
 // AssignUser assigns user u to role r, enforcing static SoD.
-func (s *Store) AssignUser(u UserID, r RoleID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Store) AssignUser(u UserID, r RoleID) error { return s.autoTx().AssignUser(u, r) }
+
+// AssignUser is Store.AssignUser within the transaction.
+func (tx *Tx) AssignUser(u UserID, r RoleID) error {
+	s := tx.lock()
+	defer tx.unlock()
 	us, rErr := s.userRoleLocked(u, r)
 	if rErr != nil {
 		return rErr
@@ -210,20 +228,21 @@ func (s *Store) AssignUser(u UserID, r RoleID) error {
 		return fmt.Errorf("assigning %q to %q violates SSD set %q: %w", u, r, name, ErrSSD)
 	}
 	us.assigned.add(r)
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 
 // RawAssignUser assigns without constraint checks (rule action layer).
 func (s *Store) RawAssignUser(u UserID, r RoleID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	tx := s.autoTx()
+	tx.lock()
+	defer tx.unlock()
 	us, rErr := s.userRoleLocked(u, r)
 	if rErr != nil {
 		return rErr
 	}
 	us.assigned.add(r)
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 
@@ -232,9 +251,12 @@ func (s *Store) RawAssignUser(u UserID, r RoleID) error {
 // including roles that had been activated through the deassigned role's
 // seniority (ANSI requires active roles to stay a subset of authorized
 // roles).
-func (s *Store) DeassignUser(u UserID, r RoleID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Store) DeassignUser(u UserID, r RoleID) error { return s.autoTx().DeassignUser(u, r) }
+
+// DeassignUser is Store.DeassignUser within the transaction.
+func (tx *Tx) DeassignUser(u UserID, r RoleID) error {
+	s := tx.lock()
+	defer tx.unlock()
 	us, rErr := s.userRoleLocked(u, r)
 	if rErr != nil {
 		return rErr
@@ -244,7 +266,7 @@ func (s *Store) DeassignUser(u UserID, r RoleID) error {
 	}
 	us.assigned.del(r)
 	s.pruneUnauthorizedUserLocked(u, us)
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 
@@ -289,8 +311,13 @@ func (s *Store) userRoleLocked(u UserID, r RoleID) (*userState, error) {
 
 // GrantPermission grants (operation, object) to role r.
 func (s *Store) GrantPermission(r RoleID, p Permission) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	return s.autoTx().GrantPermission(r, p)
+}
+
+// GrantPermission is Store.GrantPermission within the transaction.
+func (tx *Tx) GrantPermission(r RoleID, p Permission) error {
+	s := tx.lock()
+	defer tx.unlock()
 	rs, ok := s.roles[r]
 	if !ok {
 		return fmt.Errorf("role %q: %w", r, ErrNotFound)
@@ -299,14 +326,19 @@ func (s *Store) GrantPermission(r RoleID, p Permission) error {
 		return fmt.Errorf("permission %v on %q: %w", p, r, ErrExists)
 	}
 	rs.perms[p] = struct{}{}
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 
 // RevokePermission revokes (operation, object) from role r.
 func (s *Store) RevokePermission(r RoleID, p Permission) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	return s.autoTx().RevokePermission(r, p)
+}
+
+// RevokePermission is Store.RevokePermission within the transaction.
+func (tx *Tx) RevokePermission(r RoleID, p Permission) error {
+	s := tx.lock()
+	defer tx.unlock()
 	rs, ok := s.roles[r]
 	if !ok {
 		return fmt.Errorf("role %q: %w", r, ErrNotFound)
@@ -315,7 +347,7 @@ func (s *Store) RevokePermission(r RoleID, p Permission) error {
 		return fmt.Errorf("permission %v on %q: %w", p, r, ErrNotFound)
 	}
 	delete(rs.perms, p)
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 
@@ -326,14 +358,15 @@ func (s *Store) RevokePermission(r RoleID, p Permission) error {
 // cannot be activated; existing activations are untouched (temporal
 // rules deactivate explicitly when the policy says so).
 func (s *Store) SetRoleEnabled(r RoleID, enabled bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	tx := s.autoTx()
+	tx.lock()
+	defer tx.unlock()
 	rs, ok := s.roles[r]
 	if !ok {
 		return fmt.Errorf("role %q: %w", r, ErrNotFound)
 	}
 	rs.enabled = enabled
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 
@@ -347,14 +380,20 @@ func (s *Store) RoleEnabled(r RoleID) bool {
 
 // SetRoleCardinality bounds concurrent activations of r (0 = unlimited).
 func (s *Store) SetRoleCardinality(r RoleID, n int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	return s.autoTx().SetRoleCardinality(r, n)
+}
+
+// SetRoleCardinality is Store.SetRoleCardinality within the
+// transaction.
+func (tx *Tx) SetRoleCardinality(r RoleID, n int) error {
+	s := tx.lock()
+	defer tx.unlock()
 	rs, ok := s.roles[r]
 	if !ok {
 		return fmt.Errorf("role %q: %w", r, ErrNotFound)
 	}
 	rs.cardinality = n
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 
@@ -362,13 +401,19 @@ func (s *Store) SetRoleCardinality(r RoleID, n int) error {
 // (0 = unlimited) — the paper's "Jane may hold at most five active
 // roles" specialized constraint.
 func (s *Store) SetUserMaxActiveRoles(u UserID, n int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	return s.autoTx().SetUserMaxActiveRoles(u, n)
+}
+
+// SetUserMaxActiveRoles is Store.SetUserMaxActiveRoles within the
+// transaction.
+func (tx *Tx) SetUserMaxActiveRoles(u UserID, n int) error {
+	s := tx.lock()
+	defer tx.unlock()
 	if _, ok := s.users[u]; !ok {
 		return fmt.Errorf("user %q: %w", u, ErrNotFound)
 	}
 	s.maxActiveRoles[u] = n
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 
@@ -376,14 +421,15 @@ func (s *Store) SetUserMaxActiveRoles(u UserID, n int) error {
 // locked user cannot create sessions, activate roles or pass access
 // checks.
 func (s *Store) SetUserLocked(u UserID, locked bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	tx := s.autoTx()
+	tx.lock()
+	defer tx.unlock()
 	us, ok := s.users[u]
 	if !ok {
 		return fmt.Errorf("user %q: %w", u, ErrNotFound)
 	}
 	us.locked = locked
-	s.publishPolicyLocked()
+	tx.dirty = true
 	return nil
 }
 

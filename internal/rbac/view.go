@@ -5,25 +5,30 @@ import "maps"
 // Copy-on-write read path. The hot enforcement predicates — CheckAccess
 // and the session lookups the CA1 rule and the facade issue per request
 // — read an immutable accessView published through an atomic pointer:
-// one pointer load, no lock traffic, no allocation. Mutators rebuild
-// the view under the store mutex before returning.
+// one pointer load, no lock traffic, no allocation. Writers rebuild the
+// view under the store mutex.
 //
 // Two publication grades keep writer cost proportional to the change:
 //
 //   - policy mutations (users, roles, permissions, hierarchy, SoD,
-//     locks, restore) recompute the per-role effective-permission maps
-//     and every session projection, and bump the view epoch — the
-//     decision fast path invalidates its cache wholesale on the bump;
+//     locks, restore) run in a policy transaction (tx.go) whose commit
+//     recomputes the per-role effective-permission maps and every
+//     session projection once, and bumps the view epoch once — the
+//     decision fast path invalidates its cache wholesale on the bump. A
+//     public mutator is a one-operation transaction and publishes before
+//     it returns; Store.Update publishes a whole policy load or reload
+//     once, when its callback returns;
 //   - session mutations (create/delete session, role (de)activation)
 //     path-copy a fixed two-level index of small session maps: the
 //     view's array of viewFanout shard pointers, the touched shard's
 //     array of viewFanout leaf maps, and the one leaf the session
-//     hashes to, with only that session rebuilt in it. Everything else
-//     — the effective-permission maps, the other shards and leaves — is
-//     shared with the previous view. A leaf holds live sessions /
-//     viewFanout², so the cost is flat up to tens of thousands of
-//     sessions; the epoch is unchanged and the fast path invalidates
-//     just that session.
+//     hashes to, with only that session rebuilt in it against the
+//     committed effective-permission maps, also while a transaction is
+//     open. Everything else — the effective-permission maps, the other
+//     shards and leaves — is shared with the previous view. A leaf
+//     holds live sessions / viewFanout², so the cost is flat up to tens
+//     of thousands of sessions; the epoch is unchanged and the fast path
+//     invalidates just that session.
 
 // viewFanout is the width of both levels of the session index, a power
 // of two: viewFanout shards of viewFanout leaf maps each.
@@ -102,19 +107,9 @@ func (s *Store) SetChangeHook(fn func(policy bool, sid SessionID)) {
 // Epoch reports the current policy epoch of the published view.
 func (s *Store) Epoch() uint64 { return s.view.Load().epoch }
 
-// publishPolicyLocked rebuilds the whole view — effective permissions
-// and all session projections — and bumps the epoch. Caller holds s.mu
-// (write side).
-func (s *Store) publishPolicyLocked() {
-	s.view.Store(s.projectLocked(s.view.Load().epoch + 1))
-	if h := s.chook; h != nil {
-		h(true, "")
-	}
-}
-
 // projectLocked builds the view of the store's current state from
-// scratch, shards and leaf maps allocated as sessions land in them.
-// Caller holds s.mu.
+// scratch, shards and leaf maps allocated as sessions land in them. Its
+// one caller is the policy commit (commitLocked). Caller holds s.mu.
 func (s *Store) projectLocked(epoch uint64) *accessView {
 	v := &accessView{
 		epoch: epoch,

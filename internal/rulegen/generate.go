@@ -99,24 +99,28 @@ func (g *Generator) Load(spec *policy.Spec) error {
 	}
 	g.spec, g.graph = spec, graph
 
-	if err := g.applyGlobalState(spec); err != nil {
-		return err
-	}
-	if err := g.generateGlobalRules(); err != nil {
-		return err
-	}
-	for _, role := range spec.Roles {
-		if err := g.generateRole(rbac.RoleID(role)); err != nil {
+	// One policy transaction: the access view is published once, when
+	// the load is complete.
+	if err := g.eng.Store().Update(func(tx *rbac.Tx) error {
+		if err := g.applyGlobalState(tx, spec); err != nil {
 			return err
 		}
-	}
-	if err := g.applyUserState(spec); err != nil {
-		return err
-	}
-	if err := g.generateSpecializedRules(spec); err != nil {
-		return err
-	}
-	if err := g.applyReports(spec); err != nil {
+		if err := g.generateGlobalRules(); err != nil {
+			return err
+		}
+		for _, role := range spec.Roles {
+			if err := g.generateRole(rbac.RoleID(role)); err != nil {
+				return err
+			}
+		}
+		if err := g.applyUserState(tx, spec); err != nil {
+			return err
+		}
+		if err := g.generateSpecializedRules(spec); err != nil {
+			return err
+		}
+		return g.applyReports(spec)
+	}); err != nil {
 		return err
 	}
 	g.loaded = true
@@ -128,10 +132,9 @@ func (g *Generator) Load(spec *policy.Spec) error {
 
 // applyGlobalState installs roles, hierarchy, SoD sets, permissions,
 // purposes, CFD constraints, time SoDs and thresholds.
-func (g *Generator) applyGlobalState(spec *policy.Spec) error {
-	st := g.eng.Store()
+func (g *Generator) applyGlobalState(tx *rbac.Tx, spec *policy.Spec) error {
 	for _, r := range spec.Roles {
-		if err := st.AddRole(rbac.RoleID(r)); err != nil {
+		if err := tx.AddRole(rbac.RoleID(r)); err != nil {
 			return err
 		}
 		if err := g.gt.RegisterRole(rbac.RoleID(r)); err != nil {
@@ -139,27 +142,27 @@ func (g *Generator) applyGlobalState(spec *policy.Spec) error {
 		}
 	}
 	for _, e := range spec.Hierarchy {
-		if err := st.AddInheritance(rbac.RoleID(e.Senior), rbac.RoleID(e.Junior)); err != nil {
+		if err := tx.AddInheritance(rbac.RoleID(e.Senior), rbac.RoleID(e.Junior)); err != nil {
 			return err
 		}
 	}
 	for _, set := range spec.SSD {
-		if err := st.CreateSSD(toSoDSet(set)); err != nil {
+		if err := tx.CreateSSD(toSoDSet(set)); err != nil {
 			return err
 		}
 	}
 	for _, set := range spec.DSD {
-		if err := st.CreateDSD(toSoDSet(set)); err != nil {
+		if err := tx.CreateDSD(toSoDSet(set)); err != nil {
 			return err
 		}
 	}
 	for _, p := range spec.Permissions {
-		if err := st.GrantPermission(rbac.RoleID(p.Role), rbac.Permission{Operation: p.Operation, Object: p.Object}); err != nil {
+		if err := tx.GrantPermission(rbac.RoleID(p.Role), rbac.Permission{Operation: p.Operation, Object: p.Object}); err != nil {
 			return err
 		}
 	}
 	for _, c := range spec.Cardinalities {
-		if err := st.SetRoleCardinality(rbac.RoleID(c.Role), c.N); err != nil {
+		if err := tx.SetRoleCardinality(rbac.RoleID(c.Role), c.N); err != nil {
 			return err
 		}
 	}
@@ -210,14 +213,13 @@ func (g *Generator) applyGlobalState(spec *policy.Spec) error {
 }
 
 // applyUserState installs users and assignments (after roles exist).
-func (g *Generator) applyUserState(spec *policy.Spec) error {
-	st := g.eng.Store()
+func (g *Generator) applyUserState(tx *rbac.Tx, spec *policy.Spec) error {
 	for _, u := range spec.Users {
-		if err := st.AddUser(rbac.UserID(u.Name)); err != nil {
+		if err := tx.AddUser(rbac.UserID(u.Name)); err != nil {
 			return err
 		}
 		for _, r := range u.Roles {
-			if err := st.AssignUser(rbac.UserID(u.Name), rbac.RoleID(r)); err != nil {
+			if err := tx.AssignUser(rbac.UserID(u.Name), rbac.RoleID(r)); err != nil {
 				return err
 			}
 		}
@@ -225,12 +227,12 @@ func (g *Generator) applyUserState(spec *policy.Spec) error {
 	for _, m := range spec.MaxRoles {
 		// The checker warns on undeclared users; create on demand so
 		// warning-level policies still load.
-		if !st.UserExists(rbac.UserID(m.User)) {
-			if err := st.AddUser(rbac.UserID(m.User)); err != nil {
+		if !tx.UserExists(rbac.UserID(m.User)) {
+			if err := tx.AddUser(rbac.UserID(m.User)); err != nil {
 				return err
 			}
 		}
-		if err := st.SetUserMaxActiveRoles(rbac.UserID(m.User), m.N); err != nil {
+		if err := tx.SetUserMaxActiveRoles(rbac.UserID(m.User), m.N); err != nil {
 			return err
 		}
 	}

@@ -45,10 +45,22 @@ func (r Report) String() string {
 }
 
 // Apply transitions the engine from the loaded policy to newSpec,
-// regenerating only what the diff touches. On error the engine may be
-// partially transitioned; callers treat Apply errors as fatal for the
+// regenerating only what the diff touches. Every store edit runs in one
+// policy transaction, so the access view is published once, when Apply
+// returns. On error the engine may be partially transitioned (and that
+// state is published); callers treat Apply errors as fatal for the
 // engine instance (build a fresh one with Load).
-func (g *Generator) Apply(newSpec *policy.Spec) (Report, error) {
+func (g *Generator) Apply(newSpec *policy.Spec) (rep Report, err error) {
+	err = g.eng.Store().Update(func(tx *rbac.Tx) error {
+		rep, err = g.ApplyTx(tx, newSpec)
+		return err
+	})
+	return rep, err
+}
+
+// ApplyTx is Apply inside the caller's policy transaction, for callers
+// that make further store edits to publish with the regeneration.
+func (g *Generator) ApplyTx(tx *rbac.Tx, newSpec *policy.Spec) (Report, error) {
 	var rep Report
 	if !g.loaded {
 		return rep, fmt.Errorf("rulegen: no policy loaded; call Load first")
@@ -61,7 +73,6 @@ func (g *Generator) Apply(newSpec *policy.Spec) (Report, error) {
 		return rep, err
 	}
 	old := g.spec
-	st := g.eng.Store()
 	pool := g.eng.Pool()
 
 	oldRoles := old.RoleSet()
@@ -85,7 +96,7 @@ func (g *Generator) Apply(newSpec *policy.Spec) (Report, error) {
 	newEdges := edgeSet(newSpec.Hierarchy)
 	for e := range oldEdges {
 		if !newEdges[e] && newRoles[e.Senior] && newRoles[e.Junior] {
-			if err := st.DeleteInheritance(rbac.RoleID(e.Senior), rbac.RoleID(e.Junior)); err != nil {
+			if err := tx.DeleteInheritance(rbac.RoleID(e.Senior), rbac.RoleID(e.Junior)); err != nil {
 				return rep, err
 			}
 		}
@@ -95,11 +106,11 @@ func (g *Generator) Apply(newSpec *policy.Spec) (Report, error) {
 	// additions — a new set may reference a role this same apply
 	// introduces (the common case when a replica installs a full policy
 	// over an empty bootstrap system).
-	ssdCreates, err := diffSoDSets(old.SSD, newSpec.SSD, st.DeleteSSD)
+	ssdCreates, err := diffSoDSets(old.SSD, newSpec.SSD, tx.DeleteSSD)
 	if err != nil {
 		return rep, err
 	}
-	dsdCreates, err := diffSoDSets(old.DSD, newSpec.DSD, st.DeleteDSD)
+	dsdCreates, err := diffSoDSets(old.DSD, newSpec.DSD, tx.DeleteDSD)
 	if err != nil {
 		return rep, err
 	}
@@ -115,13 +126,13 @@ func (g *Generator) Apply(newSpec *policy.Spec) (Report, error) {
 			delete(g.schedules, role)
 		}
 		rep.RulesRemoved += pool.RemoveByTag(TagRole(role))
-		if err := st.DeleteRole(role); err != nil {
+		if err := tx.DeleteRole(role); err != nil {
 			return rep, err
 		}
 	}
 	// Add state for added roles.
 	for _, r := range rep.RolesAdded {
-		if err := st.AddRole(rbac.RoleID(r)); err != nil {
+		if err := tx.AddRole(rbac.RoleID(r)); err != nil {
 			return rep, err
 		}
 		if err := g.gt.RegisterRole(rbac.RoleID(r)); err != nil {
@@ -131,19 +142,19 @@ func (g *Generator) Apply(newSpec *policy.Spec) (Report, error) {
 	// New hierarchy edges (after role additions).
 	for e := range newEdges {
 		if !oldEdges[e] {
-			if err := st.AddInheritance(rbac.RoleID(e.Senior), rbac.RoleID(e.Junior)); err != nil {
+			if err := tx.AddInheritance(rbac.RoleID(e.Senior), rbac.RoleID(e.Junior)); err != nil {
 				return rep, err
 			}
 		}
 	}
 	// (Re)create changed SoD sets, now that added roles exist.
 	for _, s := range ssdCreates {
-		if err := st.CreateSSD(toSoDSet(s)); err != nil {
+		if err := tx.CreateSSD(toSoDSet(s)); err != nil {
 			return rep, err
 		}
 	}
 	for _, s := range dsdCreates {
-		if err := st.CreateDSD(toSoDSet(s)); err != nil {
+		if err := tx.CreateDSD(toSoDSet(s)); err != nil {
 			return rep, err
 		}
 	}
@@ -153,14 +164,14 @@ func (g *Generator) Apply(newSpec *policy.Spec) (Report, error) {
 	newPerms := permSet(newSpec.Permissions)
 	for p := range oldPerms {
 		if !newPerms[p] && newRoles[p.Role] {
-			if err := st.RevokePermission(rbac.RoleID(p.Role), rbac.Permission{Operation: p.Operation, Object: p.Object}); err != nil {
+			if err := tx.RevokePermission(rbac.RoleID(p.Role), rbac.Permission{Operation: p.Operation, Object: p.Object}); err != nil {
 				return rep, err
 			}
 		}
 	}
 	for p := range newPerms {
 		if !oldPerms[p] {
-			if err := st.GrantPermission(rbac.RoleID(p.Role), rbac.Permission{Operation: p.Operation, Object: p.Object}); err != nil {
+			if err := tx.GrantPermission(rbac.RoleID(p.Role), rbac.Permission{Operation: p.Operation, Object: p.Object}); err != nil {
 				return rep, err
 			}
 		}
@@ -306,7 +317,7 @@ func (g *Generator) Apply(newSpec *policy.Spec) (Report, error) {
 		if _, ok := newUsers[name]; !ok {
 			rep.UsersRemoved = append(rep.UsersRemoved, name)
 			rep.RulesRemoved += pool.RemoveByTag(TagUser(rbac.UserID(name)))
-			if err := st.DeleteUser(rbac.UserID(name)); err != nil {
+			if err := tx.DeleteUser(rbac.UserID(name)); err != nil {
 				return rep, err
 			}
 		}
@@ -315,7 +326,7 @@ func (g *Generator) Apply(newSpec *policy.Spec) (Report, error) {
 		ou, existed := oldUsers[name]
 		if !existed {
 			rep.UsersAdded = append(rep.UsersAdded, name)
-			if err := st.AddUser(rbac.UserID(name)); err != nil {
+			if err := tx.AddUser(rbac.UserID(name)); err != nil {
 				return rep, err
 			}
 		}
@@ -323,14 +334,14 @@ func (g *Generator) Apply(newSpec *policy.Spec) (Report, error) {
 		newAssigned := stringSet(u.Roles)
 		for r := range oldAssigned {
 			if !newAssigned[r] && newRoles[r] {
-				if err := st.DeassignUser(rbac.UserID(name), rbac.RoleID(r)); err != nil {
+				if err := tx.DeassignUser(rbac.UserID(name), rbac.RoleID(r)); err != nil {
 					return rep, err
 				}
 			}
 		}
 		for r := range newAssigned {
 			if !oldAssigned[r] {
-				if err := st.AssignUser(rbac.UserID(name), rbac.RoleID(r)); err != nil {
+				if err := tx.AssignUser(rbac.UserID(name), rbac.RoleID(r)); err != nil {
 					return rep, err
 				}
 			}
@@ -342,7 +353,7 @@ func (g *Generator) Apply(newSpec *policy.Spec) (Report, error) {
 	for u, n := range oldMax {
 		if newMax[u] != n {
 			maxChanged = true
-			if err := st.SetUserMaxActiveRoles(rbac.UserID(u), newMax[u]); err != nil && newMax[u] != 0 {
+			if err := tx.SetUserMaxActiveRoles(rbac.UserID(u), newMax[u]); err != nil && newMax[u] != 0 {
 				return rep, err
 			}
 		}
@@ -350,12 +361,12 @@ func (g *Generator) Apply(newSpec *policy.Spec) (Report, error) {
 	for u, n := range newMax {
 		if oldMax[u] != n {
 			maxChanged = true
-			if !st.UserExists(rbac.UserID(u)) {
-				if err := st.AddUser(rbac.UserID(u)); err != nil {
+			if !tx.UserExists(rbac.UserID(u)) {
+				if err := tx.AddUser(rbac.UserID(u)); err != nil {
 					return rep, err
 				}
 			}
-			if err := st.SetUserMaxActiveRoles(rbac.UserID(u), n); err != nil {
+			if err := tx.SetUserMaxActiveRoles(rbac.UserID(u), n); err != nil {
 				return rep, err
 			}
 		}
@@ -423,7 +434,7 @@ func (g *Generator) Apply(newSpec *policy.Spec) (Report, error) {
 				card = c.N
 			}
 		}
-		if err := st.SetRoleCardinality(role, card); err != nil {
+		if err := tx.SetRoleCardinality(role, card); err != nil {
 			return rep, err
 		}
 		before := pool.Len()

@@ -227,7 +227,7 @@ func patchGlobal() {
 	}
 }
 
-// TestSnapImmutAllowsBuilders mirrors publishPolicyLocked and
+// TestSnapImmutAllowsBuilders mirrors projectLocked and
 // sessionViewLocked: composite-literal construction plus population in
 // the same function is the sanctioned shape, and rebinding a local to a
 // fresh snapshot is not a write through one.

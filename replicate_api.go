@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 
+	"activerbac/internal/policy"
+	"activerbac/internal/rbac"
 	"activerbac/internal/store"
 )
 
@@ -60,22 +62,40 @@ func SyncSnapshotPolicy(data []byte) (string, error) {
 
 // InstallSyncSnapshot installs an encoded sync snapshot over the live
 // system: the policy is applied (regenerating exactly the affected
-// rules), the state restored over it, and the invariants checked.
-// Callers must verify the transfer's content hash first — this method
-// trusts its input to be a complete envelope. A decode or policy
-// failure leaves the system untouched; a state-restore failure leaves
-// a clean empty store (rbac.Store's restore contract), which the next
+// rules), the state restored over it, and the invariants checked. The
+// regeneration and the restore run in one policy transaction under one
+// srcMu write hold, so the access view moves from the old state to the
+// installed one in one publication instead of first showing the new
+// policy over the old state (a shift role's schedule still sets the
+// role's state through a direct store call, which publishes on its
+// own). Callers must verify the transfer's content hash first — this
+// method trusts its input to be a complete envelope. A decode or policy
+// failure leaves the system untouched; a state-restore failure leaves a
+// clean empty store (rbac.Store's restore contract), which the next
 // successful sync repairs.
 func (s *System) InstallSyncSnapshot(data []byte) error {
 	f, err := store.DecodeSnapshot(data)
 	if err != nil {
 		return err
 	}
-	if _, err := s.ApplyPolicy(f.Policy); err != nil {
+	spec, err := policy.ParseString(f.Policy)
+	if err != nil {
 		return fmt.Errorf("sync install: apply policy: %w", err)
 	}
-	if err := s.gen.Engine().Store().Restore(f.State); err != nil {
-		return fmt.Errorf("sync install: restore state: %w", err)
+	s.srcMu.Lock()
+	err = s.gen.Engine().Store().Update(func(tx *rbac.Tx) error {
+		if _, err := s.gen.ApplyTx(tx, spec); err != nil {
+			return fmt.Errorf("sync install: apply policy: %w", err)
+		}
+		s.source = f.Policy
+		if err := tx.Restore(f.State); err != nil {
+			return fmt.Errorf("sync install: restore state: %w", err)
+		}
+		return nil
+	})
+	s.srcMu.Unlock()
+	if err != nil {
+		return err
 	}
 	if errs := s.CheckInvariants(); len(errs) != 0 {
 		return fmt.Errorf("sync install: invariants: %w", errors.Join(errs...))
