@@ -1,8 +1,11 @@
 package activerbac_test
 
-// The benchmark harness: one benchmark family per experiment in
-// DESIGN.md (F1, E1-E8). `go test -bench=. -benchmem` regenerates every
-// series; cmd/bench prints the same data as paper-style tables.
+// The paper experiments: one benchmark family per experiment in
+// DESIGN.md §4 (F1, E1-E8, ablations A1-A3). `go test -bench=. -benchmem`
+// regenerates every series; `make bench-smoke` runs each once as part of
+// `make check`. E9 is `go test ./internal/conformance`. End-to-end and
+// per-layer measurements of the running system come from
+// `go run ./benchmark` (BENCHMARK.json).
 
 import (
 	"fmt"

@@ -4,8 +4,8 @@
 // implementation supports the capabilities the paper says contemporary
 // systems (OASIS, Adage, X-GTRBAC, TRBAC, RB-RBAC) lacked.
 //
-// Matrix() is used both by the test suite (every feature must pass) and
-// by cmd/bench, which prints it as the paper-style comparison table.
+// TestMatrix requires every feature of Matrix() to pass; `go test -v`
+// prints the rows as the paper-style comparison table.
 package conformance
 
 import (

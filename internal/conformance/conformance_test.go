@@ -13,7 +13,9 @@ func TestMatrix(t *testing.T) {
 	for _, f := range matrix {
 		if !f.Supported {
 			t.Errorf("feature %q failed: %s", f.Name, f.Detail)
+			continue
 		}
+		t.Logf("PASS %-58s lacking in: %s", f.Name, f.MissingIn)
 	}
 }
 

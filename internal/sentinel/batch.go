@@ -44,12 +44,6 @@ type batchState struct {
 	group []event.Params // owned mode: each cascading tuple's params, in input order
 	idx   []int32        // carrier mode: each cascading tuple's index, in input order
 
-	// slab backs the batch's Decisions when the engine shape proves no
-	// decision outlives the verdict merge (cache-safe rules, no outcome
-	// listeners, no fast path storing allows): one allocation reused
-	// across batches instead of one Decision per tuple.
-	slab []Decision
-
 	// box interns string-to-any boxing for the batch's params maps:
 	// sessions, users, operations and objects repeat heavily within a
 	// batch, and boxing a string into an interface allocates every
@@ -114,15 +108,6 @@ func (bs *batchState) release() {
 	bs.group = bs.group[:0]
 	bs.idx = bs.idx[:0]
 	batchPool.Put(bs)
-}
-
-// decSlab returns n reusable Decision slots. Callers must only hand the
-// slots to cascades whose rules provably drop them at delivery end.
-func (bs *batchState) decSlab(n int) []Decision {
-	if cap(bs.slab) < n {
-		bs.slab = make([]Decision, n)
-	}
-	return bs.slab[:n]
 }
 
 // DecideCheckBatch decides a whole batch of four-field enforcement
@@ -307,14 +292,6 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 		if err != nil {
 			return verdicts, err
 		}
-		// Under the no-retention shape, decisions of a fast-path-less
-		// engine die at the verdict merge below, so the whole batch can
-		// vote into one reused slab; a fast path stores ALLOW decisions
-		// past the batch, so they must be individually allocated.
-		var slab []Decision
-		if shape && fp == nil {
-			slab = bs.decSlab(n)
-		}
 		if shape {
 			bs.boxes = slices.Grow(bs.boxes, 4*n)[:4*n]
 		}
@@ -322,13 +299,7 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 			if decs[i] != nil {
 				continue // served from the cache
 			}
-			var dec *Decision
-			if slab != nil {
-				dec = &slab[i]
-				*dec = Decision{}
-			} else {
-				dec = &Decision{}
-			}
+			dec := &Decision{}
 			dec.votes = dec.vbuf[:0]
 			decs[i] = dec
 			t := &tuples[i]

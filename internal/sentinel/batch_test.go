@@ -226,7 +226,7 @@ func TestDecideCheckBatchConcurrent(t *testing.T) {
 // cacheSafeBobRule wires the allow-bob rule in the verdict-cache-safe
 // shape (CacheSafe, sole pool subscription, no outcome listeners) so
 // the batch path takes its carrier mode: one reused occurrence and
-// params map for the batch, slab-backed decisions.
+// params map for the batch.
 func cacheSafeBobRule(e *Engine, on string) {
 	e.Detector().MustPrimitive(on)
 	e.Pool().MustAdd(core.Rule{
@@ -252,8 +252,8 @@ func cacheSafeBobRule(e *Engine, on string) {
 
 // TestDecideCheckBatchCarrierMode: under the cache-safe shape with no
 // fast path the batch runs in carrier mode. Verdicts must still match
-// the per-tuple path exactly, across rounds (the decision slab and
-// carrier maps are reused between batches).
+// the per-tuple path exactly, across rounds (the carrier maps are
+// reused between batches).
 func TestDecideCheckBatchCarrierMode(t *testing.T) {
 	e, _ := newEngine()
 	cacheSafeBobRule(e, "req")
@@ -296,8 +296,7 @@ func TestDecideCheckBatchCarrierMode(t *testing.T) {
 }
 
 // TestDecideCheckBatchCarrierConcurrent hammers carrier-mode batches
-// from several goroutines — the -race proof for the slab-backed
-// decisions and carrier reuse.
+// from several goroutines — the -race proof for carrier reuse.
 func TestDecideCheckBatchCarrierConcurrent(t *testing.T) {
 	e, _ := newEngine()
 	cacheSafeBobRule(e, "req")

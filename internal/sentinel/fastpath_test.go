@@ -2,6 +2,7 @@ package sentinel
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -343,21 +344,27 @@ func BenchmarkFastPathStore(b *testing.B) {
 
 // TestFastPathStoreFlat: the per-insert cost at 0, 50 and 100 % fill
 // stays within 3× (the clone-per-insert cache it replaces was ~100×
-// from empty to full).
+// from empty to full). The fills are timed round-robin, so a noisy
+// stretch of the host costs every fill one round instead of landing on
+// one fill.
 func TestFastPathStoreFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
 	prefill := fpStoreKeys(0, 2*fpShards*fpSegMax)
 	fresh := fpStoreKeys(len(prefill), fpStoreWindow)
-	var lo, hi time.Duration
-	for _, fill := range []int{0, 50, 100} {
-		best := min(timeStores(fpFilled(prefill, fill), fresh), timeStores(fpFilled(prefill, fill), fresh))
-		t.Logf("fill=%d: %d ns/store", fill, best.Nanoseconds()/fpStoreWindow)
-		if lo == 0 || best < lo {
-			lo = best
+	fills := []int{0, 50, 100}
+	best := make([]time.Duration, len(fills))
+	for round := 0; round < 5; round++ {
+		for i, fill := range fills {
+			if d := timeStores(fpFilled(prefill, fill), fresh); round == 0 || d < best[i] {
+				best[i] = d
+			}
 		}
-		hi = max(hi, best)
+	}
+	lo, hi := slices.Min(best), slices.Max(best)
+	for i, fill := range fills {
+		t.Logf("fill=%d: %d ns/store", fill, best[i].Nanoseconds()/fpStoreWindow)
 	}
 	if hi > 3*lo {
 		t.Fatalf("store cost varies %.1f× with fill, want ≤ 3×", float64(hi)/float64(lo))

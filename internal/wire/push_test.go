@@ -167,6 +167,11 @@ func TestSubscribeDeliversPushes(t *testing.T) {
 			t.Fatalf("latest epoch never arrived; last push = %d", last)
 		}
 	}
+	// The writer counts a push after the frame is written, so the client
+	// can see epoch 40 before the instrument does.
+	for i := 0; pushed.Load() < 2 && i < 1000; i++ {
+		time.Sleep(time.Millisecond)
+	}
 	if p := pushed.Load(); p < 2 || p > 33 {
 		t.Fatalf("push instrument = %d, want between 2 and 33", p)
 	}
