@@ -202,7 +202,7 @@ func Open(policySource string, opts *Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return openSpec(spec, policySource, opts)
+	return openSpec(spec, policySource, nil, opts)
 }
 
 // OpenFile is Open reading the policy from a file.
@@ -214,7 +214,10 @@ func OpenFile(path string, opts *Options) (*System, error) {
 	return Open(string(data), opts)
 }
 
-func openSpec(spec *policy.Spec, source string, opts *Options) (*System, error) {
+// openSpec builds a System on the empty policy and installs spec (and,
+// for OpenSnapshot, state) through the same policy transaction
+// ApplyPolicy and InstallSyncSnapshot run.
+func openSpec(spec *policy.Spec, source string, state *rbac.Snapshot, opts *Options) (*System, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
@@ -246,10 +249,10 @@ func openSpec(spec *policy.Spec, source string, opts *Options) (*System, error) 
 	if err != nil {
 		return nil, err
 	}
-	if err := gen.Load(spec); err != nil {
+	sys := &System{gen: gen, obs: observer}
+	if _, err := sys.install(source, spec, state); err != nil {
 		return nil, err
 	}
-	sys := &System{gen: gen, source: source, obs: observer}
 	if observer != nil {
 		// Active-security counters are owned by the monitor; mirror them
 		// into the registry at scrape time like the engine's own counters.
@@ -380,8 +383,8 @@ func (s *System) FastPathStats() (FastPathStats, error) {
 
 // SnapshotEpoch reports the policy epoch of the RBAC store's published
 // copy-on-write snapshot (bumped once per policy transaction: once per
-// Open, ApplyPolicy or sync install, and once per direct policy-grade
-// store edit).
+// Open, OpenSnapshot, ApplyPolicy or sync install, and once per direct
+// policy-grade store edit).
 func (s *System) SnapshotEpoch() uint64 { return s.gen.Engine().Store().Epoch() }
 
 // SyncAudit flushes buffered audit records to disk (a no-op without an
@@ -724,13 +727,36 @@ func (s *System) ApplyPolicy(policySource string) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
+	return s.install(policySource, spec, nil)
+}
+
+// install is the one policy transaction behind Open, OpenSnapshot,
+// ApplyPolicy and InstallSyncSnapshot: regenerate from the current
+// policy to spec and, when state is non-nil, restore it over the result
+// and check the invariants. The store edits publish the access view
+// once; the regeneration and the source swap run under one srcMu write
+// hold.
+func (s *System) install(source string, spec *policy.Spec, state *rbac.Snapshot) (rep Report, err error) {
 	s.srcMu.Lock()
 	defer s.srcMu.Unlock()
-	rep, err := s.gen.Apply(spec)
-	if err != nil {
+	err = s.gen.Engine().Store().Update(func(tx *rbac.Tx) error {
+		if rep, err = s.gen.ApplyTx(tx, spec); err != nil {
+			return err
+		}
+		s.source = source
+		if state != nil {
+			if err := tx.Restore(*state); err != nil {
+				return fmt.Errorf("restore state: %w", err)
+			}
+		}
+		return nil
+	})
+	if err != nil || state == nil {
 		return rep, err
 	}
-	s.source = policySource
+	if errs := s.CheckInvariants(); len(errs) != 0 {
+		return rep, fmt.Errorf("invariants: %w", errors.Join(errs...))
+	}
 	return rep, nil
 }
 
@@ -815,26 +841,18 @@ func (s *System) SaveState(path string) error {
 }
 
 // OpenSnapshot rebuilds a System from a snapshot file: the policy
-// regenerates the rule pool, then the state (assignments made at
-// runtime, sessions, locks) is restored over it.
+// generates the rule pool and the state (assignments made at runtime,
+// sessions, locks) is restored over it, in one policy transaction.
 func OpenSnapshot(path string, opts *Options) (*System, error) {
 	f, err := store.LoadSnapshot(path)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := Open(f.Policy, opts)
+	spec, err := policy.ParseString(f.Policy)
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.gen.Engine().Store().Restore(f.State); err != nil {
-		sys.Close()
-		return nil, err
-	}
-	if errs := sys.CheckInvariants(); len(errs) != 0 {
-		sys.Close()
-		return nil, errors.Join(errs...)
-	}
-	return sys, nil
+	return openSpec(spec, f.Policy, &f.State, opts)
 }
 
 // Stats summarizes the engine for dashboards. Queued is the number of

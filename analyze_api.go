@@ -73,7 +73,7 @@ func AnalyzePolicy(policySource string, at time.Time) ([]Finding, error) {
 	if start.IsZero() {
 		start = time.Date(2024, time.January, 1, 0, 0, 0, 0, time.UTC)
 	}
-	scratch, err := openSpec(spec, policySource, &Options{Clock: clock.NewSim(start)})
+	scratch, err := openSpec(spec, policySource, nil, &Options{Clock: clock.NewSim(start)})
 	if err != nil {
 		// Loadability was vetted by Check; a generation failure is itself
 		// a pre-install finding rather than an analysis breakdown.

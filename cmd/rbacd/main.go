@@ -541,11 +541,11 @@ func (b leaderWireBackend) ReplicaDisconnected(replica string) {
 }
 
 // replicaApplier installs synced snapshots on a replica. A snapshot
-// whose policy differs from the live source first passes the same
-// analyze/verify gates a hot reload does (on scratch engines); most
-// syncs carry session-grade churn under an unchanged policy and skip
-// straight to the install. The server mutex serializes installs
-// against request handling exactly like POST /v1/policy.
+// whose policy differs from the live source first passes the reload
+// gates POST /v1/policy does; most syncs carry session-grade churn
+// under an unchanged policy and skip straight to the install. The
+// server mutex serializes installs against request handling exactly
+// like POST /v1/policy.
 type replicaApplier struct{ srv *server }
 
 func (a replicaApplier) Apply(data []byte) error {
@@ -554,50 +554,17 @@ func (a replicaApplier) Apply(data []byte) error {
 	if err != nil {
 		return err
 	}
-	policyChanged := src != s.system().PolicySource()
-	analyzeErrors := s.analyzeErrors.Load()
-	verifyErrors := s.verifyErrors.Load()
-	var verifyRes activerbac.VerifyResult
-	ranVerify := false
-	if policyChanged && s.analyzeMode != "off" {
-		findings, err := activerbac.AnalyzePolicy(src, time.Now())
-		if err != nil {
-			return err
-		}
-		for _, f := range findings {
-			log.Print("rbacd: analyze: ", f)
-		}
-		analyzeErrors = activerbac.HasAnalysisErrors(findings)
-		if s.analyzeMode == "strict" && analyzeErrors {
-			return errors.New("synced policy rejected by static analysis")
-		}
+	install := func() error { return s.sys.InstallSyncSnapshot(data) }
+	if src == s.system().PolicySource() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return install()
 	}
-	if policyChanged && s.verifyMode != "off" {
-		res, err := activerbac.VerifyPolicy(src, activerbac.VerifyConfig{})
-		if err != nil {
-			return err
-		}
-		for _, f := range res.Findings {
-			log.Print("rbacd: verify: ", f.String())
-		}
-		verifyRes, ranVerify = res, true
-		verifyErrors = activerbac.HasVerifyErrors(res.Findings)
-		if s.verifyMode == "strict" && verifyErrors {
-			return errors.New("synced policy rejected by bounded verification")
-		}
-	}
-	s.mu.Lock()
-	err = s.sys.InstallSyncSnapshot(data)
-	if err == nil && ranVerify {
-		s.verifyRes = verifyRes
-	}
-	s.mu.Unlock()
+	g, err := s.gate(src)
 	if err != nil {
-		return err
+		return fmt.Errorf("sync gate: %w", err)
 	}
-	s.analyzeErrors.Store(analyzeErrors)
-	s.verifyErrors.Store(verifyErrors)
-	return nil
+	return s.adopt(g, install)
 }
 
 // hubInstruments binds the leader hub's hooks to the activerbac_sync_*
@@ -718,6 +685,72 @@ func serve(sys *activerbac.System, httpSrv *http.Server, wireSrv *wire.Server, l
 			log.Print("rbacd: snapshot: ", err)
 		}
 	}
+	return nil
+}
+
+// gateResult is what the reload gates found in an incoming policy.
+type gateResult struct {
+	// findings are the rejecting gate's findings, for the 422 body.
+	findings any
+	// verifyRes is the bounded-verification run (zero with -verify=off).
+	verifyRes     activerbac.VerifyResult
+	analyzeErrors bool
+	verifyErrors  bool
+}
+
+// gate runs the reload gates over an incoming policy on scratch
+// engines, before the live pool is touched: static analysis, then
+// bounded verification (its counterexamples replayed), each unless its
+// mode is off. An error rejects the policy: it does not compile, or a
+// strict gate found error-severity findings.
+func (s *server) gate(src string) (gateResult, error) {
+	var g gateResult
+	if s.analyzeMode != "off" {
+		findings, err := activerbac.AnalyzePolicy(src, time.Now())
+		if err != nil {
+			return g, err
+		}
+		for _, f := range findings {
+			log.Print("rbacd: analyze: ", f)
+		}
+		g.analyzeErrors = activerbac.HasAnalysisErrors(findings)
+		if s.analyzeMode == "strict" && g.analyzeErrors {
+			g.findings = findings
+			return g, errors.New("policy rejected by static analysis")
+		}
+	}
+	if s.verifyMode != "off" {
+		res, err := activerbac.VerifyPolicy(src, activerbac.VerifyConfig{})
+		if err != nil {
+			return g, err
+		}
+		for _, f := range res.Findings {
+			log.Print("rbacd: verify: ", f.String())
+		}
+		g.verifyRes = res
+		g.verifyErrors = activerbac.HasVerifyErrors(res.Findings)
+		if s.verifyMode == "strict" && g.verifyErrors {
+			g.findings = res.Findings
+			return g, errors.New("policy rejected by bounded verification")
+		}
+	}
+	return g, nil
+}
+
+// adopt runs the install of a gated policy under the server mutex and,
+// when it succeeds, makes the gate's findings the live readiness state.
+func (s *server) adopt(g gateResult, install func() error) error {
+	s.mu.Lock()
+	err := install()
+	if err == nil && s.verifyMode != "off" {
+		s.verifyRes = g.verifyRes
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	s.analyzeErrors.Store(g.analyzeErrors)
+	s.verifyErrors.Store(g.verifyErrors)
 	return nil
 }
 
@@ -1294,62 +1327,21 @@ func (s *server) putPolicy(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"error":"bad body"}`, http.StatusBadRequest)
 		return
 	}
-	// Hot-reload analysis gate: the incoming policy is compiled and
-	// analyzed on a scratch engine *before* the live pool is touched.
-	analyzeErrors := false
-	if s.analyzeMode != "off" {
-		findings, err := activerbac.AnalyzePolicy(string(body), time.Now())
-		if err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": err.Error()})
-			return
-		}
-		for _, f := range findings {
-			log.Print("rbacd: analyze: ", f)
-		}
-		analyzeErrors = activerbac.HasAnalysisErrors(findings)
-		if s.analyzeMode == "strict" && analyzeErrors {
-			writeJSON(w, http.StatusUnprocessableEntity, map[string]any{
-				"error":    "policy rejected by static analysis",
-				"findings": findings,
-			})
-			return
-		}
+	g, err := s.gate(string(body))
+	var rep activerbac.Report
+	if err == nil {
+		err = s.adopt(g, func() (err error) {
+			rep, err = s.sys.ApplyPolicy(string(body))
+			return err
+		})
 	}
-	// Hot-reload verification gate: the incoming policy's reachable
-	// states are explored (and counterexamples replayed) on scratch
-	// engines before the live pool is touched.
-	verifyErrors := false
-	var verifyRes activerbac.VerifyResult
-	if s.verifyMode != "off" {
-		res, err := activerbac.VerifyPolicy(string(body), activerbac.VerifyConfig{})
-		if err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": err.Error()})
-			return
-		}
-		for _, f := range res.Findings {
-			log.Print("rbacd: verify: ", f.String())
-		}
-		verifyRes = res
-		verifyErrors = activerbac.HasVerifyErrors(res.Findings)
-		if s.verifyMode == "strict" && verifyErrors {
-			writeJSON(w, http.StatusUnprocessableEntity, map[string]any{
-				"error":    "policy rejected by bounded verification",
-				"findings": res.Findings,
-			})
-			return
-		}
-	}
-	s.mu.Lock()
-	rep, err := s.sys.ApplyPolicy(string(body))
-	if err == nil && s.verifyMode != "off" {
-		s.verifyRes = verifyRes
-	}
-	s.mu.Unlock()
 	if err != nil {
-		writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": err.Error()})
+		resp := map[string]any{"error": err.Error()}
+		if g.findings != nil {
+			resp["findings"] = g.findings
+		}
+		writeJSON(w, http.StatusUnprocessableEntity, resp)
 		return
 	}
-	s.analyzeErrors.Store(analyzeErrors)
-	s.verifyErrors.Store(verifyErrors)
 	writeJSON(w, http.StatusOK, rep)
 }

@@ -523,6 +523,39 @@ func TestVerifyStrictHotReloadRejected(t *testing.T) {
 	}
 }
 
+// TestVerifyStrictReplicaSyncRejected: a strict replica runs a synced
+// policy through the gate a hot reload passes and refuses to install a
+// reachable violation, keeping its live policy.
+func TestVerifyStrictReplicaSyncRejected(t *testing.T) {
+	src, err := os.ReadFile(violatingPolicyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader, err := activerbac.Open(string(src), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { leader.Close() })
+	_, data, err := leader.ExportSyncSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A replica boots on the empty policy, as run() starts it.
+	sys, err := activerbac.Open("", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	srv := &server{sys: sys, analyzeMode: "off", verifyMode: "strict", replica: true}
+	err = replicaApplier{srv}.Apply(data)
+	if err == nil || !strings.Contains(err.Error(), "verification") {
+		t.Fatalf("strict replica sync of the violating policy: err = %v, want a verification rejection", err)
+	}
+	if got := sys.PolicySource(); got != "" {
+		t.Fatalf("live policy changed after rejected sync: %q", got)
+	}
+}
+
 func TestActiveSecurityOverHTTP(t *testing.T) {
 	srv := newTestServer(t)
 	var sess struct {

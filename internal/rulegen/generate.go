@@ -1,8 +1,6 @@
 package rulegen
 
 import (
-	"fmt"
-
 	"activerbac/internal/cfd"
 	"activerbac/internal/core"
 	"activerbac/internal/event"
@@ -28,13 +26,14 @@ type Generator struct {
 	spec      *policy.Spec
 	graph     *policy.Graph
 	schedules map[rbac.RoleID]int // role -> gtrbac schedule id
-	loaded    bool
 
 	reportPlumbing
 }
 
 // New wires a Generator (and the constraint managers it drives) onto an
-// engine and registers the active-security responses.
+// engine, registers the active-security responses and emits the global
+// rules. The Generator starts from the empty policy: generating a
+// policy is Apply from there.
 func New(eng *sentinel.Engine) (*Generator, error) {
 	gt, err := gtrbac.New(eng.Detector(), eng.Store())
 	if err != nil {
@@ -60,6 +59,14 @@ func New(eng *sentinel.Engine) (*Generator, error) {
 		eng.Pool().SetEnabledByTag(TagCritical, false)
 	})
 	// "alert" needs no response beyond the alert listeners.
+
+	g.spec = &policy.Spec{}
+	if g.graph, err = policy.BuildGraph(g.spec); err != nil {
+		return nil, err
+	}
+	if err := g.generateGlobalRules(); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 
@@ -78,174 +85,17 @@ func (g *Generator) Privacy() *parbac.Manager { return g.pa }
 // Security returns the active-security monitor.
 func (g *Generator) Security() *security.Monitor { return g.mon }
 
-// Spec returns the currently loaded policy spec (nil before Load).
+// Spec returns the current policy spec (the empty policy before the
+// first Apply).
 func (g *Generator) Spec() *policy.Spec { return g.spec }
 
 // Graph returns the instantiated access specification graph.
 func (g *Generator) Graph() *policy.Graph { return g.graph }
 
-// Load performs full generation of a policy into the engine. It may
-// only be called once; use Apply for subsequent policy changes.
+// Load is Apply from the empty policy a new Generator starts with.
 func (g *Generator) Load(spec *policy.Spec) error {
-	if g.loaded {
-		return fmt.Errorf("rulegen: engine already loaded; use Apply for policy changes")
-	}
-	if issues := policy.Check(spec); policy.HasErrors(issues) {
-		return fmt.Errorf("rulegen: policy has errors: %v", issues)
-	}
-	graph, err := policy.BuildGraph(spec)
-	if err != nil {
-		return err
-	}
-	g.spec, g.graph = spec, graph
-
-	// One policy transaction: the access view is published once, when
-	// the load is complete.
-	if err := g.eng.Store().Update(func(tx *rbac.Tx) error {
-		if err := g.applyGlobalState(tx, spec); err != nil {
-			return err
-		}
-		if err := g.generateGlobalRules(); err != nil {
-			return err
-		}
-		for _, role := range spec.Roles {
-			if err := g.generateRole(rbac.RoleID(role)); err != nil {
-				return err
-			}
-		}
-		if err := g.applyUserState(tx, spec); err != nil {
-			return err
-		}
-		if err := g.generateSpecializedRules(spec); err != nil {
-			return err
-		}
-		return g.applyReports(spec)
-	}); err != nil {
-		return err
-	}
-	g.loaded = true
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// State application
-
-// applyGlobalState installs roles, hierarchy, SoD sets, permissions,
-// purposes, CFD constraints, time SoDs and thresholds.
-func (g *Generator) applyGlobalState(tx *rbac.Tx, spec *policy.Spec) error {
-	for _, r := range spec.Roles {
-		if err := tx.AddRole(rbac.RoleID(r)); err != nil {
-			return err
-		}
-		if err := g.gt.RegisterRole(rbac.RoleID(r)); err != nil {
-			return err
-		}
-	}
-	for _, e := range spec.Hierarchy {
-		if err := tx.AddInheritance(rbac.RoleID(e.Senior), rbac.RoleID(e.Junior)); err != nil {
-			return err
-		}
-	}
-	for _, set := range spec.SSD {
-		if err := tx.CreateSSD(toSoDSet(set)); err != nil {
-			return err
-		}
-	}
-	for _, set := range spec.DSD {
-		if err := tx.CreateDSD(toSoDSet(set)); err != nil {
-			return err
-		}
-	}
-	for _, p := range spec.Permissions {
-		if err := tx.GrantPermission(rbac.RoleID(p.Role), rbac.Permission{Operation: p.Operation, Object: p.Object}); err != nil {
-			return err
-		}
-	}
-	for _, c := range spec.Cardinalities {
-		if err := tx.SetRoleCardinality(rbac.RoleID(c.Role), c.N); err != nil {
-			return err
-		}
-	}
-	for _, ts := range spec.TimeSoDs {
-		roles := make([]rbac.RoleID, len(ts.Roles))
-		for i, r := range ts.Roles {
-			roles[i] = rbac.RoleID(r)
-		}
-		if err := g.gt.AddDisablingTimeSoD(ts.Name, roles, ts.Window()); err != nil {
-			return err
-		}
-	}
-	for _, c := range spec.Couples {
-		if err := g.cf.CoupleEnable(rbac.RoleID(c.Lead), rbac.RoleID(c.Follow)); err != nil {
-			return err
-		}
-	}
-	for _, rq := range spec.Requires {
-		if err := g.cf.AddActivationDependency(rbac.RoleID(rq.Dependent), rbac.RoleID(rq.Required)); err != nil {
-			return err
-		}
-	}
-	for _, p := range spec.Prereqs {
-		if err := g.cf.AddPrerequisite(rbac.RoleID(p.Role), rbac.RoleID(p.Prereq)); err != nil {
-			return err
-		}
-	}
-	for _, p := range spec.Purposes {
-		if err := g.pa.AddPurpose(p.Name, p.Parent); err != nil {
-			return err
-		}
-	}
-	for _, b := range spec.Bindings {
-		perm := rbac.Permission{Operation: b.Operation, Object: b.Object}
-		if err := g.pa.BindPurpose(rbac.RoleID(b.Role), perm, b.Purpose); err != nil {
-			return err
-		}
-	}
-	for _, obj := range spec.ConsentRequired {
-		g.pa.SetConsentRequired(obj, true)
-	}
-	for _, th := range spec.Thresholds {
-		if err := g.mon.AddThreshold(th.Name, th.Count, th.Window, th.Action); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// applyUserState installs users and assignments (after roles exist).
-func (g *Generator) applyUserState(tx *rbac.Tx, spec *policy.Spec) error {
-	for _, u := range spec.Users {
-		if err := tx.AddUser(rbac.UserID(u.Name)); err != nil {
-			return err
-		}
-		for _, r := range u.Roles {
-			if err := tx.AssignUser(rbac.UserID(u.Name), rbac.RoleID(r)); err != nil {
-				return err
-			}
-		}
-	}
-	for _, m := range spec.MaxRoles {
-		// The checker warns on undeclared users; create on demand so
-		// warning-level policies still load.
-		if !tx.UserExists(rbac.UserID(m.User)) {
-			if err := tx.AddUser(rbac.UserID(m.User)); err != nil {
-				return err
-			}
-		}
-		if err := tx.SetUserMaxActiveRoles(rbac.UserID(m.User), m.N); err != nil {
-			return err
-		}
-	}
-	for _, d := range spec.Durations {
-		u := rbac.UserID(d.User)
-		if d.User == "*" {
-			u = ""
-		}
-		if err := g.gt.SetActivationDuration(u, rbac.RoleID(d.Role), d.D); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := g.Apply(spec)
+	return err
 }
 
 func toSoDSet(s policy.SoD) rbac.SoDSet {

@@ -14,11 +14,11 @@ import (
 // level specification and the corresponding rules can be regenerated
 // ... without burdening the administrator".
 //
-// Apply diffs the new spec against the loaded one, edits exactly the
+// Apply diffs the new spec against the current one, edits exactly the
 // affected state, removes exactly the affected rules (by tag) and
-// regenerates them from the new access specification graph. RebuildAll
-// is the heavyweight alternative used as the comparison point in
-// experiment E4.
+// regenerates them from the new access specification graph. Full
+// generation is the same path: Apply from the empty policy a new
+// Generator starts with.
 
 // Report summarizes one Apply.
 type Report struct {
@@ -44,12 +44,12 @@ func (r Report) String() string {
 		r.RulesRemoved, r.RulesAdded)
 }
 
-// Apply transitions the engine from the loaded policy to newSpec,
+// Apply transitions the engine from the current policy to newSpec,
 // regenerating only what the diff touches. Every store edit runs in one
 // policy transaction, so the access view is published once, when Apply
 // returns. On error the engine may be partially transitioned (and that
 // state is published); callers treat Apply errors as fatal for the
-// engine instance (build a fresh one with Load).
+// engine instance (build a fresh one with New).
 func (g *Generator) Apply(newSpec *policy.Spec) (rep Report, err error) {
 	err = g.eng.Store().Update(func(tx *rbac.Tx) error {
 		rep, err = g.ApplyTx(tx, newSpec)
@@ -62,9 +62,6 @@ func (g *Generator) Apply(newSpec *policy.Spec) (rep Report, err error) {
 // that make further store edits to publish with the regeneration.
 func (g *Generator) ApplyTx(tx *rbac.Tx, newSpec *policy.Spec) (Report, error) {
 	var rep Report
-	if !g.loaded {
-		return rep, fmt.Errorf("rulegen: no policy loaded; call Load first")
-	}
 	if issues := policy.Check(newSpec); policy.HasErrors(issues) {
 		return rep, fmt.Errorf("rulegen: new policy has errors: %v", issues)
 	}
@@ -249,9 +246,9 @@ func (g *Generator) ApplyTx(tx *rbac.Tx, newSpec *policy.Spec) (Report, error) {
 	}
 
 	// Privacy: purposes are append-only across regenerations.
-	oldPurp := purposeSet(old.Purposes)
+	oldPurp, newPurp := purposeSet(old.Purposes), purposeSet(newSpec.Purposes)
 	for _, p := range old.Purposes {
-		if !purposeSet(newSpec.Purposes)[p.Name+"<"+p.Parent] {
+		if !newPurp[p.Name+"<"+p.Parent] {
 			return rep, fmt.Errorf("rulegen: purpose %q removed or reparented; purposes are append-only, rebuild the engine", p.Name)
 		}
 	}
@@ -308,6 +305,49 @@ func (g *Generator) ApplyTx(tx *rbac.Tx, newSpec *policy.Spec) (Report, error) {
 		if err := g.mon.AddThreshold(th.Name, th.Count, th.Window, th.Action); err != nil {
 			return rep, err
 		}
+	}
+
+	// Reports: stop removed/changed schedules, start new ones.
+	if err := g.diffReports(old, newSpec); err != nil {
+		return rep, err
+	}
+
+	// ---- Generate rules for added and changed roles --------------------
+	g.spec, g.graph = newSpec, newGraph
+	// Fingerprints only decide for roles both specs declare.
+	var oldFp, newFp map[string]string
+	if len(old.Roles) > 0 {
+		oldFp, newFp = fingerprints(old), fingerprints(newSpec)
+	}
+	card := make(map[string]int, len(newSpec.Cardinalities))
+	for _, c := range newSpec.Cardinalities {
+		card[c.Role] = c.N
+	}
+	for _, r := range newSpec.Roles {
+		role := rbac.RoleID(r)
+		if oldRoles[r] {
+			if oldFp[r] == newFp[r] {
+				continue
+			}
+			rep.RolesRegenerated = append(rep.RolesRegenerated, r)
+			// Drop the old rules and schedule; they regenerate below.
+			if id, ok := g.schedules[role]; ok {
+				if err := g.gt.CancelSchedule(id); err != nil {
+					return rep, err
+				}
+				delete(g.schedules, role)
+			}
+			rep.RulesRemoved += pool.RemoveByTag(TagRole(role))
+		}
+		// Role-scoped store knobs first, then the rules from the new graph.
+		if err := tx.SetRoleCardinality(role, card[r]); err != nil {
+			return rep, err
+		}
+		before := pool.Len()
+		if err := g.generateRole(role); err != nil {
+			return rep, err
+		}
+		rep.RulesAdded += pool.Len() - before
 	}
 
 	// ---- Users --------------------------------------------------------
@@ -396,53 +436,6 @@ func (g *Generator) ApplyTx(tx *rbac.Tx, newSpec *policy.Spec) (Report, error) {
 		}
 	}
 
-	// Reports: stop removed/changed schedules, start new ones.
-	if err := g.diffReports(old, newSpec); err != nil {
-		return rep, err
-	}
-
-	// ---- Regenerate rules for changed roles ---------------------------
-	g.spec, g.graph = newSpec, newGraph
-	oldFp := fingerprints(old)
-	newFp := fingerprints(newSpec)
-	for _, r := range newSpec.Roles {
-		role := rbac.RoleID(r)
-		if !oldRoles[r] {
-			before := pool.Len()
-			if err := g.generateRole(role); err != nil {
-				return rep, err
-			}
-			rep.RulesAdded += pool.Len() - before
-			continue
-		}
-		if oldFp[r] == newFp[r] {
-			continue
-		}
-		rep.RolesRegenerated = append(rep.RolesRegenerated, r)
-		// Update role-scoped store knobs, drop old rules and schedule,
-		// regenerate from the new graph.
-		if id, ok := g.schedules[role]; ok {
-			if err := g.gt.CancelSchedule(id); err != nil {
-				return rep, err
-			}
-			delete(g.schedules, role)
-		}
-		rep.RulesRemoved += pool.RemoveByTag(TagRole(role))
-		card := 0
-		for _, c := range newSpec.Cardinalities {
-			if c.Role == r {
-				card = c.N
-			}
-		}
-		if err := tx.SetRoleCardinality(role, card); err != nil {
-			return rep, err
-		}
-		before := pool.Len()
-		if err := g.generateRole(role); err != nil {
-			return rep, err
-		}
-		rep.RulesAdded += pool.Len() - before
-	}
 	// Regenerate specialized rules if any maxroles entry changed.
 	if maxChanged {
 		for u := range oldMax {

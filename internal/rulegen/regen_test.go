@@ -37,15 +37,14 @@ func TestApplyIdenticalSpecTouchesNothing(t *testing.T) {
 	}
 }
 
-func TestApplyRequiresLoad(t *testing.T) {
+// Generation is Apply from the empty policy a new Generator starts with.
+func TestApplyOnFreshGenerator(t *testing.T) {
 	g, err := New(sentinel.NewEngine(clock.NewSim(t0)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, _ := policy.ParseString("role A")
-	if _, err := g.Apply(spec); err == nil {
-		t.Fatal("Apply before Load accepted")
-	}
+	apply(t, g, xyzPolicy)
+	checkXYZInventory(t, g)
 }
 
 func TestApplyRejectsBadSpec(t *testing.T) {

@@ -146,16 +146,6 @@ func (g *Generator) emitReport(name string, st *reportState) {
 	}
 }
 
-// applyReports installs report schedules at Load time.
-func (g *Generator) applyReports(spec *policy.Spec) error {
-	for _, r := range spec.Reports {
-		if err := g.startReport(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // diffReports transitions report schedules during Apply.
 func (g *Generator) diffReports(old, new *policy.Spec) error {
 	oldM := make(map[string]policy.ReportSpec, len(old.Reports))
@@ -174,8 +164,9 @@ func (g *Generator) diffReports(old, new *policy.Spec) error {
 			return err
 		}
 	}
-	for name, r := range newM {
-		if or, ok := oldM[name]; ok && or.Every == r.Every {
+	// Start in policy order, so report versions are deterministic.
+	for _, r := range new.Reports {
+		if or, ok := oldM[r.Name]; ok && or.Every == r.Every {
 			continue
 		}
 		if err := g.startReport(r); err != nil {

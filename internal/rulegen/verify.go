@@ -29,9 +29,6 @@ import (
 //  6. No unexpected rules exist (reports aside, every pool entry is
 //     accounted for by the policy).
 func (g *Generator) Verify() []error {
-	if !g.loaded {
-		return []error{fmt.Errorf("rulegen: verify before Load")}
-	}
 	var errs []error
 	fail := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf("rulegen: verify: "+format, args...))

@@ -30,13 +30,18 @@ func TestVerifyCleanAfterApply(t *testing.T) {
 	}
 }
 
-func TestVerifyBeforeLoad(t *testing.T) {
+// A new Generator holds the empty policy: exactly the 7 global rules,
+// which Verify accounts for.
+func TestVerifyFreshGenerator(t *testing.T) {
 	g, err := New(sentinel.NewEngine(clock.NewSim(t0)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if errs := g.Verify(); len(errs) == 0 {
-		t.Fatal("Verify before Load passed")
+	if n := g.Engine().Pool().Len(); n != 7 {
+		t.Fatalf("fresh generator holds %d rules, want the 7 global rules", n)
+	}
+	if errs := g.Verify(); errs != nil {
+		t.Fatalf("Verify on a fresh generator: %v", errs)
 	}
 }
 

@@ -103,6 +103,30 @@ func TestOpenPublishesOnce(t *testing.T) {
 	}
 }
 
+// TestOpenSnapshotPublishesLikeOpen: OpenSnapshot installs the saved
+// policy and state in one policy transaction, so reopening a saved e16
+// system with live sessions publishes as often as opening its policy,
+// and lands in the saved state.
+func TestOpenSnapshotPublishesLikeOpen(t *testing.T) {
+	src := policy.Format(workload.MustEnterprise(e16))
+	saved := openWithSessions(t, src, txEpoch)
+	path := filepath.Join(t.TempDir(), "state.json")
+	if err := saved.SaveState(path); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := activerbac.OpenSnapshot(path, &activerbac.Options{Clock: clock.NewSim(txEpoch)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { restored.Close() })
+	if got, want := restored.SnapshotEpoch(), openAt(t, src, txEpoch).SnapshotEpoch(); got != want {
+		t.Errorf("store epoch %d after OpenSnapshot, %d after Open", got, want)
+	}
+	got, _ := stateOf(t, restored)
+	want, _ := stateOf(t, saved)
+	diffState(t, "OpenSnapshot vs saved", got, want)
+}
+
 // openWithSessions opens src and gives every user two sessions, the
 // first with every assigned role activated that the policy admits.
 func openWithSessions(t *testing.T, src string, at time.Time) *activerbac.System {
@@ -267,15 +291,74 @@ func replaySessions(t *testing.T, sys *activerbac.System, sessions []rbac.Sessio
 	}
 }
 
+// kindsMinimal and kindsEvery bracket every statement kind: going from
+// the first to the second adds roles that declare a cardinality, a
+// shift, a duration and the rest, and edits the one role both share.
+const kindsMinimal = `policy "kinds"
+role A
+permission A: read doc
+user u: A
+`
+
+const kindsEvery = `policy "kinds"
+role A
+role B
+role C
+role D
+role E
+hierarchy A > B
+ssd s1 2: B, C
+dsd d1 2: C, E
+permission A: read doc
+permission B: write doc
+permission C: read chart
+permission E: read ledger
+user u: A
+user v: B, E
+user w: C, D
+cardinality A 2
+cardinality B 1
+maxroles v 1
+shift E 08:00:00-20:00:00
+duration * C 2h
+timesod t1 00:00:00-23:59:59: A, B
+couple C -> E
+require D needs-active C
+prereq D after C
+purpose care
+bind C read chart for care
+consent-required chart
+context D requires site = hq
+report pulse every 30m
+threshold th1 5 in 10m: alert
+`
+
+// withoutPurposes drops the purpose and bind lines: purposes are
+// append-only across regenerations, so no reload removes them.
+func withoutPurposes(src string) string {
+	var keep []string
+	for _, line := range strings.SplitAfter(src, "\n") {
+		if !strings.HasPrefix(line, "purpose ") && !strings.HasPrefix(line, "bind ") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "")
+}
+
 // TestApplyMatchesOpen: ApplyPolicy(A→B) leaves the system a fresh
 // Open(B) with the same sessions would have, and InstallSyncSnapshot of
 // the reloaded leader leaves a replica in the leader's state. Cases: the
-// two day-doctor directions (one live session holds day-doctor) and
-// every ordered pair of example policies.
+// two day-doctor directions (one live session holds day-doctor), a
+// minimal policy to one using every statement kind and back, and every
+// ordered pair of example policies.
 func TestApplyMatchesOpen(t *testing.T) {
 	base, edited := dayDoctorVariants()
 	type pair struct{ name, a, b string }
-	pairs := []pair{{"day-doctor base→edited", base, edited}, {"day-doctor edited→base", edited, base}}
+	pairs := []pair{
+		{"day-doctor base→edited", base, edited}, {"day-doctor edited→base", edited, base},
+		{"minimal→every kind", kindsMinimal, kindsEvery},
+		{"every kind without purposes→minimal", withoutPurposes(kindsEvery), kindsMinimal},
+	}
 	examples := examplePolicies(t)
 	names := make([]string, 0, len(examples))
 	for n := range examples {

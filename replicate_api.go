@@ -1,11 +1,9 @@
 package activerbac
 
 import (
-	"errors"
 	"fmt"
 
 	"activerbac/internal/policy"
-	"activerbac/internal/rbac"
 	"activerbac/internal/store"
 )
 
@@ -79,26 +77,11 @@ func (s *System) InstallSyncSnapshot(data []byte) error {
 		return err
 	}
 	spec, err := policy.ParseString(f.Policy)
-	if err != nil {
-		return fmt.Errorf("sync install: apply policy: %w", err)
+	if err == nil {
+		_, err = s.install(f.Policy, spec, &f.State)
 	}
-	s.srcMu.Lock()
-	err = s.gen.Engine().Store().Update(func(tx *rbac.Tx) error {
-		if _, err := s.gen.ApplyTx(tx, spec); err != nil {
-			return fmt.Errorf("sync install: apply policy: %w", err)
-		}
-		s.source = f.Policy
-		if err := tx.Restore(f.State); err != nil {
-			return fmt.Errorf("sync install: restore state: %w", err)
-		}
-		return nil
-	})
-	s.srcMu.Unlock()
 	if err != nil {
-		return err
-	}
-	if errs := s.CheckInvariants(); len(errs) != 0 {
-		return fmt.Errorf("sync install: invariants: %w", errors.Join(errs...))
+		return fmt.Errorf("sync install: %w", err)
 	}
 	return nil
 }

@@ -121,7 +121,7 @@ func (s *System) Verify(cfg VerifyConfig) (VerifyResult, error) {
 // the self-check error.
 func replayCounterexample(spec *policy.Spec, source string, cex *Counterexample, anchor time.Time) error {
 	sim := clock.NewSim(anchor)
-	sys, err := openSpec(spec, source, &Options{Clock: sim})
+	sys, err := openSpec(spec, source, nil, &Options{Clock: sim})
 	if err != nil {
 		return fmt.Errorf("scratch engine: %w", err)
 	}
