@@ -1,14 +1,15 @@
 # Developer entry points. `make check` is the tier-1 gate from
 # ROADMAP.md: build, tests, race detector, vet, lint, bounded
-# verification of the example policies, a short wire-codec fuzz, one
-# round of every paper-experiment benchmark, and two-second runs of the
-# out-of-process benchmark's cold and reload workloads so the cached,
-# uncached and remote decide paths and hot reload → SYNC → replica
-# install are exercised end to end on every merge.
+# verification of the example policies, short wire-codec and
+# policy-parser fuzzes, one round of every paper-experiment benchmark,
+# and two-second runs of the out-of-process benchmark's cold and reload
+# workloads so the cached, uncached and remote decide paths and hot
+# reload → SYNC → replica install are exercised end to end on every
+# merge.
 
 GO ?= go
 
-.PHONY: build test race vet lint check verify-policies fuzz-wire bench-smoke bench-e2e-smoke clean
+.PHONY: build test race vet lint check verify-policies fuzz-wire fuzz-policy bench-smoke bench-e2e-smoke clean
 
 build:
 	$(GO) build ./...
@@ -33,7 +34,7 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/rbacvet ./...
 
-check: build test race vet lint verify-policies fuzz-wire bench-smoke bench-e2e-smoke
+check: build test race vet lint verify-policies fuzz-wire fuzz-policy bench-smoke bench-e2e-smoke
 
 # verify-policies runs the bounded symbolic verifier over every example
 # policy. Files named *-violating.acp are seeded-unsafe fixtures and
@@ -69,6 +70,12 @@ fuzz-wire:
 	$(GO) test ./internal/wire -fuzz=FuzzDecoder -fuzztime=5s
 	$(GO) test ./internal/wire -fuzz=FuzzPayloadCodecs -fuzztime=5s
 	$(GO) test ./internal/wire -fuzz=FuzzCheckRoundTrip -fuzztime=5s
+
+# fuzz-policy gives the .acp parser the same short budget on top of its
+# seeds (the example policies plus internal/policy/testdata/fuzz):
+# whatever it accepts must format, re-parse and format to the same text.
+fuzz-policy:
+	$(GO) test ./internal/policy -fuzz=FuzzParse -fuzztime=5s
 
 # bench-smoke runs every root benchmark in bench_test.go once: the
 # paper experiments (F1, E1-E8, ablations A1-A3) and BenchmarkOpen, so

@@ -153,9 +153,9 @@ type Options struct {
 	// TraceSample, when > 0, samples tracing instead of tracing every
 	// decision: each decision is traced with this probability (clamped to
 	// [0,1]), and unsampled decisions keep the full fast path. Client-
-	// requested traces (CheckAccessTupleTraced and friends) are always
-	// honoured regardless of the sample rate. Requires TraceBuffer > 0 to
-	// have any effect.
+	// requested traces (a nonzero BatchCheck.Trace) are always honoured
+	// regardless of the sample rate. Requires TraceBuffer > 0 to have any
+	// effect.
 	TraceSample float64
 	// TraceRateLimit caps sampled traces per second (approximate fixed
 	// window). 0 means no cap beyond the probability.
@@ -506,24 +506,19 @@ func (s *System) PushEpoch() uint64 { return s.gen.Engine().PushEpoch() }
 // hook; nil clears it.
 func (s *System) OnEpochBump(fn func(epoch uint64)) { s.gen.Engine().SetPushHook(fn) }
 
-// CheckAccessTupleTraced is CheckAccessTuple with a client-minted trace
-// id: the decision always runs the full cascade (never the fast-path
-// cache), its trace is retained under tid, and TraceByTraceID resolves
-// it afterwards. Requires Options.TraceBuffer > 0 for the trace to be
-// retained; without it the check still decides correctly.
-func (s *System) CheckAccessTupleTraced(session, operation, object string, tid TraceID) bool {
-	user, _ := s.gen.Engine().Store().SessionUser(SessionID(session))
-	dec, err := s.gen.Engine().DecideCheckTraced(rulegen.EvCheckAccess,
-		string(user), session, operation, object, tid)
-	return err == nil && dec.Allowed()
-}
-
 // BatchCheck is one access check of a CheckAccessBatch call, as plain
 // strings (the wire and HTTP batch endpoints decode straight into it).
 type BatchCheck struct {
 	Session   string `json:"session"`
 	Operation string `json:"operation"`
 	Object    string `json:"object"`
+	// Trace, when nonzero, runs this check through the fully traced
+	// cascade (never the verdict cache) and retains its trace under the
+	// client-minted id, so TraceByTraceID resolves it afterwards. The
+	// trace is retained only when Options.TraceBuffer > 0; the check
+	// decides correctly either way. Not part of the JSON form: over HTTP
+	// the id travels in the trace header.
+	Trace TraceID `json:"-"`
 }
 
 // CheckAccessBatch decides every check in one batch-native engine pass:
@@ -535,18 +530,6 @@ type BatchCheck struct {
 // CheckAccessTuple would decide it; an undefined check event fails
 // closed for the whole batch.
 func (s *System) CheckAccessBatch(checks []BatchCheck, verdicts []bool) []bool {
-	return s.checkAccessBatch(checks, verdicts, false, TraceID{})
-}
-
-// CheckAccessBatchTraced is CheckAccessBatch with a client-minted trace
-// id: the batch's first tuple runs a fully traced cascade retained
-// under tid (see sentinel.Engine.DecideCheckBatchTraced); the rest of
-// the batch stays on the batch-native path.
-func (s *System) CheckAccessBatchTraced(checks []BatchCheck, verdicts []bool, tid TraceID) []bool {
-	return s.checkAccessBatch(checks, verdicts, true, tid)
-}
-
-func (s *System) checkAccessBatch(checks []BatchCheck, verdicts []bool, traced bool, tid TraceID) []bool {
 	verdicts = verdicts[:0]
 	if len(checks) == 0 {
 		return verdicts
@@ -560,7 +543,8 @@ func (s *System) checkAccessBatch(checks []BatchCheck, verdicts []bool, traced b
 	// same-session checks within a batch.
 	var lastSession string
 	var lastUser string
-	for i, c := range checks {
+	for i := range checks {
+		c := &checks[i]
 		user := lastUser
 		if i == 0 || c.Session != lastSession {
 			u, _ := store.SessionUser(SessionID(c.Session))
@@ -570,15 +554,10 @@ func (s *System) checkAccessBatch(checks []BatchCheck, verdicts []bool, traced b
 		tuples = append(tuples, sentinel.CheckTuple{
 			User: user, Session: c.Session,
 			Operation: c.Operation, Object: c.Object,
+			Trace: c.Trace,
 		})
 	}
-	var vds []sentinel.Verdict
-	var err error
-	if traced {
-		vds, err = eng.DecideCheckBatchTraced(rulegen.EvCheckAccess, tuples, bb.vds[:0], tid)
-	} else {
-		vds, err = eng.DecideCheckBatch(rulegen.EvCheckAccess, tuples, bb.vds[:0])
-	}
+	vds, err := eng.DecideCheckBatch(rulegen.EvCheckAccess, tuples, bb.vds[:0])
 	if err != nil {
 		bb.reset(tuples, vds)
 		for range checks {
@@ -626,7 +605,8 @@ type Explanation struct {
 }
 
 // ExplainAccess runs the same decision as CheckAccess but returns the
-// rule-by-rule account instead of a bare verdict.
+// rule-by-rule account instead of a bare verdict. It always runs the
+// cascade, never the verdict cache, so every vote is fresh.
 func (s *System) ExplainAccess(sid SessionID, p Permission) Explanation {
 	user, _ := s.gen.Engine().Store().SessionUser(sid)
 	dec, err := s.gen.Engine().Decide(rulegen.EvCheckAccess, event.Params{

@@ -153,3 +153,92 @@ func TestCheckAccessBatchEmpty(t *testing.T) {
 		t.Fatalf("empty batch returned %v", got)
 	}
 }
+
+// TestBatchSizeObservedInEveryTraceMode: the batch-size histogram
+// records every CheckAccessBatch call once, with its submitted size,
+// whether the engine traces nothing, everything, or a sample.
+func TestBatchSizeObservedInEveryTraceMode(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts activerbac.Options
+	}{
+		{"metrics", activerbac.Options{Metrics: true}},
+		{"trace-everything", activerbac.Options{TraceBuffer: 64}},
+		{"trace-sampled", activerbac.Options{TraceBuffer: 64, TraceSample: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			opts.Clock = activerbac.NewSimClock(t0)
+			sys, err := activerbac.Open(xyzPolicy, &opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sys.Close()
+			sid, err := sys.CreateSession("bob")
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := activerbac.BatchCheck{Session: string(sid), Operation: "write", Object: "purchase-order.dat"}
+			for i := 0; i < 3; i++ {
+				sys.CheckAccessBatch([]activerbac.BatchCheck{c, c, c, c}, nil)
+			}
+			var sb strings.Builder
+			if err := sys.WriteMetrics(&sb); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{"activerbac_batch_size_count 3\n", "activerbac_batch_size_sum 12\n"} {
+				if !strings.Contains(sb.String(), want) {
+					t.Errorf("metrics lack %q", strings.TrimSpace(want))
+				}
+			}
+		})
+	}
+}
+
+// TestCheckAccessBatchTraceField: a nonzero Trace on any check of a
+// batch — the first or a later one — traces exactly that check under
+// its id, and the verdicts still equal sequential CheckAccessTuple.
+func TestCheckAccessBatchTraceField(t *testing.T) {
+	// A sample rate that rounds to zero: only client-traced checks are
+	// traced.
+	sys, err := activerbac.Open(xyzPolicy, &activerbac.Options{
+		Clock: activerbac.NewSimClock(t0), FastPath: true,
+		TraceBuffer: 64, TraceSample: 1e-300,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sid, err := sys.CreateSession("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddActiveRole("bob", sid, "PC"); err != nil {
+		t.Fatal(err)
+	}
+	write := activerbac.BatchCheck{Session: string(sid), Operation: "write", Object: "purchase-order.dat"}
+	approve := activerbac.BatchCheck{Session: string(sid), Operation: "approve", Object: "purchase-order.dat"}
+	checks := []activerbac.BatchCheck{write, approve, write, approve, write, write}
+	var want []bool
+	for _, c := range checks {
+		want = append(want, sys.CheckAccessTuple(c.Session, c.Operation, c.Object))
+	}
+
+	first, later := activerbac.NewTraceID(), activerbac.NewTraceID()
+	checks[0].Trace, checks[3].Trace = first, later
+	got := sys.CheckAccessBatch(checks, nil)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("traced batch verdicts %v, sequential %v", got, want)
+		}
+	}
+	for _, tid := range []activerbac.TraceID{first, later} {
+		td, ok, err := sys.TraceByTraceID(tid)
+		if err != nil || !ok || !td.Complete || len(td.Steps) == 0 {
+			t.Fatalf("TraceByTraceID(%s) = (%+v, %v, %v), want a complete trace", tid, td, ok, err)
+		}
+	}
+	if recent, _ := sys.RecentTraces(64); len(recent) != 2 {
+		t.Fatalf("%d traces retained, want exactly the 2 client-traced checks", len(recent))
+	}
+}

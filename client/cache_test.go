@@ -25,6 +25,13 @@ func (b *cacheTestBackend) Check(session, operation, object string) bool {
 func (b *cacheTestBackend) PolicyEpoch() uint64 { return b.epoch.Load() }
 func (b *cacheTestBackend) PushEpoch() uint64   { return b.epoch.Load() }
 
+func (b *cacheTestBackend) CheckBatch(reqs []wire.CheckRequest, vs []bool) []bool {
+	for _, r := range reqs {
+		vs = append(vs, b.Check(r.Session, r.Operation, r.Object))
+	}
+	return vs
+}
+
 func (b *cacheTestBackend) CheckCacheable(session, operation, object string) (allowed, cacheable bool) {
 	allowed = b.Check(session, operation, object)
 	return allowed, allowed && object != "volatile"
@@ -220,7 +227,7 @@ func TestCacheLossAndResubscribe(t *testing.T) {
 // check goes to the server, nothing is ever served stale.
 func TestCachePassthroughWithoutPush(t *testing.T) {
 	type plainBackend struct{ cacheTestBackend }
-	// Only promote Check/PolicyEpoch: wrap so the Push/Cache upgrades are
+	// Only promote the Backend methods: wrap so the Push/Cache upgrades are
 	// not visible to the server's interface assertions.
 	b := &plainBackend{}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -470,46 +470,23 @@ func (b wireBackend) CheckCacheable(session, operation, object string) (allowed,
 	return b.srv.system().CheckAccessTupleCacheable(session, operation, object)
 }
 
-// CheckTraced upgrades the backend to wire.TraceBackend: a TRACE-flagged
-// CHECK runs the fully traced cascade and retains the trace under the
-// client-minted id, resolvable at /v1/traces/{id}.
-func (b wireBackend) CheckTraced(session, operation, object string, tid [wire.TraceIDSize]byte) bool {
-	return b.srv.system().CheckAccessTupleTraced(session, operation, object, activerbac.TraceID(tid))
-}
-
-// CheckBatch upgrades the backend to wire.BatchBackend: a CHECK_BATCH
-// frame becomes one batch-native engine pass instead of a per-tuple
-// fan-out. The conversion slice is pooled; the strings inside were
-// already allocated by the frame decode.
+// CheckBatch decides a CHECK_BATCH frame — or a TRACE-flagged CHECK,
+// which the server hands over as a batch of one — in one batch-native
+// engine pass. A request's Trace carries over, so a traced request's
+// cascade is retained under the client-minted id, resolvable at
+// /v1/traces/{id}. The conversion slice is pooled; the strings inside
+// were already allocated by the frame decode.
 func (b wireBackend) CheckBatch(reqs []wire.CheckRequest, vs []bool) []bool {
 	cb := checkConvPool.Get().(*[]activerbac.BatchCheck)
 	checks := (*cb)[:0]
-	for _, r := range reqs {
+	for i := range reqs {
+		r := &reqs[i]
 		checks = append(checks, activerbac.BatchCheck{
 			Session: r.Session, Operation: r.Operation, Object: r.Object,
+			Trace: activerbac.TraceID(r.Trace),
 		})
 	}
 	vs = b.srv.system().CheckAccessBatch(checks, vs)
-	for i := range checks {
-		checks[i] = activerbac.BatchCheck{}
-	}
-	*cb = checks[:0]
-	checkConvPool.Put(cb)
-	return vs
-}
-
-// CheckBatchTraced upgrades the backend to wire.BatchTraceBackend: the
-// batch's first tuple runs the traced cascade under the client id, the
-// remainder stays batch-native.
-func (b wireBackend) CheckBatchTraced(reqs []wire.CheckRequest, vs []bool, tid [wire.TraceIDSize]byte) []bool {
-	cb := checkConvPool.Get().(*[]activerbac.BatchCheck)
-	checks := (*cb)[:0]
-	for _, r := range reqs {
-		checks = append(checks, activerbac.BatchCheck{
-			Session: r.Session, Operation: r.Operation, Object: r.Object,
-		})
-	}
-	vs = b.srv.system().CheckAccessBatchTraced(checks, vs, activerbac.TraceID(tid))
 	for i := range checks {
 		checks[i] = activerbac.BatchCheck{}
 	}
@@ -955,19 +932,19 @@ const traceHeader = "X-Activerbac-Trace"
 // traceID pulls a client-minted trace id off the request. ok is false
 // only when the header is present but malformed (the caller answers
 // 400); an absent header yields a zero id with ok true.
-func traceID(w http.ResponseWriter, r *http.Request) (activerbac.TraceID, bool, bool) {
+func traceID(w http.ResponseWriter, r *http.Request) (activerbac.TraceID, bool) {
 	h := r.Header.Get(traceHeader)
 	if h == "" {
-		return activerbac.TraceID{}, false, true
+		return activerbac.TraceID{}, true
 	}
 	tid, err := activerbac.ParseTraceID(h)
 	if err != nil || tid.IsZero() {
 		http.Error(w, `{"error":"bad `+traceHeader+` header: want 32 hex chars, nonzero"}`, http.StatusBadRequest)
-		return activerbac.TraceID{}, false, false
+		return activerbac.TraceID{}, false
 	}
 	// Echo the id so callers correlate the response with /v1/traces/{id}.
 	w.Header().Set(traceHeader, tid.String())
-	return tid, true, true
+	return tid, true
 }
 
 func (s *server) check(w http.ResponseWriter, r *http.Request) {
@@ -989,14 +966,17 @@ func (s *server) check(w http.ResponseWriter, r *http.Request) {
 	// The plain check is the hot path: the string-tuple entry reaches
 	// the zero-alloc DecideCheck fast path (no SessionID/Permission/
 	// Params wrappers) and the verdict body is pre-encoded. A trace
-	// header diverts onto the traced cascade instead.
-	tid, traced, ok := traceID(w, r)
+	// header makes it a batch of one carrying the id.
+	tid, ok := traceID(w, r)
 	if !ok {
 		return
 	}
 	var allowed bool
-	if traced {
-		allowed = s.system().CheckAccessTupleTraced(q.Get("session"), q.Get("operation"), q.Get("object"), tid)
+	if !tid.IsZero() {
+		allowed = s.system().CheckAccessBatch([]activerbac.BatchCheck{{
+			Session: q.Get("session"), Operation: q.Get("operation"), Object: q.Get("object"),
+			Trace: tid,
+		}}, nil)[0]
 	} else {
 		allowed = s.system().CheckAccessTuple(q.Get("session"), q.Get("operation"), q.Get("object"))
 	}
@@ -1026,16 +1006,14 @@ func (s *server) checkBatch(w http.ResponseWriter, r *http.Request) {
 			http.StatusBadRequest)
 		return
 	}
-	tid, traced, ok := traceID(w, r)
+	tid, ok := traceID(w, r)
 	if !ok {
 		return
 	}
-	var verdicts []bool
-	if traced && len(req.Checks) > 0 {
-		verdicts = s.system().CheckAccessBatchTraced(req.Checks, nil, tid)
-	} else {
-		verdicts = s.system().CheckAccessBatch(req.Checks, nil)
+	if len(req.Checks) > 0 {
+		req.Checks[0].Trace = tid
 	}
+	verdicts := s.system().CheckAccessBatch(req.Checks, nil)
 	if verdicts == nil {
 		verdicts = []bool{} // encode an empty batch as [], not null
 	}

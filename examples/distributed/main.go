@@ -31,8 +31,9 @@ user ivy: Engineer
 user omar: Auditor
 `
 
-// leaderBackend adapts the leader system + hub to the wire server's
-// optional-interface upgrades (sync, push, replica tracking).
+// leaderBackend adapts the leader system + hub to the wire server: the
+// Backend checks (a request's Trace carries into the batch) plus the
+// optional sync, push and replica-tracking upgrades.
 type leaderBackend struct {
 	sys *activerbac.System
 	hub *replicate.Hub
@@ -41,6 +42,13 @@ type leaderBackend struct {
 func (b leaderBackend) Check(s, op, obj string) bool { return b.sys.CheckAccessTuple(s, op, obj) }
 func (b leaderBackend) PolicyEpoch() uint64          { return b.sys.SnapshotEpoch() }
 func (b leaderBackend) PushEpoch() uint64            { return b.sys.PushEpoch() }
+func (b leaderBackend) CheckBatch(reqs []wire.CheckRequest, vs []bool) []bool {
+	checks := make([]activerbac.BatchCheck, len(reqs))
+	for i, r := range reqs {
+		checks[i] = activerbac.BatchCheck{Session: r.Session, Operation: r.Operation, Object: r.Object, Trace: r.Trace}
+	}
+	return b.sys.CheckAccessBatch(checks, vs)
+}
 func (b leaderBackend) SyncSnapshot(name string, applied uint64) (wire.SyncState, error) {
 	return b.hub.SyncSnapshot(name, applied)
 }

@@ -149,7 +149,7 @@ func NewObserver(traceCapacity int) *Observer {
 		FastPathMisses: r.Counter("activerbac_fastpath_misses_total",
 			"Cacheable decisions that ran the cascade and were considered for caching.").With(),
 		FastPathBypass: r.Counter("activerbac_fastpath_bypass_total",
-			"Decisions ineligible for the fast path (uncacheable event, rule set or parameters).").With(),
+			"Access checks that could not use the fast path (uncacheable event or rule set, unencodable tuple, client trace with tracing off).").With(),
 		FastPathInvalidations: r.Counter("activerbac_fastpath_invalidations_total",
 			"Fast-path cache invalidations (whole-cache epoch bumps plus per-session bumps).").With(),
 		SnapshotEpoch: r.Gauge("activerbac_snapshot_epoch",

@@ -14,7 +14,8 @@ import (
 func Format(s *Spec) string {
 	var b strings.Builder
 	if s.Name != "" {
-		fmt.Fprintf(&b, "policy %q\n", s.Name)
+		// The parser trims plain quotes and reads no escapes: no %q.
+		fmt.Fprintf(&b, "policy \"%s\"\n", s.Name)
 	}
 	for _, r := range s.Roles {
 		fmt.Fprintf(&b, "role %s\n", r)

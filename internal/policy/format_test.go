@@ -88,3 +88,19 @@ func TestFormatEmptySpec(t *testing.T) {
 		t.Fatalf("Format(empty) = %q", got)
 	}
 }
+
+// TestFormatPolicyNameRoundTrip: Format writes the policy name the way
+// the parser reads it — between plain quotes, with no escapes — so a
+// name holding a backslash or a control character survives the round
+// trip unchanged.
+func TestFormatPolicyNameRoundTrip(t *testing.T) {
+	for _, name := range []string{`a\b`, "\x7f", "tab\there", `say "hi" twice`} {
+		back, err := ParseString(Format(&Spec{Name: name}))
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		if back.Name != name {
+			t.Errorf("policy name %q came back as %q", name, back.Name)
+		}
+	}
+}

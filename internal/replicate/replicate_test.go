@@ -61,6 +61,12 @@ type hubBackend struct {
 func (b *hubBackend) Check(_, _, _ string) bool { return false }
 func (b *hubBackend) PolicyEpoch() uint64       { return b.exp.PushEpoch() }
 func (b *hubBackend) PushEpoch() uint64         { return b.exp.PushEpoch() }
+func (b *hubBackend) CheckBatch(reqs []wire.CheckRequest, vs []bool) []bool {
+	for range reqs {
+		vs = append(vs, false)
+	}
+	return vs
+}
 func (b *hubBackend) SyncSnapshot(replica string, applied uint64) (wire.SyncState, error) {
 	st, err := b.hub.SyncSnapshot(replica, applied)
 	if err != nil || len(st.Data) == 0 {

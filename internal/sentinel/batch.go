@@ -10,12 +10,18 @@ import (
 )
 
 // CheckTuple is one enforcement request of a batch: the canonical
-// four-field tuple DecideCheck takes as separate arguments.
+// four-field tuple DecideCheck takes as separate arguments, plus the
+// request's trace identity.
 type CheckTuple struct {
 	User      string
 	Session   string
 	Operation string
 	Object    string
+	// Trace, when nonzero, asks for this tuple's cascade trace to be
+	// retained under the client-minted id. The tuple then leaves the
+	// batch floor for the per-tuple cascade and never touches the
+	// verdict cache, even with tracing off.
+	Trace obs.TraceID
 }
 
 // Verdict is one settled batch decision: the aggregate allow/deny and,
@@ -129,16 +135,15 @@ func (bs *batchState) release() {
 //     mutation interleaving with the batch lands after the capture and
 //     the affected entries are already stale when stored.
 //
-// Tracing interacts with batching per the observer's sampling policy
-// (a batch work item records no per-decision cascade steps, so a traced
-// tuple must leave the batch floor):
-//
-//   - trace ring without a sampler (trace-everything): the batch falls
-//     back to per-tuple DecideCheck calls, each fully traced;
-//   - trace ring with a sampler: a sampled batch traces exactly one
-//     tuple through the full per-tuple cascade while the remainder
-//     stays batch-native on the carrier fast path; an unsampled batch
-//     is entirely batch-native.
+// Tracing observes a decision without changing it, but a batch work
+// item records no per-decision cascade steps, so a traced tuple leaves
+// the batch floor for the per-tuple cascade. A tuple is traced when it
+// carries a nonzero Trace, when the trace ring has no sampler
+// (trace-everything), or when it is tuple 0 of a sampled batch; the
+// maximal untraced runs between traced tuples stay batch-native, in
+// input order. Callers that mark only tuple 0 (wire, HTTP, the sampler)
+// therefore still capture the snapshot once per batch. The batch-size
+// distribution records the submitted size once per call.
 //
 // See DESIGN.md §5.6 and §5.7.
 func (e *Engine) DecideCheckBatch(eventName string, tuples []CheckTuple, verdicts []Verdict) ([]Verdict, error) {
@@ -149,75 +154,54 @@ func (e *Engine) DecideCheckBatch(eventName string, tuples []CheckTuple, verdict
 	}
 	o := e.obs
 	var t0 time.Time
+	tracing, traceAll, traceFirst := false, false, false
 	if o != nil {
 		t0 = e.clk.Now()
+		o.BatchSize.Observe(float64(n))
+		if tracing = o.Traces != nil; tracing {
+			traceAll = o.Sampler == nil
+			traceFirst = !traceAll && o.Sampler.Sample(t0)
+		}
 	}
-	if o != nil && o.Traces != nil {
-		if o.Sampler == nil {
-			for i := range tuples {
-				t := &tuples[i]
-				dec, err := e.DecideCheck(eventName, t.User, t.Session, t.Operation, t.Object)
-				if err != nil {
-					return verdicts, err
-				}
-				allowed, reason := dec.Verdict()
-				verdicts = append(verdicts, Verdict{Allowed: allowed, Reason: reason})
+	fp := e.fp
+	run := 0 // first tuple of the pending untraced run
+	var err error
+	for i := range tuples {
+		t := &tuples[i]
+		if !traceAll && t.Trace.IsZero() && (i > 0 || !traceFirst) {
+			continue
+		}
+		if run < i {
+			if verdicts, err = e.decideBatchCore(o, t0, eventName, tuples[run:i], verdicts); err != nil {
+				return verdicts, err
 			}
-			return verdicts, nil
 		}
-		if o.Sampler.Sample(t0) {
-			return e.decideBatchSplit(o, t0, eventName, tuples, verdicts, obs.TraceID{})
-		}
-	}
-	return e.decideBatchCore(o, t0, eventName, tuples, verdicts, n)
-}
-
-// DecideCheckBatchTraced is DecideCheckBatch with a caller-supplied
-// trace identity: the batch's first tuple runs the full per-tuple
-// cascade traced under tid (resolvable at /v1/traces/{id}), the rest
-// stays batch-native — the same one-tuple shape sampled batches take.
-func (e *Engine) DecideCheckBatchTraced(eventName string, tuples []CheckTuple, verdicts []Verdict, tid obs.TraceID) ([]Verdict, error) {
-	verdicts = verdicts[:0]
-	n := len(tuples)
-	if n == 0 {
-		return verdicts, nil
-	}
-	o := e.obs
-	var t0 time.Time
-	if o != nil {
-		t0 = e.clk.Now()
-	}
-	return e.decideBatchSplit(o, t0, eventName, tuples, verdicts, tid)
-}
-
-// decideBatchSplit decides tuples[0] through the traced per-tuple
-// cascade and the remainder batch-native: the shape both sampled and
-// client-traced batches take. The one-tuple detour shows up in the
-// per-tuple decision metrics instead of the batch row; the batch-size
-// distribution still records the full submitted size.
-func (e *Engine) decideBatchSplit(o *obs.Observer, t0 time.Time, eventName string, tuples []CheckTuple, verdicts []Verdict, tid obs.TraceID) ([]Verdict, error) {
-	t := &tuples[0]
-	dec, err := e.DecideCheckTraced(eventName, t.User, t.Session, t.Operation, t.Object, tid)
-	if err != nil {
-		return verdicts, err
-	}
-	allowed, reason := dec.Verdict()
-	verdicts = append(verdicts, Verdict{Allowed: allowed, Reason: reason})
-	if len(tuples) == 1 {
+		run = i + 1
+		var ti time.Time
 		if o != nil {
-			o.BatchSize.Observe(1)
+			ti = e.clk.Now()
 		}
-		return verdicts, nil
+		if fp != nil && !tracing {
+			fp.bypass.Add(1)
+		}
+		dec, err := e.cascade(o, ti, eventName, checkParams(t.User, t.Session, t.Operation, t.Object),
+			nil, nil, 0, 0, tracing, t.Trace)
+		if err != nil {
+			return verdicts, err
+		}
+		allowed, reason := dec.Verdict()
+		verdicts = append(verdicts, Verdict{Allowed: allowed, Reason: reason})
 	}
-	return e.decideBatchCore(o, t0, eventName, tuples[1:], verdicts, len(tuples))
+	if run < n {
+		verdicts, err = e.decideBatchCore(o, t0, eventName, tuples[run:], verdicts)
+	}
+	return verdicts, err
 }
 
-// decideBatchCore is the batch-native evaluation floor shared by every
-// entry point above: one snapshot capture, one up-front cache probe,
-// one group work item for the misses, one settle. batchN is the size of the
-// originally submitted batch (tuples may be a remainder after a traced
-// split), recorded once into the batch-size distribution.
-func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string, tuples []CheckTuple, verdicts []Verdict, batchN int) ([]Verdict, error) {
+// decideBatchCore is the batch-native evaluation floor for one untraced
+// run of a batch: one snapshot capture, one up-front cache probe, one
+// group work item for the misses, one settle.
+func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string, tuples []CheckTuple, verdicts []Verdict) ([]Verdict, error) {
 	n := len(tuples)
 
 	bs := batchPool.Get().(*batchState)
@@ -259,6 +243,7 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 			}
 			sgen := fp.sgen(t.Session)
 			if dec, hit := fp.lookup(keys[start:], epoch, sgen); hit {
+				bs.keys = keys[:start] // drop the key, keep the grown buffer
 				decs[i] = dec
 				bs.keyOff[i] = fpKeyNone
 				hits++
@@ -362,7 +347,6 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 		// The batch is one decision round trip: its latency is observed
 		// once, not once per tuple.
 		o.DecisionLatency.With(eventName).Observe(e.clk.Now().Sub(t0).Seconds())
-		o.BatchSize.Observe(float64(batchN))
 		if cascades > 0 {
 			o.BatchGroups.Inc()
 		}

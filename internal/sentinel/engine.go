@@ -390,15 +390,11 @@ func (e *Engine) Monitor() *ExternalMonitor { return e.monitor }
 
 // Decide raises an enforcement event carrying a fresh Decision and
 // blocks until the rule cascade settles, returning the verdict. The
-// caller's params are not mutated.
-//
-// With the fast path enabled, a repeat ALLOW verdict for a cacheable
-// request is served from the epoch-tagged cache, skipping the cascade
-// entirely. Traced requests always cascade: a cached verdict has no
-// steps to record. Which requests are traced is the observer's call:
+// caller's params are not mutated. Decide always cascades: the
+// fast-path cache serves only the four-field tuple of DecideCheck and
+// DecideCheckBatch. Which requests are traced is the observer's call:
 // every one when a trace ring is configured without a sampler, the
-// sampled fraction otherwise — so a sampled production engine keeps the
-// fast path live for the untraced majority.
+// sampled fraction otherwise.
 func (e *Engine) Decide(eventName string, params event.Params) (*Decision, error) {
 	// Observability: the engine clock drives both the latency histogram
 	// and the trace timestamps, so simulated time in tests and benches
@@ -413,22 +409,22 @@ func (e *Engine) Decide(eventName string, params event.Params) (*Decision, error
 			traced = o.SampleTrace(t0)
 		}
 	}
-	if fp := e.fp; fp != nil && !traced {
-		user, session, operation, object, ok := fpRequest(params)
-		if ok && e.cacheable(eventName) {
-			return e.decideCached(o, t0, eventName, user, session, operation, object, params)
-		}
-		fp.bypass.Add(1)
-	}
 	return e.cascade(o, t0, eventName, params, nil, nil, 0, 0, traced, obs.TraceID{})
 }
 
 // DecideCheck is Decide for the canonical four-field enforcement tuple
-// (user, session, operation, object). Callers on the CheckAccess hot
-// path pass the fields as plain strings, so a cache hit never builds
-// the Params map — the map and the four interface boxes it costs are
-// only paid when the cascade actually runs. Behaviour is otherwise
-// identical to Decide with those four params.
+// (user, session, operation, object). With the fast path enabled, a
+// repeat ALLOW verdict for a cacheable event is served from the
+// epoch-tagged cache, skipping the cascade entirely; callers on the
+// CheckAccess hot path pass the fields as plain strings, so a cache hit
+// never builds the Params map. Traced requests always cascade: a cached
+// verdict has no steps to record, so a sampled production engine keeps
+// the fast path live for the untraced majority.
+//
+// The epoch pair is captured BEFORE lookup (and, on a miss, before the
+// cascade), so any interleaved mutation — which publishes its snapshot
+// and then bumps the epoch or session generation — makes the hit
+// invalid or the stored entry stale.
 func (e *Engine) DecideCheck(eventName, user, session, operation, object string) (*Decision, error) {
 	o := e.obs
 	var t0 time.Time
@@ -439,61 +435,19 @@ func (e *Engine) DecideCheck(eventName, user, session, operation, object string)
 			traced = o.SampleTrace(t0)
 		}
 	}
-	if fp := e.fp; fp != nil && !traced {
-		if e.cacheable(eventName) {
-			return e.decideCached(o, t0, eventName, user, session, operation, object, nil)
-		}
-		fp.bypass.Add(1)
-	}
-	return e.cascade(o, t0, eventName, checkParams(user, session, operation, object), nil, nil, 0, 0, traced, obs.TraceID{})
-}
-
-// DecideCheckTraced is DecideCheck with a caller-supplied trace
-// identity: the request always runs the full cascade (a cached verdict
-// has no steps to record) and, when a trace ring is configured, its
-// trace is retained under tid so /v1/traces/{id} resolves the id the
-// client minted at the edge — regardless of the sampler's verdict.
-// With tracing off entirely the id is accepted and ignored.
-func (e *Engine) DecideCheckTraced(eventName, user, session, operation, object string, tid obs.TraceID) (*Decision, error) {
-	o := e.obs
-	var t0 time.Time
-	traced := false
-	if o != nil {
-		t0 = e.clk.Now()
-		traced = o.Traces != nil
-	}
-	if fp := e.fp; fp != nil && !traced {
-		fp.bypass.Add(1)
-	}
-	return e.cascade(o, t0, eventName, checkParams(user, session, operation, object), nil, nil, 0, 0, traced, tid)
-}
-
-// checkParams builds the Params map for the four-field tuple.
-func checkParams(user, session, operation, object string) event.Params {
-	return event.Params{
-		"user": user, "session": session,
-		"operation": operation, "object": object,
-	}
-}
-
-// decideCached probes the fast-path cache for an already-validated
-// cacheable tuple and falls through to the cascade on a miss. The epoch
-// pair is captured BEFORE lookup (and, on a miss, before the cascade),
-// so any interleaved mutation — which publishes its snapshot and then
-// bumps the epoch or session generation — makes the hit invalid or the
-// stored entry stale. params may be nil (the DecideCheck entry); the
-// map is then only built if the cascade runs.
-func (e *Engine) decideCached(o *obs.Observer, t0 time.Time, eventName, user, session, operation, object string, params event.Params) (*Decision, error) {
 	fp := e.fp
+	if fp == nil || traced || !e.cacheable(eventName) {
+		if fp != nil && !traced {
+			fp.bypass.Add(1)
+		}
+		return e.cascade(o, t0, eventName, checkParams(user, session, operation, object), nil, nil, 0, 0, traced, obs.TraceID{})
+	}
 	buf := fpKeyPool.Get().(*[]byte)
 	key, fits := appendFPKey((*buf)[:0], eventName, user, session, operation, object)
 	if !fits {
 		fpKeyPool.Put(buf)
 		fp.bypass.Add(1)
-		if params == nil {
-			params = checkParams(user, session, operation, object)
-		}
-		return e.cascade(o, t0, eventName, params, nil, nil, 0, 0, false, obs.TraceID{})
+		return e.cascade(o, t0, eventName, checkParams(user, session, operation, object), nil, nil, 0, 0, false, obs.TraceID{})
 	}
 	epoch := fp.epoch.Load()
 	sgen := fp.sgen(session)
@@ -522,10 +476,15 @@ func (e *Engine) decideCached(o *obs.Observer, t0 time.Time, eventName, user, se
 	if o != nil {
 		o.StageFastPath.Observe(e.clk.Now().Sub(t0).Seconds())
 	}
-	if params == nil {
-		params = checkParams(user, session, operation, object)
+	return e.cascade(o, t0, eventName, checkParams(user, session, operation, object), buf, key, epoch, sgen, false, obs.TraceID{})
+}
+
+// checkParams builds the Params map for the four-field tuple.
+func checkParams(user, session, operation, object string) event.Params {
+	return event.Params{
+		"user": user, "session": session,
+		"operation": operation, "object": object,
 	}
-	return e.cascade(o, t0, eventName, params, buf, key, epoch, sgen, false, obs.TraceID{})
 }
 
 // cascade runs the full rule cascade for one enforcement event. fpBuf

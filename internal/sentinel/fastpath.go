@@ -101,8 +101,13 @@ type FastPath struct {
 
 // FastPathStats is a point-in-time snapshot of the cache counters.
 type FastPathStats struct {
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	// Bypass counts access checks (DecideCheck, DecideCheckBatch)
+	// that could not use the cache: an uncacheable event, an
+	// unencodable tuple, or a client trace with tracing off. Decide
+	// never touches the cache, so administrative decisions are not
+	// counted.
 	Bypass        uint64 `json:"bypass"`
 	Invalidations uint64 `json:"invalidations"`
 	Epoch         uint64 `json:"epoch"`
@@ -278,32 +283,6 @@ func fpKeySession(key string) string {
 		}
 		key = key[1+int(key[0]):]
 	}
-}
-
-// fpRequest extracts the cacheable request fields from params. Any
-// parameter outside the known string quartet makes the request
-// uncacheable: an unknown parameter could steer a rule condition and
-// must not collapse into another tuple's cache line.
-func fpRequest(params map[string]any) (user, session, operation, object string, ok bool) {
-	for k, v := range params {
-		s, isStr := v.(string)
-		if !isStr {
-			return "", "", "", "", false
-		}
-		switch k {
-		case "user":
-			user = s
-		case "session":
-			session = s
-		case "operation":
-			operation = s
-		case "object":
-			object = s
-		default:
-			return "", "", "", "", false
-		}
-	}
-	return user, session, operation, object, true
 }
 
 // fpHash is the table hash of a key. FNV-1a's bit k depends only on

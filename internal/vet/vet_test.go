@@ -323,7 +323,7 @@ func (e *Engine) DecideCheckBatch(tuples []CheckTuple) {
 func TestBatchSnapScope(t *testing.T) {
 	nonBatch := `package sentinel
 
-func (e *Engine) decideCached() {
+func (e *Engine) DecideCheck() {
 	for i := 0; i < 3; i++ {
 		_ = e.cacheable("ev")
 		_ = i

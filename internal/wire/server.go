@@ -14,45 +14,20 @@ import (
 )
 
 // Backend is what a wire server enforces against. Implementations must
-// be safe for concurrent use; rbacd adapts *activerbac.System.
+// be safe for concurrent use; rbacd adapts *activerbac.System. A
+// TRACE-flagged request reaches the backend as a CheckBatch whose first
+// request carries the frame's trace id; a backend that ignores Trace
+// serves the check untraced.
 type Backend interface {
 	// Check decides one access check for the session's user, resolving
 	// the user from the session exactly like GET /v1/check.
 	Check(session, operation, object string) bool
 	// PolicyEpoch reports the published policy snapshot epoch.
 	PolicyEpoch() uint64
-}
-
-// BatchBackend is optionally implemented by a Backend that can decide a
-// whole CHECK_BATCH natively — one engine pass for the frame instead of
-// a per-tuple fan-out. The server detects it once at construction; a
-// plain Backend keeps the per-tuple loop.
-type BatchBackend interface {
-	Backend
 	// CheckBatch decides every request of one batch, appending one
 	// verdict per request to vs in request order and returning the
 	// extended slice (reused when capacity allows).
 	CheckBatch(reqs []CheckRequest, vs []bool) []bool
-}
-
-// TraceBackend is optionally implemented by a Backend that can run a
-// client-traced check: the decision's cascade trace is retained under
-// the supplied 16-byte id. A plain Backend serves TraceFlag CHECKs as
-// ordinary checks (the id is dropped).
-type TraceBackend interface {
-	Backend
-	// CheckTraced is Check with the decision traced under tid.
-	CheckTraced(session, operation, object string, tid [TraceIDSize]byte) bool
-}
-
-// BatchTraceBackend is optionally implemented by a BatchBackend that
-// can decide a TraceFlag CHECK_BATCH natively: the first tuple's trace
-// is retained under tid, the rest stays batch-native.
-type BatchTraceBackend interface {
-	BatchBackend
-	// CheckBatchTraced is CheckBatch with the first tuple traced under
-	// tid.
-	CheckBatchTraced(reqs []CheckRequest, vs []bool, tid [TraceIDSize]byte) []bool
 }
 
 // PushBackend is optionally implemented by a Backend whose epoch bumps
@@ -187,13 +162,6 @@ var ErrServerClosed = errors.New("wire: server closed")
 // methods are safe for concurrent use.
 type Server struct {
 	backend Backend
-	// batch is backend's BatchBackend upgrade, asserted once at
-	// construction; nil keeps the per-tuple CHECK_BATCH fan-out.
-	batch BatchBackend
-	// trace and btrace are the trace-capable upgrades, asserted once at
-	// construction; nil serves TraceFlag requests untraced.
-	trace  TraceBackend
-	btrace BatchTraceBackend
 	// push and cache are the epoch-push upgrades, asserted once at
 	// construction; nil answers SUBSCRIBE / CacheFlag CHECKs with
 	// ErrCodeUnsupported.
@@ -220,18 +188,12 @@ func NewServer(backend Backend, opts *ServerOptions) *Server {
 	if opts != nil {
 		o = *opts
 	}
-	batch, _ := backend.(BatchBackend)
-	trace, _ := backend.(TraceBackend)
-	btrace, _ := backend.(BatchTraceBackend)
 	push, _ := backend.(PushBackend)
 	cache, _ := backend.(CacheBackend)
 	syncb, _ := backend.(SyncBackend)
 	tracker, _ := backend.(ReplicaTracker)
 	return &Server{
 		backend: backend,
-		batch:   batch,
-		trace:   trace,
-		btrace:  btrace,
 		push:    push,
 		cache:   cache,
 		syncb:   syncb,
@@ -396,13 +358,11 @@ func (sc *srvConn) notifyPush(epoch uint64) {
 
 // request is one decoded unit of work handed to the worker pool.
 type request struct {
-	op     byte
-	id     uint32
-	check  CheckRequest   // OpCheck
-	batch  []CheckRequest // OpCheckBatch
-	traced bool           // TraceFlag was set on the request opcode
-	tid    [TraceIDSize]byte
-	start  time.Time // decode instant; zero unless the RTT hook is wired
+	op    byte
+	id    uint32
+	check CheckRequest   // OpCheck
+	batch []CheckRequest // OpCheckBatch
+	start time.Time      // decode instant; zero unless the RTT hook is wired
 }
 
 // response is one frame queued for the writer.
@@ -539,36 +499,39 @@ func (sc *srvConn) readLoop(sem chan struct{}, out chan<- response, work chan<- 
 					errors.New("wire: backend does not classify verdict cacheability"), ins)
 				continue
 			}
+			var tid [TraceIDSize]byte
 			if f.Op&TraceFlag != 0 {
 				var err error
-				if req.tid, payload, err = ConsumeTraceID(payload); err != nil {
+				if tid, payload, err = ConsumeTraceID(payload); err != nil {
 					out <- sc.errorResponse(f, ErrCodeBadRequest, err, ins)
 					continue
 				}
-				req.traced = true
 			}
 			session, operation, object, err := ConsumeCheck(payload)
 			if err != nil {
 				out <- sc.errorResponse(f, ErrCodeBadRequest, err, ins)
 				continue
 			}
-			req.check = CheckRequest{Session: session, Operation: operation, Object: object}
+			req.check = CheckRequest{Session: session, Operation: operation, Object: object, Trace: tid}
 			work <- req
 		case OpCheckBatch, OpCheckBatch | TraceFlag:
 			payload := f.Payload
 			req := request{op: f.Op, id: f.ID, start: start}
+			var tid [TraceIDSize]byte
 			if f.Op&TraceFlag != 0 {
 				var err error
-				if req.tid, payload, err = ConsumeTraceID(payload); err != nil {
+				if tid, payload, err = ConsumeTraceID(payload); err != nil {
 					out <- sc.errorResponse(f, ErrCodeBadRequest, err, ins)
 					continue
 				}
-				req.traced = true
 			}
 			batch, err := ConsumeCheckBatch(payload, nil)
 			if err != nil {
 				out <- sc.errorResponse(f, ErrCodeBadRequest, err, ins)
 				continue
+			}
+			if len(batch) > 0 {
+				batch[0].Trace = tid
 			}
 			req.batch = batch
 			work <- req
@@ -672,9 +635,12 @@ func (sc *srvConn) execute(req request) response {
 			}
 			return response{op: req.op | RespFlag, id: req.id, payload: cacheVerdicts[v], start: req.start}
 		}
-		allowed := false
-		if tb := sc.srv.trace; req.traced && tb != nil {
-			allowed = tb.CheckTraced(req.check.Session, req.check.Operation, req.check.Object, req.tid)
+		var allowed bool
+		if req.op&TraceFlag != 0 {
+			// A traced CHECK is a batch of one carrying the id.
+			var v [1]bool
+			vs := sc.srv.backend.CheckBatch([]CheckRequest{req.check}, v[:0])
+			allowed = len(vs) == 1 && vs[0]
 		} else {
 			allowed = sc.srv.backend.Check(req.check.Session, req.check.Operation, req.check.Object)
 		}
@@ -684,36 +650,13 @@ func (sc *srvConn) execute(req request) response {
 		}
 		return response{op: req.op | RespFlag, id: req.id, payload: p, start: req.start}
 	default: // OpCheckBatch
-		payload := make([]byte, 0, len(req.batch)+binary.MaxVarintLen64)
-		if bb := sc.srv.batch; bb != nil {
-			// Batch-native: one engine pass decides the whole frame and
-			// one append encodes it.
-			vb := verdictBufPool.Get().(*[]bool)
-			var vs []bool
-			if tb := sc.srv.btrace; req.traced && tb != nil {
-				vs = tb.CheckBatchTraced(req.batch, (*vb)[:0], req.tid)
-			} else {
-				vs = bb.CheckBatch(req.batch, (*vb)[:0])
-			}
-			payload = AppendVerdicts(payload, vs)
-			*vb = vs[:0]
-			verdictBufPool.Put(vb)
-		} else {
-			payload = binary.AppendUvarint(payload, uint64(len(req.batch)))
-			for i, r := range req.batch {
-				v := byte(0)
-				allowed := false
-				if tb := sc.srv.trace; req.traced && i == 0 && tb != nil {
-					allowed = tb.CheckTraced(r.Session, r.Operation, r.Object, req.tid)
-				} else {
-					allowed = sc.srv.backend.Check(r.Session, r.Operation, r.Object)
-				}
-				if allowed {
-					v = 1
-				}
-				payload = append(payload, v)
-			}
-		}
+		// One backend pass decides the whole frame and one append
+		// encodes it.
+		vb := verdictBufPool.Get().(*[]bool)
+		vs := sc.srv.backend.CheckBatch(req.batch, (*vb)[:0])
+		payload := AppendVerdicts(make([]byte, 0, len(req.batch)+binary.MaxVarintLen64), vs)
+		*vb = vs[:0]
+		verdictBufPool.Put(vb)
 		return response{op: req.op | RespFlag, id: req.id, payload: payload, start: req.start}
 	}
 }

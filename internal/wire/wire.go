@@ -328,6 +328,11 @@ type CheckRequest struct {
 	Session   string
 	Operation string
 	Object    string
+	// Trace is the frame's trace id on the first request of a
+	// TRACE-flagged CHECK or CHECK_BATCH, zero elsewhere. The frame
+	// carries it once, ahead of the requests: AppendCheckBatch does not
+	// encode it (Client.CheckManyTraced sets the flag instead).
+	Trace [TraceIDSize]byte
 }
 
 // AppendCheck appends a CHECK request payload.

@@ -197,6 +197,13 @@ func (tb *testBackend) Check(session, operation, object string) bool {
 
 func (tb *testBackend) PolicyEpoch() uint64 { return tb.epoch.Load() }
 
+func (tb *testBackend) CheckBatch(reqs []CheckRequest, vs []bool) []bool {
+	for _, r := range reqs {
+		vs = append(vs, tb.Check(r.Session, r.Operation, r.Object))
+	}
+	return vs
+}
+
 // startServer runs a wire server on a loopback listener and returns its
 // address plus a cleanup-registered handle.
 func startServer(t *testing.T, tb *testBackend, opts *ServerOptions) (*Server, string) {

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// tracedBackend upgrades testBackend with the trace interfaces,
-// recording every trace id it is handed.
+// tracedBackend is testBackend recording the trace id carried by the
+// first request of every batch it is handed.
 type tracedBackend struct {
 	*testBackend
 
@@ -16,25 +16,13 @@ type tracedBackend struct {
 	tids [][TraceIDSize]byte
 }
 
-func (tb *tracedBackend) CheckTraced(session, operation, object string, tid [TraceIDSize]byte) bool {
-	tb.mu.Lock()
-	tb.tids = append(tb.tids, tid)
-	tb.mu.Unlock()
-	return tb.Check(session, operation, object)
-}
-
 func (tb *tracedBackend) CheckBatch(reqs []CheckRequest, vs []bool) []bool {
-	for _, r := range reqs {
-		vs = append(vs, tb.Check(r.Session, r.Operation, r.Object))
+	if len(reqs) > 0 && reqs[0].Trace != ([TraceIDSize]byte{}) {
+		tb.mu.Lock()
+		tb.tids = append(tb.tids, reqs[0].Trace)
+		tb.mu.Unlock()
 	}
-	return vs
-}
-
-func (tb *tracedBackend) CheckBatchTraced(reqs []CheckRequest, vs []bool, tid [TraceIDSize]byte) []bool {
-	tb.mu.Lock()
-	tb.tids = append(tb.tids, tid)
-	tb.mu.Unlock()
-	return tb.CheckBatch(reqs, vs)
+	return tb.testBackend.CheckBatch(reqs, vs)
 }
 
 func (tb *tracedBackend) seen() [][TraceIDSize]byte {
@@ -139,8 +127,9 @@ func TestCheckTraced(t *testing.T) {
 	}
 }
 
-// A plain backend must serve TraceFlag requests as ordinary checks:
-// the flag is additive, not a hard capability requirement.
+// A backend that ignores CheckRequest.Trace must still answer
+// TraceFlag requests as ordinary checks: the flag is additive, not a
+// hard capability requirement.
 func TestCheckTracedPlainBackendDegrades(t *testing.T) {
 	tb := newTestBackend()
 	_, addr := startServer(t, tb, nil)
@@ -184,5 +173,35 @@ func TestTracedBadPrefixKeepsConn(t *testing.T) {
 	// The connection must still serve ordinary requests.
 	if allowed, err := cl.Check("s1", "read", "doc"); err != nil || !allowed {
 		t.Fatalf("Check after bad traced frame = (%v, %v)", allowed, err)
+	}
+}
+
+// An empty TRACE-flagged CHECK_BATCH has no first request to carry the
+// id: it answers an empty verdict list and the connection survives.
+// Client.CheckManyTraced returns early on an empty batch, so the frame
+// is hand-rolled.
+func TestEmptyTracedBatch(t *testing.T) {
+	tb := &tracedBackend{testBackend: newTestBackend()}
+	_, addr := startTracedServer(t, tb, nil)
+	cl, err := Dial(addr, &ClientOptions{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+
+	payload := AppendCheckBatch(AppendTraceID(nil, [TraceIDSize]byte{9}), nil)
+	resp, err := cl.roundTrip(OpCheckBatch|TraceFlag, payload)
+	if err != nil {
+		t.Fatalf("empty traced CHECK_BATCH: %v", err)
+	}
+	verdicts, err := ConsumeVerdicts(resp, nil)
+	if err != nil || len(verdicts) != 0 {
+		t.Fatalf("verdicts = (%v, %v), want an empty list", verdicts, err)
+	}
+	if seen := tb.seen(); len(seen) != 0 {
+		t.Fatalf("backend saw tids %v for an empty batch", seen)
+	}
+	if allowed, err := cl.Check("s1", "read", "doc"); err != nil || !allowed {
+		t.Fatalf("Check after empty traced batch = (%v, %v)", allowed, err)
 	}
 }
