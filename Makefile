@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the tier-1 gate from
 # ROADMAP.md: build, tests, race detector, vet, lint, bounded
-# verification of the example policies, short wire-codec and
-# policy-parser fuzzes, one round of every paper-experiment benchmark,
+# verification of the example policies, short wire-codec,
+# policy-parser and allow-cache key fuzzes, one round of every paper-experiment benchmark,
 # and two-second runs of the out-of-process benchmark's cold and reload
 # workloads so the cached, uncached and remote decide paths and hot
 # reload → SYNC → replica install are exercised end to end on every
@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint check verify-policies fuzz-wire fuzz-policy bench-smoke bench-e2e-smoke clean
+.PHONY: build test race vet lint check verify-policies fuzz-wire fuzz-policy fuzz-cache bench-smoke bench-e2e-smoke clean
 
 build:
 	$(GO) build ./...
@@ -34,7 +34,7 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/rbacvet ./...
 
-check: build test race vet lint verify-policies fuzz-wire fuzz-policy bench-smoke bench-e2e-smoke
+check: build test race vet lint verify-policies fuzz-wire fuzz-policy fuzz-cache bench-smoke bench-e2e-smoke
 
 # verify-policies runs the bounded symbolic verifier over every example
 # policy. Files named *-violating.acp are seeded-unsafe fixtures and
@@ -76,6 +76,13 @@ fuzz-wire:
 # whatever it accepts must format, re-parse and format to the same text.
 fuzz-policy:
 	$(GO) test ./internal/policy -fuzz=FuzzParse -fuzztime=5s
+
+# fuzz-cache gives the allow-cache key codec shared by the engine fast
+# path and the client cache the same budget: two field tuples must
+# encode equal keys exactly when they are equal, and a field over 255
+# bytes must be unencodable.
+fuzz-cache:
+	$(GO) test ./internal/allowcache -run '^$$' -fuzz=FuzzAppendKey -fuzztime=5s
 
 # bench-smoke runs every root benchmark in bench_test.go once: the
 # paper experiments (F1, E1-E8, ablations A1-A3) and BenchmarkOpen, so

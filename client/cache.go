@@ -2,32 +2,30 @@
 // client that serves repeat ALLOW verdicts locally, deleting the
 // network round trip for read-heavy enforcement points.
 //
-// Cache extends the engine's born-stale epoch discipline (DESIGN §5.4)
-// across the network. Every cached entry is tagged with the push epoch
-// captured before its remote check was issued; a lookup hits only while
-// that tag still equals the current epoch. The server pushes every
-// epoch bump to the subscribed connection (wire EPOCH_PUSH), so one
-// atomic epoch store invalidates the whole cache the moment any
-// policy-, session-, detector- or rule-grade change lands. Only
-// verdicts the server marks cacheable are stored — the same
-// pure-snapshot classification the in-process fast path uses — and only
-// allows: denials always re-ask, keeping the active-security denial
-// monitors fed.
+// Cache runs the engine's born-stale epoch discipline (DESIGN §5.4)
+// across the network, on the bounded allowcache table the in-process
+// fast path uses. Every entry is filed under the table epoch captured
+// before its remote check was issued, and every epoch push from the
+// server (wire EPOCH_PUSH) that moves the epoch bumps the table epoch,
+// retiring the whole cache the moment any policy-, session-, detector-
+// or rule-grade change lands. Only allows the server marks cacheable
+// are stored — the fast path's pure-snapshot classification — so
+// denials always re-ask, keeping the active-security denial monitors
+// fed; tuples with a field over 255 bytes always go remote.
 //
 // Safety does not degrade when the subscription drops: the cache stops
-// serving entirely (every check goes remote), hard-drops its entries —
-// a restarted server may reuse old epoch numbers — and a background
+// serving entirely (every check goes remote), bumps the table epoch — a
+// restarted server may reuse old push epoch numbers — and a background
 // loop polls POLICY_VERSION for liveness and re-subscribes; local
 // serving resumes only once pushes flow again.
 package client
 
 import (
-	"encoding/binary"
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"activerbac/internal/allowcache"
 	"activerbac/internal/wire"
 )
 
@@ -81,34 +79,20 @@ type Stats struct {
 	Invalidations uint64
 }
 
-const numShards = 64
-
-// shard is one lock-striped slice of the verdict cache: tuple key →
-// the push epoch the allow was stored under.
-type shard struct {
-	mu sync.Mutex
-	m  map[string]uint64
-}
-
 // Cache is a wire client with an embedded epoch-tagged verdict cache.
 // All methods are safe for concurrent use.
 type Cache struct {
 	cl   *wire.Client
 	opts Options
 
-	// epoch is the local view of the server's push epoch; a cached
-	// entry hits only while its tag equals it. active gates local
-	// serving on a live subscription. gen counts activation
-	// transitions, fencing in-flight stores against a drop-and-
-	// reactivate (a restarted server may reuse epoch numbers).
-	// All three are written only under mu.
+	// epoch is the local view of the server's push epoch; active gates
+	// local serving on a live subscription. Both are written only under
+	// mu, as are the bumps of tab's epoch: one per push that moves
+	// epoch and one per activation change.
 	mu     sync.Mutex
 	epoch  atomic.Uint64
 	active atomic.Bool
-	gen    atomic.Uint64
-
-	shards [numShards]shard
-	seed   maphash.Seed
+	tab    allowcache.Table[struct{}]
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
@@ -131,12 +115,8 @@ func New(addr string, opts *Options) (*Cache, error) {
 	}
 	c := &Cache{
 		opts:   o.withDefaults(),
-		seed:   maphash.MakeSeed(),
 		lost:   make(chan struct{}, 1),
 		closed: make(chan struct{}),
-	}
-	for i := range c.shards {
-		c.shards[i].m = map[string]uint64{}
 	}
 	cl, err := wire.Dial(addr, &wire.ClientOptions{
 		Conns:              o.Conns,
@@ -160,50 +140,40 @@ func New(addr string, opts *Options) (*Cache, error) {
 // the subscription is live. Denials, non-cacheable verdicts and every
 // check while unsubscribed go to the server.
 func (c *Cache) Check(session, operation, object string) (bool, error) {
+	// Born-stale: capture the table epoch before reading active. A push
+	// or an activation change that lands after the capture bumps the
+	// table epoch, so whatever this check stores is already retired.
+	epoch := c.tab.Epoch()
 	if !c.active.Load() {
-		c.misses.Add(1)
-		if ins := c.opts.Instruments; ins != nil && ins.Miss != nil {
-			ins.Miss()
-		}
+		c.miss()
 		return c.cl.Check(session, operation, object)
 	}
-	// Born-stale: capture epoch and generation before anything else. An
-	// entry stored under this epoch is already invalid if a push lands
-	// before the store — the tag mismatch silently retires it.
-	e := c.epoch.Load()
-	g := c.gen.Load()
-	key := cacheKey(session, operation, object)
-	sh := &c.shards[maphash.String(c.seed, key)%numShards]
-	sh.mu.Lock()
-	tag, ok := sh.m[key]
-	sh.mu.Unlock()
-	if ok && tag == e {
+	var buf [128]byte
+	key, fits := allowcache.AppendKey(buf[:0], session, operation, object)
+	g := c.tab.Session(session)
+	if _, hit := c.tab.Lookup(key, epoch, g); fits && hit {
 		c.hits.Add(1)
 		if ins := c.opts.Instruments; ins != nil && ins.Hit != nil {
 			ins.Hit()
 		}
 		return true, nil // allow-only: a stored entry is an allow
 	}
-	c.misses.Add(1)
-	if ins := c.opts.Instruments; ins != nil && ins.Miss != nil {
-		ins.Miss()
-	}
+	c.miss()
 	allowed, cacheable, err := c.cl.CheckCacheable(session, operation, object)
 	if err != nil {
 		return false, err
 	}
-	if allowed && cacheable {
-		sh.mu.Lock()
-		// The generation fence keeps a check that straddled a
-		// deactivate/reactivate from seeding the fresh map with an
-		// old-world verdict whose epoch tag could collide after a
-		// server restart.
-		if c.gen.Load() == g {
-			sh.m[key] = e
-		}
-		sh.mu.Unlock()
+	if allowed && cacheable && fits {
+		c.tab.Store(key, struct{}{}, epoch, g)
 	}
 	return allowed, nil
+}
+
+func (c *Cache) miss() {
+	c.misses.Add(1)
+	if ins := c.opts.Instruments; ins != nil && ins.Miss != nil {
+		ins.Miss()
+	}
 }
 
 // Epoch reports the local view of the server's push epoch.
@@ -232,16 +202,14 @@ func (c *Cache) Close() error {
 	return c.cl.Close()
 }
 
-// onPush is the wire client's epoch-push callback: one atomic store
-// retires every entry tagged with an older epoch.
+// onPush is the wire client's epoch-push callback: one table epoch
+// bump retires every entry stored before it.
 func (c *Cache) onPush(epoch uint64) {
 	c.mu.Lock()
 	if c.epoch.Load() != epoch {
 		c.epoch.Store(epoch)
-		c.invalidations.Add(1)
-		if ins := c.opts.Instruments; ins != nil && ins.Invalidation != nil {
-			ins.Invalidation()
-		}
+		c.tab.Invalidate()
+		c.invalidated()
 	}
 	c.mu.Unlock()
 }
@@ -257,45 +225,36 @@ func (c *Cache) onLost() {
 	}
 }
 
-// activate installs a fresh subscription: bump the generation, drop
-// every entry (a restarted server may reuse epoch numbers, so nothing
-// stored under the old subscription may survive), then enable local
-// serving at the subscribed epoch. A push racing this and landing
-// first is not lost: its epoch overwrite is undone here, but the
-// entries it would have retired were just dropped wholesale, and any
-// verdict cached afterwards was computed after that push's bump.
+// activate installs a fresh subscription: retire every entry (a
+// restarted server may reuse epoch numbers), then serve locally at the
+// subscribed epoch. A push that raced this and landed first is not
+// lost: any verdict cached afterwards was computed after its bump.
 func (c *Cache) activate(epoch uint64) {
 	c.mu.Lock()
-	c.gen.Add(1)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.m = map[string]uint64{}
-		sh.mu.Unlock()
-	}
+	c.tab.Invalidate()
 	c.epoch.Store(epoch)
 	c.active.Store(true)
 	c.mu.Unlock()
 }
 
-// deactivate stops local serving and hard-drops the entries.
+// deactivate stops local serving, then retires the entries. In that
+// order, a check that captured the bumped table epoch reads active as
+// false and never touches the table.
 func (c *Cache) deactivate() {
 	c.mu.Lock()
 	if c.active.Load() {
 		c.active.Store(false)
-		c.invalidations.Add(1)
-		if ins := c.opts.Instruments; ins != nil && ins.Invalidation != nil {
-			ins.Invalidation()
-		}
+		c.invalidated()
 	}
-	c.gen.Add(1)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.m = map[string]uint64{}
-		sh.mu.Unlock()
-	}
+	c.tab.Invalidate()
 	c.mu.Unlock()
+}
+
+func (c *Cache) invalidated() {
+	c.invalidations.Add(1)
+	if ins := c.opts.Instruments; ins != nil && ins.Invalidation != nil {
+		ins.Invalidation()
+	}
 }
 
 // maintain is the fallback loop: while the subscription is down it
@@ -323,17 +282,4 @@ func (c *Cache) maintain() {
 		}
 		c.activate(epoch)
 	}
-}
-
-// cacheKey builds the length-prefixed tuple key; prefixes keep
-// ("a","b\x00c") and ("a\x00b","c") from colliding.
-func cacheKey(session, operation, object string) string {
-	b := make([]byte, 0, len(session)+len(operation)+len(object)+3*binary.MaxVarintLen32)
-	b = binary.AppendUvarint(b, uint64(len(session)))
-	b = append(b, session...)
-	b = binary.AppendUvarint(b, uint64(len(operation)))
-	b = append(b, operation...)
-	b = binary.AppendUvarint(b, uint64(len(object)))
-	b = append(b, object...)
-	return string(b)
 }

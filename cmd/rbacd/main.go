@@ -458,14 +458,13 @@ func (b wireBackend) PolicyEpoch() uint64 {
 	return b.srv.system().SnapshotEpoch()
 }
 
-// PushEpoch upgrades the backend to wire.PushBackend: SUBSCRIBE answers
-// with the engine's push epoch, which also bumps on session-grade
-// changes the policy snapshot epoch does not see.
+// PushEpoch and CheckCacheable upgrade the backend to wire.PushBackend:
+// SUBSCRIBE answers with the engine's push epoch, which also bumps on
+// session-grade changes the policy snapshot epoch does not see.
 func (b wireBackend) PushEpoch() uint64 { return b.srv.system().PushEpoch() }
 
-// CheckCacheable upgrades the backend to wire.CacheBackend: a
-// CACHE-flagged CHECK additionally reports whether the verdict is safe
-// for an epoch-tagged client cache.
+// CheckCacheable answers a CACHE-flagged CHECK: the verdict and whether
+// an epoch-tagged client cache may keep it until the next push.
 func (b wireBackend) CheckCacheable(session, operation, object string) (allowed, cacheable bool) {
 	return b.srv.system().CheckAccessTupleCacheable(session, operation, object)
 }

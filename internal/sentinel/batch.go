@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"activerbac/internal/allowcache"
 	"activerbac/internal/event"
 	"activerbac/internal/obs"
 )
@@ -45,7 +46,7 @@ type batchState struct {
 	keys   []byte  // all fast-path keys of the batch, back to back
 	keyOff []int32 // per tuple: offset into keys, or fpKeyNone
 	keyEnd []int32 // per tuple: end of its key in keys
-	sgens  []uint64
+	sgens  []allowcache.Gen
 
 	group []event.Params // owned mode: each cascading tuple's params, in input order
 	idx   []int32        // carrier mode: each cascading tuple's index, in input order
@@ -85,7 +86,7 @@ func (bs *batchState) grow(n int) []*Decision {
 		bs.decs = make([]*Decision, n)
 		bs.keyOff = make([]int32, n)
 		bs.keyEnd = make([]int32, n)
-		bs.sgens = make([]uint64, n)
+		bs.sgens = make([]allowcache.Gen, n)
 	} else {
 		bs.decs = bs.decs[:n]
 		for i := range bs.decs {
@@ -225,7 +226,7 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 	cacheable := fp != nil && shape
 	var epoch uint64
 	if cacheable {
-		epoch = fp.epoch.Load()
+		epoch = fp.tab.Epoch()
 	}
 
 	var hits, cascades int
@@ -234,15 +235,15 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 		for i := range tuples {
 			t := &tuples[i]
 			start := len(bs.keys)
-			keys, fits := appendFPKey(bs.keys, eventName, t.User, t.Session, t.Operation, t.Object)
+			keys, fits := allowcache.AppendKey(bs.keys, eventName, t.User, t.Session, t.Operation, t.Object)
 			if !fits {
 				bs.keyOff[i] = fpKeyNone
 				cascades++
 				fp.bypass.Add(1)
 				continue
 			}
-			sgen := fp.sgen(t.Session)
-			if dec, hit := fp.lookup(keys[start:], epoch, sgen); hit {
+			sgen := fp.tab.Session(t.Session)
+			if dec, hit := fp.tab.Lookup(keys[start:], epoch, sgen); hit {
 				bs.keys = keys[:start] // drop the key, keep the grown buffer
 				decs[i] = dec
 				bs.keyOff[i] = fpKeyNone
@@ -330,7 +331,7 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 		if allowed {
 			allows++
 			if off := bs.keyOff[i]; off >= 0 {
-				fp.store(bs.keys[off:bs.keyEnd[i]], decs[i], epoch, bs.sgens[i])
+				fp.tab.Store(bs.keys[off:bs.keyEnd[i]], decs[i], epoch, bs.sgens[i])
 			}
 		} else {
 			denies++

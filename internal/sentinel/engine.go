@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"activerbac/internal/allowcache"
 	"activerbac/internal/clock"
 	"activerbac/internal/core"
 	"activerbac/internal/event"
@@ -204,8 +205,8 @@ type engineConfig struct {
 // Deprecated: ignored; enforcement runs on one drain.
 func WithLanes(int) EngineOption { return func(*engineConfig) {} }
 
-// WithFastPath enables the read-mostly decision fast path: Decide
-// serves repeat ALLOW verdicts for cacheable events from an
+// WithFastPath enables the read-mostly decision fast path: access
+// checks serve repeat ALLOW verdicts for cacheable events from an
 // epoch-tagged cache (see fastpath.go), and occurrence pooling is
 // switched on while no outcome listener is registered. Traced requests
 // always run the full cascade.
@@ -250,7 +251,7 @@ func NewEngine(clk clock.Clock, opts ...EngineOption) *Engine {
 		o.Registry.OnScrape(e.collect)
 	}
 	if cfg.fastpath {
-		e.fp = newFastPath()
+		e.fp = &FastPath{}
 	}
 	fp := e.fp
 	// Change hooks. All three run under their component's writer lock
@@ -443,15 +444,15 @@ func (e *Engine) DecideCheck(eventName, user, session, operation, object string)
 		return e.cascade(o, t0, eventName, checkParams(user, session, operation, object), nil, nil, 0, 0, traced, obs.TraceID{})
 	}
 	buf := fpKeyPool.Get().(*[]byte)
-	key, fits := appendFPKey((*buf)[:0], eventName, user, session, operation, object)
+	key, fits := allowcache.AppendKey((*buf)[:0], eventName, user, session, operation, object)
 	if !fits {
 		fpKeyPool.Put(buf)
 		fp.bypass.Add(1)
 		return e.cascade(o, t0, eventName, checkParams(user, session, operation, object), nil, nil, 0, 0, false, obs.TraceID{})
 	}
-	epoch := fp.epoch.Load()
-	sgen := fp.sgen(session)
-	if dec, hit := fp.lookup(key, epoch, sgen); hit {
+	epoch := fp.tab.Epoch()
+	sgen := fp.tab.Session(session)
+	if dec, hit := fp.tab.Lookup(key, epoch, sgen); hit {
 		*buf = key[:0]
 		fpKeyPool.Put(buf)
 		fp.hits.Add(1)
@@ -493,7 +494,7 @@ func checkParams(user, session, operation, object string) event.Params {
 // pre-captured epoch pair without re-encoding the tuple. traced asks
 // for a cascade trace (already sampled or forced by the caller); tid is
 // the client-supplied trace identity, zero for engine-sampled traces.
-func (e *Engine) cascade(o *obs.Observer, t0 time.Time, eventName string, params event.Params, fpBuf *[]byte, fpKey []byte, fpEpoch, fpSgen uint64, traced bool, tid obs.TraceID) (*Decision, error) {
+func (e *Engine) cascade(o *obs.Observer, t0 time.Time, eventName string, params event.Params, fpBuf *[]byte, fpKey []byte, fpEpoch uint64, fpSgen allowcache.Gen, traced bool, tid obs.TraceID) (*Decision, error) {
 	fp := e.fp
 	dec := &Decision{}
 	dec.votes = dec.vbuf[:0]
@@ -531,7 +532,7 @@ func (e *Engine) cascade(o *obs.Observer, t0 time.Time, eventName string, params
 	allowed, reason := dec.Verdict()
 	if fpBuf != nil {
 		if allowed {
-			fp.store(fpKey, dec, fpEpoch, fpSgen)
+			fp.tab.Store(fpKey, dec, fpEpoch, fpSgen)
 		}
 		*fpBuf = fpKey[:0]
 		fpKeyPool.Put(fpBuf)

@@ -18,8 +18,8 @@ import (
 // batch-path function it flags calls whose callee is one of the
 // capture functions (cacheable, SoleNonRetainingSub, CacheVerdictSafe) or a
 // selector chain ending in the epoch reads (.epoch.Load, .Epoch).
-// Session-generation reads (sgen) are exempt — they are per-session
-// state, legitimately captured per tuple.
+// Session-generation reads (.Session) are exempt — they are
+// per-session state, legitimately captured per tuple.
 var BatchSnap = &Analyzer{
 	Name: "batchsnap",
 	Doc:  "forbid per-tuple snapshot/epoch re-capture inside batch-path loops in internal/sentinel",

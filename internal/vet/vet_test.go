@@ -307,11 +307,11 @@ func (e *Engine) DecideCheckBatch(tuples []CheckTuple) {
 	cacheable := fp != nil && e.cacheable("ev")
 	var epoch uint64
 	if cacheable {
-		epoch = fp.epoch.Load()
+		epoch = fp.tab.Epoch()
 	}
 	for i := range tuples {
-		_ = fp.sgen(tuples[i].Session) // per-session state: allowed
-		fp.store(nil, nil, epoch, 0)
+		sgen := fp.tab.Session(tuples[i].Session) // per-session state: allowed
+		fp.tab.Store(nil, nil, epoch, sgen)
 	}
 }
 `

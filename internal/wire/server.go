@@ -31,17 +31,23 @@ type Backend interface {
 }
 
 // PushBackend is optionally implemented by a Backend whose epoch bumps
-// the server can push to subscribers. PushEpoch reports the current
-// push epoch — unlike PolicyEpoch it covers session-grade changes
-// (role drops, session deletes) as well as policy-grade ones, so a
-// bump means any cached verdict may have changed. The server detects
-// the upgrade once at construction; without it SUBSCRIBE answers an
+// the server can push to subscribers, for epoch-tagged client caches.
+// PushEpoch reports the current push epoch — unlike PolicyEpoch it
+// covers session-grade changes (role drops, session deletes) as well
+// as policy-grade ones, so a bump means any cached verdict may have
+// changed. CheckCacheable classifies which verdicts such a cache may
+// keep (the fastpath CA1 shape: the verdict depends only on state
+// tagged by the push epoch). The server detects the upgrade once at
+// construction; without it SUBSCRIBE and CacheFlag CHECKs answer an
 // ErrCodeUnsupported ERROR. The server owns no epoch state of its own:
 // the backend's owner calls Server.NotifyEpoch on every bump.
 type PushBackend interface {
 	Backend
 	// PushEpoch reports the current push epoch.
 	PushEpoch() uint64
+	// CheckCacheable is Check plus whether the verdict is safe for an
+	// epoch-tagged client cache until the next push.
+	CheckCacheable(session, operation, object string) (allowed, cacheable bool)
 }
 
 // SyncBackend is optionally implemented by a Backend that can serve
@@ -63,17 +69,6 @@ type SyncBackend interface {
 // disconnected.
 type ReplicaTracker interface {
 	ReplicaDisconnected(replica string)
-}
-
-// CacheBackend is optionally implemented by a Backend that classifies
-// verdict cacheability (the fastpath CA1 shape: the verdict depends
-// only on state tagged by the push epoch). Without it a CacheFlag
-// CHECK answers an ErrCodeUnsupported ERROR.
-type CacheBackend interface {
-	Backend
-	// CheckCacheable is Check plus whether the verdict is safe for an
-	// epoch-tagged client cache until the next push.
-	CheckCacheable(session, operation, object string) (allowed, cacheable bool)
 }
 
 // Instruments are optional transport metrics hooks; any field may be
@@ -162,11 +157,9 @@ var ErrServerClosed = errors.New("wire: server closed")
 // methods are safe for concurrent use.
 type Server struct {
 	backend Backend
-	// push and cache are the epoch-push upgrades, asserted once at
-	// construction; nil answers SUBSCRIBE / CacheFlag CHECKs with
-	// ErrCodeUnsupported.
-	push  PushBackend
-	cache CacheBackend
+	// push is the epoch-push upgrade, asserted once at construction;
+	// nil answers SUBSCRIBE / CacheFlag CHECKs with ErrCodeUnsupported.
+	push PushBackend
 	// syncb is the replication upgrade, asserted once at construction;
 	// nil answers SYNC with ErrCodeUnsupported. tracker is its optional
 	// replica-registry refinement.
@@ -189,13 +182,11 @@ func NewServer(backend Backend, opts *ServerOptions) *Server {
 		o = *opts
 	}
 	push, _ := backend.(PushBackend)
-	cache, _ := backend.(CacheBackend)
 	syncb, _ := backend.(SyncBackend)
 	tracker, _ := backend.(ReplicaTracker)
 	return &Server{
 		backend: backend,
 		push:    push,
-		cache:   cache,
 		syncb:   syncb,
 		tracker: tracker,
 		opts:    o.withDefaults(),
@@ -494,9 +485,9 @@ func (sc *srvConn) readLoop(sem chan struct{}, out chan<- response, work chan<- 
 		case OpCheck, OpCheck | TraceFlag, OpCheck | CacheFlag:
 			payload := f.Payload
 			req := request{op: f.Op, id: f.ID, start: start}
-			if f.Op&CacheFlag != 0 && sc.srv.cache == nil {
+			if f.Op&CacheFlag != 0 && sc.srv.push == nil {
 				out <- sc.errorResponse(f, ErrCodeUnsupported,
-					errors.New("wire: backend does not classify verdict cacheability"), ins)
+					errors.New("wire: backend does not push epochs"), ins)
 				continue
 			}
 			var tid [TraceIDSize]byte
@@ -624,7 +615,7 @@ func (sc *srvConn) execute(req request) response {
 	case OpCheck:
 		if req.op&CacheFlag != 0 {
 			// readLoop admits CacheFlag only when the upgrade exists.
-			allowed, cacheable := sc.srv.cache.CheckCacheable(
+			allowed, cacheable := sc.srv.push.CheckCacheable(
 				req.check.Session, req.check.Operation, req.check.Object)
 			var v byte
 			if allowed {
