@@ -172,13 +172,14 @@ type Options struct {
 	// default should be paired with periodic SyncAudit calls (rbacd's
 	// -audit-sync flag) to bound crash loss.
 	AuditSyncEveryAppend bool
-	// FastPath enables the read-mostly decision fast path: repeat ALLOW
-	// verdicts of cacheable access checks are served from an
+	// FastPath is kept for callers that still set it. Every System
+	// serves repeat ALLOW verdicts of cacheable access checks from an
 	// epoch-tagged cache invalidated on every policy, rule or session
-	// change, and the engine runs its allocation diet (occurrence
-	// pooling). Audit-enabled systems register an outcome listener,
-	// which automatically forces every decision back onto the full
-	// cascade, so audit completeness is unaffected. Off by default.
+	// change (DESIGN §5.4). An audit log registers an outcome listener,
+	// which makes every event uncacheable, so audited decisions always
+	// run the full cascade.
+	//
+	// Deprecated: ignored; the decision fast path is always on.
 	FastPath bool
 }
 
@@ -225,10 +226,6 @@ func openSpec(spec *policy.Spec, source string, state *rbac.Snapshot, opts *Opti
 	if clk == nil {
 		clk = clock.NewReal()
 	}
-	var engOpts []sentinel.EngineOption
-	if opts.FastPath {
-		engOpts = append(engOpts, sentinel.WithFastPath())
-	}
 	var observer *obs.Observer
 	if opts.Metrics || opts.TraceBuffer > 0 || opts.SlowThreshold > 0 {
 		observer = obs.NewObserver(opts.TraceBuffer)
@@ -242,9 +239,8 @@ func openSpec(spec *policy.Spec, source string, state *rbac.Snapshot, opts *Opti
 			}
 			observer.Slow = obs.NewSlowRing(slowBuf, opts.SlowThreshold)
 		}
-		engOpts = append(engOpts, sentinel.WithObserver(observer))
 	}
-	eng := sentinel.NewEngine(clk, engOpts...)
+	eng := sentinel.NewEngine(clk, sentinel.WithObserver(observer)) // nil observer: metrics off
 	gen, err := rulegen.New(eng)
 	if err != nil {
 		return nil, err
@@ -367,19 +363,8 @@ func (s *System) SlowDecisions(n int) ([]SlowRecord, error) {
 // FastPathStats is a snapshot of the decision fast path's counters.
 type FastPathStats = sentinel.FastPathStats
 
-// ErrFastPathOff is returned by FastPathStats when the System was
-// opened without Options.FastPath.
-var ErrFastPathOff = errors.New("activerbac: fast path not enabled")
-
-// FastPathStats snapshots the decision cache counters. Requires
-// Options.FastPath.
-func (s *System) FastPathStats() (FastPathStats, error) {
-	fp := s.gen.Engine().FastPath()
-	if fp == nil {
-		return FastPathStats{}, ErrFastPathOff
-	}
-	return fp.Stats(), nil
-}
+// FastPathStats snapshots the decision cache counters.
+func (s *System) FastPathStats() FastPathStats { return s.gen.Engine().FastPath().Stats() }
 
 // SnapshotEpoch reports the policy epoch of the RBAC store's published
 // copy-on-write snapshot (bumped once per policy transaction: once per

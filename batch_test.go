@@ -13,9 +13,8 @@ import (
 // fast path warm.
 func TestCheckAccessBatchMatchesSequential(t *testing.T) {
 	sys, err := activerbac.Open(xyzPolicy, &activerbac.Options{
-		Clock:    activerbac.NewSimClock(t0),
-		FastPath: true,
-		Metrics:  true,
+		Clock:   activerbac.NewSimClock(t0),
+		Metrics: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,10 +67,7 @@ func TestCheckAccessBatchMatchesSequential(t *testing.T) {
 		}
 	}
 
-	stats, err := sys.FastPathStats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := sys.FastPathStats()
 	if stats.Hits == 0 {
 		t.Errorf("fast path saw no hits across warm batch round: %+v", stats)
 	}
@@ -120,7 +116,7 @@ func batchMatchesSequentialUnderThreshold(t *testing.T) {
 	}
 	open := func() *activerbac.System {
 		sys, err := activerbac.Open(xyzPolicy+"threshold intrusions 3 in 5m: lock-user\n",
-			&activerbac.Options{Clock: activerbac.NewSimClock(t0), FastPath: true})
+			&activerbac.Options{Clock: activerbac.NewSimClock(t0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +198,7 @@ func TestCheckAccessBatchTraceField(t *testing.T) {
 	// A sample rate that rounds to zero: only client-traced checks are
 	// traced.
 	sys, err := activerbac.Open(xyzPolicy, &activerbac.Options{
-		Clock: activerbac.NewSimClock(t0), FastPath: true,
+		Clock:       activerbac.NewSimClock(t0),
 		TraceBuffer: 64, TraceSample: 1e-300,
 	})
 	if err != nil {

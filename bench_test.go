@@ -112,10 +112,11 @@ func BenchmarkE1_CheckAccess(b *testing.B) {
 	}
 }
 
-// E1b: the same decision path under parallel callers. The detector
-// serializes rule execution (one drain at a time, as in Sentinel's
-// single event-detector thread), so this measures queueing overhead
-// under contention, not speedup.
+// E1b: one allowed check repeated by parallel callers. After the first
+// call every check is a verdict-cache hit, so this times the hit path —
+// a lock-free probe — under contention, not the cascade: a miss would
+// queue on the detector's one drain (Sentinel's single event-detector
+// thread).
 func BenchmarkE1_CheckAccessParallel(b *testing.B) {
 	spec := workload.MustEnterprise(workload.EnterpriseConfig{
 		Roles: 64, Shape: workload.XYZShape, Branch: 4,
@@ -522,8 +523,9 @@ func BenchmarkA1_DispatchVsPoolSize(b *testing.B) {
 }
 
 // A2: decomposition of the OWTE decision overhead — the same check as
-// a bare store call, as an event raise with no rules, and as the full
-// ruled decision.
+// a bare store call, as an event raise with no rules, as the full ruled
+// decision (ExplainAccess, which always runs the cascade) and as the
+// repeat allow the verdict cache serves (CheckAccess).
 func BenchmarkA2_DecisionOverhead(b *testing.B) {
 	spec := workload.MustEnterprise(workload.EnterpriseConfig{
 		Roles: 8, Shape: workload.Flat, Users: 1, PermsPerRole: 2, Seed: 9,
@@ -559,20 +561,31 @@ func BenchmarkA2_DecisionOverhead(b *testing.B) {
 			det.MustRaise("probe", nil)
 		}
 	})
+	sys, err := openFromSpec(spec, clock.NewSim(benchEpoch))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	sid2, err := sys.CreateSession(activerbac.UserID(user))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.AddActiveRole(activerbac.UserID(user), sid2, activerbac.RoleID(role)); err != nil {
+		b.Fatal(err)
+	}
+	p := activerbac.Permission{Operation: perm.Operation, Object: perm.Object}
 	b.Run("full-decision", func(b *testing.B) {
-		sys, err := openFromSpec(spec, clock.NewSim(benchEpoch))
-		if err != nil {
-			b.Fatal(err)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if !sys.ExplainAccess(sid2, p).Allowed {
+				b.Fatal("denied")
+			}
 		}
-		defer sys.Close()
-		sid2, err := sys.CreateSession(activerbac.UserID(user))
-		if err != nil {
-			b.Fatal(err)
+	})
+	b.Run("cache-hit", func(b *testing.B) {
+		if !sys.CheckAccess(sid2, p) { // the warming miss
+			b.Fatal("denied")
 		}
-		if err := sys.AddActiveRole(activerbac.UserID(user), sid2, activerbac.RoleID(role)); err != nil {
-			b.Fatal(err)
-		}
-		p := activerbac.Permission{Operation: perm.Operation, Object: perm.Object}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

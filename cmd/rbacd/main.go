@@ -80,7 +80,9 @@
 //	GET    /readyz                                             -> readiness (503 until serving cleanly)
 //
 // Decision telemetry: -trace-sample keeps always-on sampled tracing at
-// ~rate (with -trace-rate-limit capping traces/second), and a client
+// ~rate (1 % by default, with -trace-rate-limit capping traces/second
+// at 100; -trace-sample 0 traces every decision, and a traced decision
+// always runs the full cascade), and a client
 // can force a fully traced decision by sending an X-Activerbac-Trace
 // header (32 hex chars) on GET /v1/check or POST /v1/check-batch — the
 // trace is then retrievable at /v1/traces/{id} under that id. The wire
@@ -127,7 +129,6 @@ type config struct {
 	debugAddr                                 string
 	analyzeMode                               string
 	verifyMode                                string
-	fastpath                                  string
 
 	httpReadHeaderTimeout time.Duration
 	httpIdleTimeout       time.Duration
@@ -144,59 +145,70 @@ type config struct {
 	replicaName string
 }
 
-func main() {
-	var cfg config
-	flag.StringVar(&cfg.addr, "addr", ":8180", "listen address")
-	flag.StringVar(&cfg.policyPath, "policy", "", "path to the .acp policy (required)")
-	flag.StringVar(&cfg.auditPath, "audit", "", "append-only audit log path (optional)")
-	flag.DurationVar(&cfg.auditSync, "audit-sync", 3*time.Second,
+// newFlagSet registers rbacd's command-line flags on a new FlagSet
+// that parses into cfg.
+func newFlagSet(cfg *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("rbacd", flag.ExitOnError)
+	fs.StringVar(&cfg.addr, "addr", ":8180", "listen address")
+	fs.StringVar(&cfg.policyPath, "policy", "", "path to the .acp policy (required)")
+	fs.StringVar(&cfg.auditPath, "audit", "",
+		"append-only audit log path (optional); audited decisions always run the full cascade, never the verdict cache")
+	fs.DurationVar(&cfg.auditSync, "audit-sync", 3*time.Second,
 		"audit flush interval bounding crash loss; 0 = flush+fsync every append")
-	flag.StringVar(&cfg.snapshotPath, "snapshot", "", "state snapshot path, written on shutdown (optional)")
+	fs.StringVar(&cfg.snapshotPath, "snapshot", "", "state snapshot path, written on shutdown (optional)")
 	// Deprecated: ignored; enforcement runs on one drain. Still parsed
 	// because the frozen benchmark/ starts every rbacd with -lanes 0.
-	flag.Int("lanes", 0, "deprecated, ignored: enforcement runs on one drain")
-	flag.IntVar(&cfg.traceBuffer, "trace-buffer", 256, "decision traces retained for /v1/traces; 0 disables tracing")
-	flag.Float64Var(&cfg.traceSample, "trace-sample", 0,
-		"sampled tracing: trace this fraction of decisions (0 = trace every decision, the pre-sampling behaviour); client-requested traces are always honoured")
-	flag.Float64Var(&cfg.traceRateLimit, "trace-rate-limit", 0,
+	fs.Int("lanes", 0, "deprecated, ignored: enforcement runs on one drain")
+	// Deprecated: ignored; the decision fast path is always on. Still
+	// parsed because the frozen benchmark/ starts every rbacd with
+	// -fastpath on.
+	fs.String("fastpath", "on", "deprecated, ignored: the decision fast path is always on; stats at /v1/fastpath")
+	fs.IntVar(&cfg.traceBuffer, "trace-buffer", 256, "decision traces retained for /v1/traces; 0 disables tracing")
+	fs.Float64Var(&cfg.traceSample, "trace-sample", 0.01,
+		"sampled tracing: trace this fraction of decisions (0 = trace every decision); client-requested traces are always honoured")
+	fs.Float64Var(&cfg.traceRateLimit, "trace-rate-limit", 100,
 		"cap sampled traces per second (0 = no cap); only meaningful with -trace-sample")
-	flag.DurationVar(&cfg.slowThreshold, "slow-threshold", 0,
+	fs.DurationVar(&cfg.slowThreshold, "slow-threshold", 0,
 		"capture decisions slower than this into the /v1/slow ring (0 disables)")
-	flag.IntVar(&cfg.slowBuffer, "slow-buffer", 64, "slow-decision captures retained for /v1/slow")
-	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "serve net/http/pprof on this address (off when empty)")
-	flag.StringVar(&cfg.analyzeMode, "analyze", "warn",
+	fs.IntVar(&cfg.slowBuffer, "slow-buffer", 64, "slow-decision captures retained for /v1/slow")
+	fs.StringVar(&cfg.debugAddr, "debug-addr", "", "serve net/http/pprof on this address (off when empty)")
+	fs.StringVar(&cfg.analyzeMode, "analyze", "warn",
 		"static-analysis gate for startup and hot reloads: off, warn or strict")
-	flag.StringVar(&cfg.verifyMode, "verify", "off",
+	fs.StringVar(&cfg.verifyMode, "verify", "off",
 		"bounded-verification gate for startup and hot reloads: off, warn or strict")
-	flag.StringVar(&cfg.fastpath, "fastpath", "off",
-		"decision fast path (off or on): serve repeat ALLOW access checks from an epoch-tagged cache; stats at /v1/fastpath")
-	flag.DurationVar(&cfg.httpReadHeaderTimeout, "http-read-header-timeout", 10*time.Second,
+	fs.DurationVar(&cfg.httpReadHeaderTimeout, "http-read-header-timeout", 10*time.Second,
 		"how long an HTTP client may take to send its request headers (slowloris guard); 0 disables")
-	flag.DurationVar(&cfg.httpIdleTimeout, "http-idle-timeout", 2*time.Minute,
+	fs.DurationVar(&cfg.httpIdleTimeout, "http-idle-timeout", 2*time.Minute,
 		"how long an idle HTTP keep-alive connection is kept open; 0 disables")
-	flag.StringVar(&cfg.wireAddr, "wire-addr", "",
+	fs.StringVar(&cfg.wireAddr, "wire-addr", "",
 		"also serve the binary wire protocol on this address (off when empty)")
-	flag.IntVar(&cfg.wireMaxInflight, "wire-max-inflight", 0,
+	fs.IntVar(&cfg.wireMaxInflight, "wire-max-inflight", 0,
 		"wire: max requests admitted but unanswered per connection; 0 = protocol default")
-	flag.IntVar(&cfg.wireMaxFrame, "wire-max-frame", 0,
+	fs.IntVar(&cfg.wireMaxFrame, "wire-max-frame", 0,
 		"wire: max frame size in bytes, larger frames drop the connection; 0 = protocol default")
-	flag.DurationVar(&cfg.wireReadTimeout, "wire-read-timeout", 0,
+	fs.DurationVar(&cfg.wireReadTimeout, "wire-read-timeout", 0,
 		"wire: per-frame read deadline doubling as idle timeout; 0 = protocol default, negative disables")
-	flag.DurationVar(&cfg.wireWriteTimeout, "wire-write-timeout", 0,
+	fs.DurationVar(&cfg.wireWriteTimeout, "wire-write-timeout", 0,
 		"wire: per-flush write deadline; 0 = protocol default, negative disables")
-	flag.IntVar(&cfg.wireMaxSubscribers, "wire-max-subscribers", 0,
+	fs.IntVar(&cfg.wireMaxSubscribers, "wire-max-subscribers", 0,
 		"wire: max connections subscribed to epoch pushes; 0 = unlimited")
-	flag.StringVar(&cfg.mode, "mode", "leader",
+	fs.StringVar(&cfg.mode, "mode", "leader",
 		"replication role: leader (owns the policy, serves SYNC) or replica (syncs from -leader-addr, read-only)")
-	flag.StringVar(&cfg.leaderAddr, "leader-addr", "",
+	fs.StringVar(&cfg.leaderAddr, "leader-addr", "",
 		"replica mode: the leader's wire listener address (required)")
-	flag.StringVar(&cfg.replicaName, "replica-name", "",
+	fs.StringVar(&cfg.replicaName, "replica-name", "",
 		"replica mode: name reported to the leader's registry (default: hostname)")
-	flag.Parse()
+	return fs
+}
+
+func main() {
+	var cfg config
+	fs := newFlagSet(&cfg)
+	_ = fs.Parse(os.Args[1:]) // ExitOnError: a bad flag exits 2
 	switch cfg.mode {
 	case "leader":
 		if cfg.policyPath == "" {
-			flag.Usage()
+			fs.Usage()
 			os.Exit(2)
 		}
 	case "replica":
@@ -232,19 +244,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rbacd: -verify must be off, warn or strict (got %q)\n", cfg.verifyMode)
 		os.Exit(2)
 	}
-	switch cfg.fastpath {
-	case "off", "on":
-	default:
-		fmt.Fprintf(os.Stderr, "rbacd: -fastpath must be off or on (got %q)\n", cfg.fastpath)
-		os.Exit(2)
-	}
 	if err := run(cfg); err != nil {
 		log.Fatal("rbacd: ", err)
 	}
 }
 
-func run(cfg config) error {
-	opts := &activerbac.Options{
+// options builds the activerbac.Options the served System opens with.
+func (cfg config) options() *activerbac.Options {
+	return &activerbac.Options{
 		AuditPath:            cfg.auditPath,
 		Metrics:              true,
 		TraceBuffer:          cfg.traceBuffer,
@@ -253,20 +260,11 @@ func run(cfg config) error {
 		SlowThreshold:        cfg.slowThreshold,
 		SlowBuffer:           cfg.slowBuffer,
 		AuditSyncEveryAppend: cfg.auditSync == 0,
-		FastPath:             cfg.fastpath == "on",
 	}
-	if opts.FastPath {
-		// Precedence, not error: per-decision tracing needs the cascade
-		// steps a cached verdict does not have, and an audit trail needs
-		// every firing, so either feature forces decisions back onto the
-		// full cascade.
-		if cfg.traceBuffer > 0 && cfg.traceSample <= 0 {
-			log.Print("rbacd: -fastpath=on with full decision tracing enabled; traced decisions bypass the cache (set -trace-sample to keep cache hits, or -trace-buffer=0 to disable tracing)")
-		}
-		if cfg.auditPath != "" {
-			log.Print("rbacd: -fastpath=on with an audit log; audited decisions bypass the cache for trail completeness")
-		}
-	}
+}
+
+func run(cfg config) error {
+	opts := cfg.options()
 	// A replica boots empty — its policy and state arrive over the wire
 	// from the leader; until then it is simply not ready.
 	var sys *activerbac.System
@@ -1146,15 +1144,10 @@ func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 
 func (s *server) fastpath(w http.ResponseWriter, _ *http.Request) {
 	sys := s.system()
-	st, err := sys.FastPathStats()
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": err.Error()})
-		return
-	}
 	writeJSON(w, http.StatusOK, struct {
 		activerbac.FastPathStats
 		SnapshotEpoch uint64 `json:"snapshotEpoch"`
-	}{st, sys.SnapshotEpoch()})
+	}{sys.FastPathStats(), sys.SnapshotEpoch()})
 }
 
 func (s *server) alerts(w http.ResponseWriter, _ *http.Request) {

@@ -578,3 +578,29 @@ func TestActiveSecurityOverHTTP(t *testing.T) {
 		t.Fatalf("locked session creation: code=%d, want 403", code)
 	}
 }
+
+// TestShippedDefaultsAreMeasured: rbacd given only -policy opens the
+// System exactly as the end-to-end benchmark's deployment line does, so
+// the configuration that ships is the one that is measured. The line
+// is a copy of the benchmark's, kept here on purpose: a change on
+// either side must be made on both.
+func TestShippedDefaultsAreMeasured(t *testing.T) {
+	deployment := []string{
+		"-fastpath", "on", "-trace-sample", "0.01", "-trace-rate-limit", "100",
+		"-analyze", "warn", "-verify", "off", "-lanes", "0",
+	}
+	parse := func(args ...string) config {
+		var cfg config
+		if err := newFlagSet(&cfg).Parse(append([]string{"-policy", "p.acp"}, args...)); err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	shipped, measured := parse(), parse(deployment...)
+	if got, want := *shipped.options(), *measured.options(); got != want {
+		t.Errorf("shipped options %+v, measured %+v", got, want)
+	}
+	if shipped != measured {
+		t.Errorf("shipped config %+v, measured %+v", shipped, measured)
+	}
+}

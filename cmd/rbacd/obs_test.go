@@ -213,15 +213,12 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 	}
 }
 
-// TestMetricsFastPathCounters scrapes a fast-path-enabled server (no
-// trace ring — traced decisions always cascade) and asserts the cache
-// counters move and still satisfy the strict Prometheus parse.
+// TestMetricsFastPathCounters scrapes a server opened with only
+// Metrics (no trace ring — traced decisions always cascade): the cache
+// is on without any option, GET /v1/fastpath reports its hits, and the
+// cache counters move and still satisfy the strict Prometheus parse.
 func TestMetricsFastPathCounters(t *testing.T) {
-	sys, err := activerbac.Open(testPolicy, &activerbac.Options{
-		Clock:    activerbac.NewSimClock(time.Date(2026, 7, 6, 9, 0, 0, 0, time.UTC)),
-		Metrics:  true,
-		FastPath: true,
-	})
+	sys, err := activerbac.Open(testPolicy, &activerbac.Options{Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,6 +236,10 @@ func TestMetricsFastPathCounters(t *testing.T) {
 	// First check misses and seeds the cache; the repeats hit.
 	for i := 0; i < 5; i++ {
 		call(t, srv, "GET", "/v1/check?session="+sess.Session+"&operation=write&object=po.dat", "", nil)
+	}
+	var fp activerbac.FastPathStats
+	if code := call(t, srv, "GET", "/v1/fastpath", "", &fp); code != 200 || fp.Hits == 0 {
+		t.Fatalf("/v1/fastpath: code=%d %+v, want 200 with hits > 0", code, fp)
 	}
 
 	resp, err := http.Get(srv.URL + "/metrics")

@@ -37,8 +37,7 @@ type replicaNode struct {
 func startReplicaNode(t *testing.T, name, leaderAddr string, epoch time.Time) *replicaNode {
 	t.Helper()
 	sys, err := activerbac.Open("", &activerbac.Options{
-		Clock:    activerbac.NewSimClock(epoch),
-		FastPath: true,
+		Clock: activerbac.NewSimClock(epoch),
 	})
 	if err != nil {
 		t.Fatalf("%s: open: %v", name, err)
@@ -147,8 +146,7 @@ func TestReplicaDifferential(t *testing.T) {
 	epoch := time.Date(2026, 7, 6, 9, 30, 0, 0, time.UTC) // inside C0's shift
 	sim := activerbac.NewSimClock(epoch)
 	sys, err := activerbac.Open(wireStressPolicy("09:00:00"), &activerbac.Options{
-		Clock:    sim,
-		FastPath: true,
+		Clock: sim,
 	})
 	if err != nil {
 		t.Fatal(err)

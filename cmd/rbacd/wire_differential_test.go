@@ -62,8 +62,7 @@ func TestWireDifferential(t *testing.T) {
 	epoch := time.Date(2026, 7, 6, 9, 30, 0, 0, time.UTC) // inside C0's shift
 	sim := activerbac.NewSimClock(epoch)
 	sys, err := activerbac.Open(wireStressPolicy("09:00:00"), &activerbac.Options{
-		Clock:    sim,
-		FastPath: true, // the wire path must agree with cached verdicts too
+		Clock: sim,
 		// Sampled tracing at a vanishing rate: the trace machinery is live
 		// (client-forced traces work, and the end-of-run traced
 		// differential below needs it) but unsampled checks keep hitting
@@ -664,16 +663,15 @@ func TestWireDifferential(t *testing.T) {
 	}
 	tracedDifferential()
 
-	if st, err := sys.FastPathStats(); err == nil {
-		if st.Hits == 0 {
-			t.Error("differential run never hit the verdict cache; the wire paths were not exercised against it")
-		}
-		if st.Invalidations == 0 {
-			t.Error("differential run never invalidated the cache; the churn was not exercised")
-		}
-		t.Logf("fastpath stats: hits=%d misses=%d bypass=%d invalidations=%d epoch=%d",
-			st.Hits, st.Misses, st.Bypass, st.Invalidations, st.Epoch)
+	st := sys.FastPathStats()
+	if st.Hits == 0 {
+		t.Error("differential run never hit the verdict cache; the wire paths were not exercised against it")
 	}
+	if st.Invalidations == 0 {
+		t.Error("differential run never invalidated the cache; the churn was not exercised")
+	}
+	t.Logf("fastpath stats: hits=%d misses=%d bypass=%d invalidations=%d epoch=%d",
+		st.Hits, st.Misses, st.Bypass, st.Invalidations, st.Epoch)
 }
 
 // TestWireEpochTracksReload: POLICY_VERSION over the wire must report

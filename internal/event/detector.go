@@ -226,9 +226,8 @@ func (d *Detector) SetChangeHook(fn func()) {
 // event has no composite parents and exactly one non-retaining
 // subscriber. The caller asserts that subscriber (and any outcome
 // consumers behind it) extracts what it needs during the callback and
-// never retains the *Occurrence; the engine turns this on only for
-// fast-path systems whose sole subscriber is the rule pool with no
-// outcome listeners registered.
+// never retains the *Occurrence; the engine turns this on only while
+// the rule pool has no outcome listeners registered.
 func (d *Detector) SetOccurrencePooling(ok bool) { d.occPoolOK.Store(ok) }
 
 // Clock returns the clock the detector schedules temporal events on.

@@ -182,7 +182,7 @@ func (e *Engine) DecideCheckBatch(eventName string, tuples []CheckTuple, verdict
 		if o != nil {
 			ti = e.clk.Now()
 		}
-		if fp != nil && !tracing {
+		if !tracing {
 			fp.bypass.Add(1)
 		}
 		dec, err := e.cascade(o, ti, eventName, checkParams(t.User, t.Session, t.Operation, t.Object),
@@ -216,14 +216,13 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 	// the snapshot; they are captured per tuple, still before any
 	// cascade of the batch runs.
 	fp := e.fp
-	// shape is the verdict-cache-safety shape — sole non-retaining
+	// cacheable is the verdict-cache-safety shape — sole non-retaining
 	// subscriber firing only cache-safe rules, no outcome listeners —
-	// captured once per batch. With a fast path it gates the cache
-	// probe; independently it licenses the carrier cascade mode below,
-	// because under this shape nothing retains an occurrence or its
-	// params map beyond the synchronous delivery.
-	shape := e.cacheable(eventName)
-	cacheable := fp != nil && shape
+	// captured once per batch. It gates the cache probe and licenses the
+	// carrier cascade mode below, because under this shape nothing
+	// retains an occurrence or its params map beyond the synchronous
+	// delivery.
+	cacheable := e.cacheable(eventName)
 	var epoch uint64
 	if cacheable {
 		epoch = fp.tab.Epoch()
@@ -264,9 +263,7 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 			fp.misses.Add(uint64(encMisses))
 		}
 	} else {
-		if fp != nil {
-			fp.bypass.Add(uint64(n))
-		}
+		fp.bypass.Add(uint64(n))
 		for i := range bs.keyOff {
 			bs.keyOff[i] = fpKeyNone
 		}
@@ -278,7 +275,7 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 		if err != nil {
 			return verdicts, err
 		}
-		if shape {
+		if cacheable {
 			bs.boxes = slices.Grow(bs.boxes, 4*n)[:4*n]
 		}
 		for i := range tuples {
@@ -289,7 +286,7 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 			dec.votes = dec.vbuf[:0]
 			decs[i] = dec
 			t := &tuples[i]
-			if shape {
+			if cacheable {
 				bs.idx = append(bs.idx, int32(i))
 				bx := bs.boxes[4*i : 4*i+4]
 				bx[0], bx[1] = bs.boxed(t.User), bs.boxed(t.Session)
@@ -305,7 +302,7 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 				DecisionKey: dec,
 			})
 		}
-		if shape {
+		if cacheable {
 			// Carrier mode: the group delivers through one reused
 			// occurrence and params map, rewritten per tuple — zero
 			// per-tuple allocation on the cascade floor. The event layer

@@ -178,7 +178,7 @@ type Engine struct {
 	monitor *ExternalMonitor
 	env     *Env
 	obs     *obs.Observer // nil = observability off
-	fp      *FastPath     // nil = fast path off
+	fp      *FastPath
 
 	// pushEpoch counts every change that can invalidate a cached
 	// verdict anywhere: unlike the store's policy epoch it also bumps
@@ -197,7 +197,6 @@ type EngineOption func(*engineConfig)
 
 type engineConfig struct {
 	observer *obs.Observer
-	fastpath bool
 }
 
 // WithLanes is kept for callers that still pass a lane count.
@@ -205,14 +204,10 @@ type engineConfig struct {
 // Deprecated: ignored; enforcement runs on one drain.
 func WithLanes(int) EngineOption { return func(*engineConfig) {} }
 
-// WithFastPath enables the read-mostly decision fast path: access
-// checks serve repeat ALLOW verdicts for cacheable events from an
-// epoch-tagged cache (see fastpath.go), and occurrence pooling is
-// switched on while no outcome listener is registered. Traced requests
-// always run the full cascade.
-func WithFastPath() EngineOption {
-	return func(c *engineConfig) { c.fastpath = true }
-}
+// WithFastPath is kept for callers that still ask for the fast path.
+//
+// Deprecated: ignored; every engine runs the decision fast path.
+func WithFastPath() EngineOption { return func(*engineConfig) {} }
 
 // WithObserver attaches an observability bundle: the engine feeds the
 // observer's drain-wait/operator instruments on the hot path, mirrors its
@@ -238,6 +233,7 @@ func NewEngine(clk clock.Clock, opts ...EngineOption) *Engine {
 		monitor: NewExternalMonitor(det),
 		env:     NewEnv(),
 		obs:     cfg.observer,
+		fp:      &FastPath{},
 	}
 	if o := cfg.observer; o != nil {
 		det.SetInstruments(&event.Instruments{
@@ -250,42 +246,33 @@ func NewEngine(clk clock.Clock, opts ...EngineOption) *Engine {
 		e.pool.SetRuleTiming(true)
 		o.Registry.OnScrape(e.collect)
 	}
-	if cfg.fastpath {
-		e.fp = &FastPath{}
-	}
 	fp := e.fp
 	// Change hooks. All three run under their component's writer lock
 	// and only touch atomics (the push hook must honor the same
-	// contract). They serve two consumers: the fast-path cache (when
-	// enabled — store mutations tell us whether the whole policy or one
-	// session moved; rule-pool and event-graph changes invalidate
-	// wholesale) and the push epoch, which bumps on every grade of
-	// change so epoch-push subscribers and embedded client caches are
-	// told whenever any cached verdict may have moved. The pool hook
-	// also gates occurrence pooling on the absence of outcome listeners
-	// (audit retains occurrences, pooling would corrupt them); it fires
-	// once at install, setting the initial state.
+	// contract). They serve two consumers: the fast-path cache (store
+	// mutations tell us whether the whole policy or one session moved;
+	// rule-pool and event-graph changes invalidate wholesale) and the
+	// push epoch, which bumps on every grade of change so epoch-push
+	// subscribers and embedded client caches are told whenever any
+	// cached verdict may have moved. The pool hook also gates occurrence
+	// pooling on the absence of outcome listeners (audit retains
+	// occurrences, pooling would corrupt them); it fires once at
+	// install, setting the initial state.
 	e.store.SetChangeHook(func(policy bool, sid rbac.SessionID) {
-		if fp != nil {
-			if policy {
-				fp.Invalidate()
-			} else {
-				fp.InvalidateSession(string(sid))
-			}
+		if policy {
+			fp.Invalidate()
+		} else {
+			fp.InvalidateSession(string(sid))
 		}
 		e.bumpPushEpoch()
 	})
 	det.SetChangeHook(func() {
-		if fp != nil {
-			fp.Invalidate()
-		}
+		fp.Invalidate()
 		e.bumpPushEpoch()
 	})
 	e.pool.SetChangeHook(func() {
-		if fp != nil {
-			fp.Invalidate()
-			det.SetOccurrencePooling(e.pool.ListenerCount() == 0)
-		}
+		fp.Invalidate()
+		det.SetOccurrencePooling(e.pool.ListenerCount() == 0)
 		e.bumpPushEpoch()
 	})
 	return e
@@ -318,8 +305,7 @@ func (e *Engine) SetPushHook(fn func(epoch uint64)) {
 	e.pushHook.Store(&fn)
 }
 
-// FastPath returns the decision cache, or nil when the fast path is
-// off.
+// FastPath returns the decision cache.
 func (e *Engine) FastPath() *FastPath { return e.fp }
 
 // cacheable reports whether eventName's ALLOW verdicts may be served
@@ -333,9 +319,9 @@ func (e *Engine) cacheable(eventName string) bool {
 }
 
 // CacheableEvent reports whether eventName's verdicts depend only on
-// state the push epoch tags — the same classification the fast path
-// uses — and so are safe for an epoch-tagged client cache. It holds
-// regardless of whether the in-process fast path is enabled.
+// state the push epoch tags — the classification the fast path serves
+// repeat allows under — and so are safe for an epoch-tagged client
+// cache.
 func (e *Engine) CacheableEvent(eventName string) bool { return e.cacheable(eventName) }
 
 // Observer returns the engine's observability bundle (nil when off).
@@ -362,13 +348,11 @@ func (e *Engine) collect() {
 	o.Roles.Set(float64(c.Roles))
 	o.Sessions.Set(float64(c.Sessions))
 	o.SnapshotEpoch.Set(float64(e.store.Epoch()))
-	if e.fp != nil {
-		fs := e.fp.Stats()
-		o.FastPathHits.Set(float64(fs.Hits))
-		o.FastPathMisses.Set(float64(fs.Misses))
-		o.FastPathBypass.Set(float64(fs.Bypass))
-		o.FastPathInvalidations.Set(float64(fs.Invalidations))
-	}
+	fs := e.fp.Stats()
+	o.FastPathHits.Set(float64(fs.Hits))
+	o.FastPathMisses.Set(float64(fs.Misses))
+	o.FastPathBypass.Set(float64(fs.Bypass))
+	o.FastPathInvalidations.Set(float64(fs.Invalidations))
 }
 
 // Env returns the environmental context store.
@@ -414,8 +398,7 @@ func (e *Engine) Decide(eventName string, params event.Params) (*Decision, error
 }
 
 // DecideCheck is Decide for the canonical four-field enforcement tuple
-// (user, session, operation, object). With the fast path enabled, a
-// repeat ALLOW verdict for a cacheable event is served from the
+// (user, session, operation, object). A repeat ALLOW verdict for a cacheable event is served from the
 // epoch-tagged cache, skipping the cascade entirely; callers on the
 // CheckAccess hot path pass the fields as plain strings, so a cache hit
 // never builds the Params map. Traced requests always cascade: a cached
@@ -437,8 +420,8 @@ func (e *Engine) DecideCheck(eventName, user, session, operation, object string)
 		}
 	}
 	fp := e.fp
-	if fp == nil || traced || !e.cacheable(eventName) {
-		if fp != nil && !traced {
+	if traced || !e.cacheable(eventName) {
+		if !traced {
 			fp.bypass.Add(1)
 		}
 		return e.cascade(o, t0, eventName, checkParams(user, session, operation, object), nil, nil, 0, 0, traced, obs.TraceID{})

@@ -304,7 +304,7 @@ func TestBatchSnapAcceptsOneCapturePerBatch(t *testing.T) {
 
 func (e *Engine) DecideCheckBatch(tuples []CheckTuple) {
 	fp := e.fp
-	cacheable := fp != nil && e.cacheable("ev")
+	cacheable := e.cacheable("ev")
 	var epoch uint64
 	if cacheable {
 		epoch = fp.tab.Epoch()
