@@ -1,7 +1,8 @@
 # Developer entry points. `make check` is the tier-1 gate from
 # ROADMAP.md: build, tests, race detector, vet, lint, bounded
 # verification of the example policies, short wire-codec,
-# policy-parser and allow-cache key fuzzes, one round of every paper-experiment benchmark,
+# policy-parser, allow-cache key, sync-snapshot install and
+# periodic-expression fuzzes, one round of every paper-experiment benchmark,
 # and two-second runs of the out-of-process benchmark's cold and reload
 # workloads so the cached, uncached and remote decide paths and hot
 # reload → SYNC → replica install are exercised end to end on every
@@ -9,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint check verify-policies fuzz-wire fuzz-policy fuzz-cache bench-smoke bench-e2e-smoke clean
+.PHONY: build test race vet lint check verify-policies fuzz-wire fuzz-policy fuzz-cache fuzz-sync fuzz-clock bench-smoke bench-e2e-smoke clean
 
 build:
 	$(GO) build ./...
@@ -34,7 +35,7 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/rbacvet ./...
 
-check: build test race vet lint verify-policies fuzz-wire fuzz-policy fuzz-cache bench-smoke bench-e2e-smoke
+check: build test race vet lint verify-policies fuzz-wire fuzz-policy fuzz-cache fuzz-sync fuzz-clock bench-smoke bench-e2e-smoke
 
 # verify-policies runs the bounded symbolic verifier over every example
 # policy. Files named *-violating.acp are seeded-unsafe fixtures and
@@ -83,6 +84,19 @@ fuzz-policy:
 # bytes must be unencodable.
 fuzz-cache:
 	$(GO) test ./internal/allowcache -run '^$$' -fuzz=FuzzAppendKey -fuzztime=5s
+
+# fuzz-sync gives the sync-snapshot install — the bytes a replica takes
+# from its leader — the same budget, on a replica bootstrapped empty and
+# seeded with exports of the example policies (plus testdata/fuzz):
+# nothing may panic and an accepted install must keep the invariants.
+fuzz-sync:
+	$(GO) test . -run '^$$' -fuzz=FuzzInstallSyncSnapshot -fuzztime=5s
+
+# fuzz-clock gives the periodic-expression parser the same budget: an
+# accepted pattern must round-trip through String, and Next/Prev must
+# terminate on it with instants that match.
+fuzz-clock:
+	$(GO) test ./internal/clock -run '^$$' -fuzz=FuzzParsePattern -fuzztime=5s
 
 # bench-smoke runs every root benchmark in bench_test.go once: the
 # paper experiments (F1, E1-E8, ablations A1-A3) and BenchmarkOpen, so

@@ -454,15 +454,17 @@ func (s *System) CheckAccess(sid SessionID, p Permission) bool {
 }
 
 // CheckAccessTuple is CheckAccess for callers that already hold the
-// check as plain strings — rbacd's GET /v1/check handler and the wire
-// server. It skips the SessionID/Permission wrappers so a fast-path
-// cache hit stays allocation-free end to end: the Params map is only
-// built if the cascade actually runs.
+// check as plain strings. It decides the check as an engine batch of
+// one and skips the SessionID/Permission wrappers, so a fast-path cache
+// hit stays allocation-free end to end: the Params map is only built if
+// the cascade actually runs.
 func (s *System) CheckAccessTuple(session, operation, object string) bool {
-	user, _ := s.gen.Engine().Store().SessionUser(SessionID(session))
-	dec, err := s.gen.Engine().DecideCheck(rulegen.EvCheckAccess,
-		string(user), session, operation, object)
-	return err == nil && dec.Allowed()
+	eng := s.gen.Engine()
+	user, _ := eng.Store().SessionUser(SessionID(session))
+	tuple := [1]sentinel.CheckTuple{{User: string(user), Session: session, Operation: operation, Object: object}}
+	var verdict [1]sentinel.Verdict
+	vs, err := eng.DecideCheckBatch(rulegen.EvCheckAccess, tuple[:], verdict[:0])
+	return err == nil && vs[0].Allowed
 }
 
 // CheckAccessTupleCacheable is CheckAccessTuple plus the cacheability

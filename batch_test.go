@@ -1,8 +1,10 @@
 package activerbac_test
 
 import (
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"activerbac"
 )
@@ -80,7 +82,6 @@ func TestCheckAccessBatchMatchesSequential(t *testing.T) {
 	for _, metric := range []string{
 		"activerbac_batch_size_sum",
 		"activerbac_batch_groups_total",
-		"activerbac_batch_fastpath_hits_total",
 	} {
 		if !strings.Contains(text, metric) {
 			t.Errorf("metrics output missing %s", metric)
@@ -236,5 +237,91 @@ func TestCheckAccessBatchTraceField(t *testing.T) {
 	}
 	if recent, _ := sys.RecentTraces(64); len(recent) != 2 {
 		t.Fatalf("%d traces retained, want exactly the 2 client-traced checks", len(recent))
+	}
+}
+
+// TestSlowBatchRecorded: an untraced CheckAccessBatch slower than
+// SlowThreshold is one slow record, scoped to its first check and
+// carrying its first denial; a single check is a batch of one and is
+// recorded the same way.
+func TestSlowBatchRecorded(t *testing.T) {
+	sys, err := activerbac.Open(xyzPolicy, &activerbac.Options{SlowThreshold: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sid, err := sys.CreateSession("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddActiveRole("bob", sid, "PC"); err != nil {
+		t.Fatal(err)
+	}
+	before, err := sys.SlowDecisions(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := activerbac.BatchCheck{Session: string(sid), Operation: "write", Object: "purchase-order.dat"}
+	approve := activerbac.BatchCheck{Session: string(sid), Operation: "approve", Object: "purchase-order.dat"}
+	if got := sys.CheckAccessBatch([]activerbac.BatchCheck{write, approve, write}, nil); !got[0] || got[1] || !got[2] {
+		t.Fatalf("verdicts %v, want [true false true]", got)
+	}
+	if !sys.CheckAccessTuple(write.Session, write.Operation, write.Object) {
+		t.Fatal("single check denied")
+	}
+	recs, err := sys.SlowDecisions(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs = recs[:len(recs)-len(before)] // newest first
+	if len(recs) != 2 {
+		t.Fatalf("%d slow records for one batch and one check, want 2: %+v", len(recs), recs)
+	}
+	single, batch := recs[0], recs[1]
+	if batch.Event != "req.checkAccess" || batch.Scope != string(sid) || batch.Allowed || batch.Reason == "" {
+		t.Errorf("batch slow record %+v: want req.checkAccess for %s, denied with a reason", batch, sid)
+	}
+	if single.Scope != string(sid) || !single.Allowed || single.Reason != "" {
+		t.Errorf("single-check slow record %+v: want an allow for %s", single, sid)
+	}
+}
+
+// TestBatchStageTimings: an untraced CheckAccessBatch records the
+// fastpath_probe stage once, and the cascade stage once when any check
+// missed the cache.
+func TestBatchStageTimings(t *testing.T) {
+	sys, err := activerbac.Open(xyzPolicy, &activerbac.Options{Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sid, err := sys.CreateSession("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stageCounts := func() (probe, cascade int) {
+		var sb strings.Builder
+		if err := sys.WriteMetrics(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, `activerbac_stage_seconds_count{stage="fastpath_probe"} `); ok {
+				probe, _ = strconv.Atoi(v)
+			}
+			if v, ok := strings.CutPrefix(line, `activerbac_stage_seconds_count{stage="cascade"} `); ok {
+				cascade, _ = strconv.Atoi(v)
+			}
+		}
+		return probe, cascade
+	}
+	probe0, cascade0 := stageCounts()
+	c := activerbac.BatchCheck{Session: string(sid), Operation: "write", Object: "purchase-order.dat"}
+	sys.CheckAccessBatch([]activerbac.BatchCheck{c, c, c}, nil)
+	probe1, cascade1 := stageCounts()
+	if probe1 != probe0+1 {
+		t.Errorf("fastpath_probe count %d -> %d, want one more", probe0, probe1)
+	}
+	if cascade1 != cascade0+1 {
+		t.Errorf("cascade count %d -> %d, want one more", cascade0, cascade1)
 	}
 }

@@ -403,10 +403,13 @@ func (c *client) checkTraced(session, operation, object string) error {
 			return err
 		}
 		defer wc.Close()
-		allowed, err = wc.CheckTraced(session, operation, object, tid)
+		verdicts, err := wc.CheckMany([]wire.CheckRequest{{
+			Session: session, Operation: operation, Object: object, Trace: tid,
+		}})
 		if err != nil {
 			return err
 		}
+		allowed = verdicts[0]
 	} else {
 		req, err := http.NewRequest("GET", c.base+"/v1/check?"+url.Values{
 			"session": {session}, "operation": {operation}, "object": {object},

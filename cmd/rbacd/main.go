@@ -441,10 +441,6 @@ func run(cfg config) error {
 // the wire protocol's Backend interface.
 type wireBackend struct{ srv *server }
 
-func (b wireBackend) Check(session, operation, object string) bool {
-	return b.srv.system().CheckAccessTuple(session, operation, object)
-}
-
 // PolicyEpoch answers POLICY_VERSION. A replica advertises the leader
 // push epoch it has applied — the number a fleet operator compares
 // across sites — instead of its local snapshot epoch, whose numbering
@@ -467,9 +463,9 @@ func (b wireBackend) CheckCacheable(session, operation, object string) (allowed,
 	return b.srv.system().CheckAccessTupleCacheable(session, operation, object)
 }
 
-// CheckBatch decides a CHECK_BATCH frame — or a TRACE-flagged CHECK,
-// which the server hands over as a batch of one — in one batch-native
-// engine pass. A request's Trace carries over, so a traced request's
+// CheckBatch decides a CHECK_BATCH frame — or a CHECK, which the
+// server hands over as a batch of one — in one batch-native engine
+// pass. A request's Trace carries over, so a traced request's
 // cascade is retained under the client-minted id, resolvable at
 // /v1/traces/{id}. The conversion slice is pooled; the strings inside
 // were already allocated by the frame decode.
@@ -960,25 +956,19 @@ func (s *server) check(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, ex)
 		return
 	}
-	// The plain check is the hot path: the string-tuple entry reaches
-	// the zero-alloc DecideCheck fast path (no SessionID/Permission/
-	// Params wrappers) and the verdict body is pre-encoded. A trace
-	// header makes it a batch of one carrying the id.
+	// The plain check is the hot path: a batch of one, traced when the
+	// request carries a trace header, with a pre-encoded verdict body.
 	tid, ok := traceID(w, r)
 	if !ok {
 		return
 	}
-	var allowed bool
-	if !tid.IsZero() {
-		allowed = s.system().CheckAccessBatch([]activerbac.BatchCheck{{
-			Session: q.Get("session"), Operation: q.Get("operation"), Object: q.Get("object"),
-			Trace: tid,
-		}}, nil)[0]
-	} else {
-		allowed = s.system().CheckAccessTuple(q.Get("session"), q.Get("operation"), q.Get("object"))
-	}
+	check := [1]activerbac.BatchCheck{{
+		Session: q.Get("session"), Operation: q.Get("operation"), Object: q.Get("object"),
+		Trace: tid,
+	}}
+	var verdict [1]bool
 	body := checkBodyDeny
-	if allowed {
+	if s.system().CheckAccessBatch(check[:], verdict[:0])[0] {
 		body = checkBodyAllow
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -620,11 +620,13 @@ func TestWireDifferential(t *testing.T) {
 			return
 		}
 
-		// Wire: TRACE-flagged CHECK with the same machinery.
+		// Wire: a TRACE-flagged check of one with the same machinery.
 		wireTID := activerbac.NewTraceID()
-		allowed, err := wc.CheckTraced(string(sid), "op0", "obj0", wireTID)
-		if err != nil || !allowed {
-			t.Errorf("traced differential: wire CheckTraced = (%v, %v), want allowed", allowed, err)
+		verdicts, err := wc.CheckMany([]wire.CheckRequest{{
+			Session: string(sid), Operation: "op0", Object: "obj0", Trace: wireTID,
+		}})
+		if err != nil || len(verdicts) != 1 || !verdicts[0] {
+			t.Errorf("traced differential: wire traced CheckMany = (%v, %v), want [true]", verdicts, err)
 			return
 		}
 

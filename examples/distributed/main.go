@@ -39,9 +39,8 @@ type leaderBackend struct {
 	hub *replicate.Hub
 }
 
-func (b leaderBackend) Check(s, op, obj string) bool { return b.sys.CheckAccessTuple(s, op, obj) }
-func (b leaderBackend) PolicyEpoch() uint64          { return b.sys.SnapshotEpoch() }
-func (b leaderBackend) PushEpoch() uint64            { return b.sys.PushEpoch() }
+func (b leaderBackend) PolicyEpoch() uint64 { return b.sys.SnapshotEpoch() }
+func (b leaderBackend) PushEpoch() uint64   { return b.sys.PushEpoch() }
 func (b leaderBackend) CheckCacheable(s, op, obj string) (bool, bool) {
 	return b.sys.CheckAccessTupleCacheable(s, op, obj)
 }

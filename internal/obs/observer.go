@@ -38,10 +38,9 @@ type Observer struct {
 	FastPathInvalidations *Counter // activerbac_fastpath_invalidations_total
 	SnapshotEpoch         *Gauge   // activerbac_snapshot_epoch
 
-	// Batch decision path (counted per DecideCheckBatch call).
-	BatchSize         *Histogram // activerbac_batch_size (distribution of tuples per batch)
-	BatchGroups       *Counter   // activerbac_batch_groups_total
-	BatchFastPathHits *Counter   // activerbac_batch_fastpath_hits_total
+	// Access-check batches (a single check is a batch of one).
+	BatchSize   *Histogram // activerbac_batch_size (distribution of tuples per batch)
+	BatchGroups *Counter   // activerbac_batch_groups_total
 
 	// Drain wait (observed at drain time).
 	LaneWait *Histogram // activerbac_lane_wait_seconds
@@ -156,11 +155,9 @@ func NewObserver(traceCapacity int) *Observer {
 			"Policy epoch of the RBAC store's published copy-on-write snapshot.").With(),
 
 		BatchSize: r.Histogram("activerbac_batch_size",
-			"Tuples per DecideCheckBatch call.", BatchSizeBuckets).With(),
+			"Tuples per access-check batch; a single check is a batch of 1.", BatchSizeBuckets).With(),
 		BatchGroups: r.Counter("activerbac_batch_groups_total",
 			"Group work items batches posted to the drain (one drain crossing each).").With(),
-		BatchFastPathHits: r.Counter("activerbac_batch_fastpath_hits_total",
-			"Batch tuples served from the fast-path cache during the up-front probe.").With(),
 
 		LaneWait: r.Histogram("activerbac_lane_wait_seconds",
 			"Time a work item spent queued before the event detector's drain ran it.", nil).With(),

@@ -38,13 +38,19 @@ func (tx *Tx) AddInheritance(senior, junior RoleID) error {
 		return fmt.Errorf("inheritance %q -> %q: %w", senior, junior, ErrCycle)
 	}
 	// Adding the edge extends every senior-side user's authorized role
-	// set by junior's junior-closure; verify SSD still holds.
+	// set, and every session holding a senior-side role active, by
+	// junior's junior-closure; verify SSD and DSD still hold.
 	sr.juniors.add(junior)
 	jr.seniors.add(senior)
 	if name, ok := s.ssdGloballyOKLocked(); !ok {
 		sr.juniors.del(junior)
 		jr.seniors.del(senior)
 		return fmt.Errorf("inheritance %q -> %q violates SSD set %q: %w", senior, junior, name, ErrSSD)
+	}
+	if name, sid, ok := s.dsdAfterEdgeOKLocked(senior); !ok {
+		sr.juniors.del(junior)
+		jr.seniors.del(senior)
+		return fmt.Errorf("inheritance %q -> %q puts session %q over DSD set %q: %w", senior, junior, sid, name, ErrDSD)
 	}
 	tx.dirty = true
 	return nil

@@ -3,6 +3,7 @@ package rbac
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -178,6 +179,47 @@ func TestDynamicSoDCountsHierarchy(t *testing.T) {
 	mustOK(t, err)
 	mustOK(t, s.AddActiveRole("bob", sid, "boss"))
 	mustErr(t, s.AddActiveRole("bob", sid, "auditor"), ErrDSD)
+}
+
+// TestAddInheritanceRespectsLiveDSD: an inheritance edge that would
+// extend a live session's active roles over a DSD limit is rejected
+// with ErrDSD and rolled back, like the SSD check beside it.
+func TestAddInheritanceRespectsLiveDSD(t *testing.T) {
+	t.Run("random-ops-replay", func(t *testing.T) {
+		// This sequence once added an edge under session s11's active
+		// roles that left it holding 2 of 2 roles of dsd2.
+		s := NewStore()
+		randomOps(s, rand.New(rand.NewSource(8904467086733945656)), 400)
+		if errs := s.CheckInvariants(); len(errs) != 0 {
+			t.Fatal(errs)
+		}
+	})
+	t.Run("three-roles", func(t *testing.T) {
+		s := NewStore()
+		for _, r := range []RoleID{"lead", "teller", "auditor"} {
+			mustOK(t, s.AddRole(r))
+		}
+		mustOK(t, s.CreateDSD(SoDSet{Name: "bank", Roles: []RoleID{"teller", "auditor"}, N: 2}))
+		mustOK(t, s.AddUser("bob"))
+		mustOK(t, s.AssignUser("bob", "lead"))
+		mustOK(t, s.AssignUser("bob", "auditor"))
+		sid, err := s.CreateSession("bob")
+		mustOK(t, err)
+		mustOK(t, s.AddActiveRole("bob", sid, "lead"))
+		mustOK(t, s.AddActiveRole("bob", sid, "auditor"))
+		// lead > teller would make sid hold teller and auditor at once.
+		mustErr(t, s.AddInheritance("lead", "teller"), ErrDSD)
+		if j, err := s.ImmediateJuniors("lead"); err != nil || len(j) != 0 {
+			t.Fatalf("rejected edge left lead's juniors %v (%v)", j, err)
+		}
+		if errs := s.CheckInvariants(); len(errs) != 0 {
+			t.Fatal(errs)
+		}
+		// With auditor dropped the same edge is fine.
+		mustOK(t, s.DropActiveRole("bob", sid, "auditor"))
+		mustOK(t, s.AddInheritance("lead", "teller"))
+		mustErr(t, s.AddActiveRole("bob", sid, "auditor"), ErrDSD)
+	})
 }
 
 func TestDSDCreationValidation(t *testing.T) {

@@ -211,6 +211,36 @@ func (s *Store) ssdGloballyOKLocked() (string, bool) {
 	return "", true
 }
 
+// dsdAfterEdgeOKLocked reports whether every live session still
+// satisfies every DSD set after an inheritance edge below senior was
+// added. Only sessions holding senior or one of its seniors active gain
+// coverage from the edge, so only those are counted; on failure it
+// names the violated set and session.
+func (s *Store) dsdAfterEdgeOKLocked(senior RoleID) (string, SessionID, bool) {
+	if len(s.dsd) == 0 {
+		return "", "", true
+	}
+	above := s.seniorsClosureLocked(senior)
+	for sid, sess := range s.sessions {
+		touched := false
+		for r := range sess.active {
+			if above.has(r) {
+				touched = true
+				break
+			}
+		}
+		if !touched {
+			continue
+		}
+		for name, set := range s.dsd {
+			if s.countActiveInLocked(sess, set) >= set.N {
+				return name, sid, false
+			}
+		}
+	}
+	return "", "", true
+}
+
 // CheckSSDAssign is the predicate form of the SSD assignment check: it
 // reports whether assigning r to u keeps every SSD set satisfied (the
 // condition an administrative OWTE rule evaluates).

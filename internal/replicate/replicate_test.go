@@ -58,7 +58,6 @@ type hubBackend struct {
 	truncate atomic.Bool
 }
 
-func (b *hubBackend) Check(_, _, _ string) bool                  { return false }
 func (b *hubBackend) PolicyEpoch() uint64                        { return b.exp.PushEpoch() }
 func (b *hubBackend) PushEpoch() uint64                          { return b.exp.PushEpoch() }
 func (b *hubBackend) CheckCacheable(_, _, _ string) (bool, bool) { return false, false }

@@ -37,16 +37,23 @@ type Verdict struct {
 // unencodable tuple, or a batch whose event is not cacheable at all.
 const fpKeyNone = -1
 
-// batchState is the pooled per-batch scratch: decision slots, the
-// shared fast-path key buffer with per-tuple offsets, captured session
-// generations, and the cascading tuples. One Get/Put per batch
-// amortizes every allocation the per-tuple path would pay N times.
+// slot is one tuple's batch scratch: its decision once known, and the
+// cache key and session generation an ALLOW is stored under.
+type slot struct {
+	dec      *Decision
+	off, end int32 // the tuple's key in keys; off is fpKeyNone when none is stored
+	sgen     allowcache.Gen
+}
+
+// batchState is the pooled per-batch scratch: the tuple slots, the
+// shared fast-path key buffer, and the cascading tuples. One Get/Put
+// per batch amortizes every allocation N separate decisions would pay,
+// and a batch of one served from the cache allocates nothing, even
+// when the pool hands out a fresh state.
 type batchState struct {
-	decs   []*Decision
-	keys   []byte  // all fast-path keys of the batch, back to back
-	keyOff []int32 // per tuple: offset into keys, or fpKeyNone
-	keyEnd []int32 // per tuple: end of its key in keys
-	sgens  []allowcache.Gen
+	slots []slot
+	keys  []byte    // all fast-path keys of the batch, back to back
+	kbuf  [256]byte // keys' initial backing: no key allocation for a small batch
 
 	group []event.Params // owned mode: each cascading tuple's params, in input order
 	idx   []int32        // carrier mode: each cascading tuple's index, in input order
@@ -54,18 +61,20 @@ type batchState struct {
 	// box interns string-to-any boxing for the batch's params maps:
 	// sessions, users, operations and objects repeat heavily within a
 	// batch, and boxing a string into an interface allocates every
-	// time — four allocations per tuple the per-tuple path cannot
-	// avoid but a batch can share. The submitter interns every tuple's
+	// time — four allocations per tuple a lone decision cannot avoid
+	// but a batch can share. The submitter interns every tuple's
 	// four boxes into boxes[4*i:4*i+4] before raising the group, so the
 	// carrier fill — which runs on the drain, possibly another caller's
 	// goroutine — only reads the slice and the serialized drain does no
-	// map work.
+	// map work. The map is made on the first cascade.
 	box   map[string]any
 	boxes []any
 }
 
 var batchPool = sync.Pool{New: func() any {
-	return &batchState{box: make(map[string]any)}
+	bs := &batchState{}
+	bs.keys = bs.kbuf[:0]
+	return bs
 }}
 
 // boxed returns s as an interface value, allocating the box at most
@@ -74,39 +83,31 @@ func (bs *batchState) boxed(s string) any {
 	if v, ok := bs.box[s]; ok {
 		return v
 	}
+	if bs.box == nil {
+		bs.box = make(map[string]any)
+	}
 	v := any(s)
 	bs.box[s] = v
 	return v
 }
 
-// grow sizes the per-tuple arrays to n and returns the zeroed decision
-// slots.
-func (bs *batchState) grow(n int) []*Decision {
-	if cap(bs.decs) < n {
-		bs.decs = make([]*Decision, n)
-		bs.keyOff = make([]int32, n)
-		bs.keyEnd = make([]int32, n)
-		bs.sgens = make([]allowcache.Gen, n)
+// grow sizes the slots to n and returns them zeroed.
+func (bs *batchState) grow(n int) []slot {
+	if cap(bs.slots) < n {
+		bs.slots = make([]slot, n)
 	} else {
-		bs.decs = bs.decs[:n]
-		for i := range bs.decs {
-			bs.decs[i] = nil
-		}
-		bs.keyOff = bs.keyOff[:n]
-		bs.keyEnd = bs.keyEnd[:n]
-		bs.sgens = bs.sgens[:n]
+		bs.slots = bs.slots[:n]
+		clear(bs.slots)
 	}
-	return bs.decs
+	return bs.slots
 }
 
 // release drops every reference the batch held (decisions, params)
 // while keeping the backing arrays for the next batch, then returns the
 // state to the pool.
 func (bs *batchState) release() {
-	for i := range bs.decs {
-		bs.decs[i] = nil
-	}
-	bs.decs = bs.decs[:0]
+	clear(bs.slots)
+	bs.slots = bs.slots[:0]
 	bs.keys = bs.keys[:0]
 	clear(bs.box)
 	clear(bs.boxes)
@@ -120,11 +121,12 @@ func (bs *batchState) release() {
 // DecideCheckBatch decides a whole batch of four-field enforcement
 // tuples as one unit, returning verdicts in input order (verdicts[i]
 // answers tuples[i]); the passed slice is reused when its capacity
-// allows. Semantically the batch is exactly sequential DecideCheck
-// calls in input order — duplicates cascade independently, denials
-// never cache, and a denial that changes state (an active-security
-// lock) is seen by every later tuple — but the batch amortizes
-// everything around the per-tuple rule work:
+// allows. It is the engine's one access-check path: DecideCheck is a
+// batch of one. Semantically the batch is exactly sequential
+// single-tuple decisions in input order — duplicates cascade
+// independently, denials never cache, and a denial that changes state
+// (an active-security lock) is seen by every later tuple — but the
+// batch amortizes everything around the per-tuple rule work:
 //
 //   - fast-path eligibility and the cache epoch are captured ONCE per
 //     batch, and the whole batch is probed up front against that
@@ -144,11 +146,19 @@ func (bs *batchState) release() {
 // maximal untraced runs between traced tuples stay batch-native, in
 // input order. Callers that mark only tuple 0 (wire, HTTP, the sampler)
 // therefore still capture the snapshot once per batch. The batch-size
-// distribution records the submitted size once per call.
+// distribution records the submitted size once per call; latency, the
+// probe and cascade stages and the slow-decision capture are recorded
+// once per untraced run.
 //
-// See DESIGN.md §5.6 and §5.7.
+// See DESIGN.md §5.4, §5.6 and §5.7.
 func (e *Engine) DecideCheckBatch(eventName string, tuples []CheckTuple, verdicts []Verdict) ([]Verdict, error) {
-	verdicts = verdicts[:0]
+	return e.decideBatch(eventName, tuples, verdicts[:0], nil)
+}
+
+// decideBatch is DecideCheckBatch that also hands back each tuple's
+// settled Decision in decs[i] when decs is non-nil (len(decs) ==
+// len(tuples)); DecideCheck reads its one Decision from there.
+func (e *Engine) decideBatch(eventName string, tuples []CheckTuple, verdicts []Verdict, decs []*Decision) ([]Verdict, error) {
 	n := len(tuples)
 	if n == 0 {
 		return verdicts, nil
@@ -164,7 +174,6 @@ func (e *Engine) DecideCheckBatch(eventName string, tuples []CheckTuple, verdict
 			traceFirst = !traceAll && o.Sampler.Sample(t0)
 		}
 	}
-	fp := e.fp
 	run := 0 // first tuple of the pending untraced run
 	var err error
 	for i := range tuples {
@@ -173,7 +182,7 @@ func (e *Engine) DecideCheckBatch(eventName string, tuples []CheckTuple, verdict
 			continue
 		}
 		if run < i {
-			if verdicts, err = e.decideBatchCore(o, t0, eventName, tuples[run:i], verdicts); err != nil {
+			if verdicts, err = e.decideBatchCore(o, t0, eventName, tuples[run:i], verdicts, subDecs(decs, run, i)); err != nil {
 				return verdicts, err
 			}
 		}
@@ -183,31 +192,46 @@ func (e *Engine) DecideCheckBatch(eventName string, tuples []CheckTuple, verdict
 			ti = e.clk.Now()
 		}
 		if !tracing {
-			fp.bypass.Add(1)
+			e.fp.bypass.Add(1)
 		}
-		dec, err := e.cascade(o, ti, eventName, checkParams(t.User, t.Session, t.Operation, t.Object),
-			nil, nil, 0, 0, tracing, t.Trace)
+		dec, err := e.cascade(o, ti, eventName, checkParams(t.User, t.Session, t.Operation, t.Object), tracing, t.Trace)
 		if err != nil {
 			return verdicts, err
 		}
+		if decs != nil {
+			decs[i] = dec
+		}
 		allowed, reason := dec.Verdict()
 		verdicts = append(verdicts, Verdict{Allowed: allowed, Reason: reason})
+		if o != nil {
+			t0 = e.clk.Now() // the next run starts after this cascade
+		}
 	}
 	if run < n {
-		verdicts, err = e.decideBatchCore(o, t0, eventName, tuples[run:], verdicts)
+		verdicts, err = e.decideBatchCore(o, t0, eventName, tuples[run:], verdicts, subDecs(decs, run, n))
 	}
 	return verdicts, err
 }
 
+// subDecs is decs[lo:hi], or nil when the caller wants no decisions.
+func subDecs(decs []*Decision, lo, hi int) []*Decision {
+	if decs == nil {
+		return nil
+	}
+	return decs[lo:hi]
+}
+
 // decideBatchCore is the batch-native evaluation floor for one untraced
-// run of a batch: one snapshot capture, one up-front cache probe, one
-// group work item for the misses, one settle.
-func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string, tuples []CheckTuple, verdicts []Verdict) ([]Verdict, error) {
+// run of a batch, starting at t0: one snapshot capture, one up-front
+// cache probe, one group work item for the misses, one settle. It is
+// the only place the verdict cache is probed. When out is non-nil it
+// receives each tuple's settled Decision.
+func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string, tuples []CheckTuple, verdicts []Verdict, out []*Decision) ([]Verdict, error) {
 	n := len(tuples)
 
 	bs := batchPool.Get().(*batchState)
 	defer bs.release()
-	decs := bs.grow(n)
+	slots := bs.grow(n)
 
 	// The one-snapshot-per-batch capture (enforced by the batchsnap vet
 	// pass): eligibility and epoch are read here and nowhere inside the
@@ -223,36 +247,39 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 	// retains an occurrence or its params map beyond the synchronous
 	// delivery.
 	cacheable := e.cacheable(eventName)
-	var epoch uint64
+	var epoch, view uint64
 	if cacheable {
 		epoch = fp.tab.Epoch()
+		// The store publishes a policy view before its change hook
+		// bumps the cache epoch. Serving an entry only under the view
+		// it was decided from closes that window: a check that already
+		// sees the new view never gets the old view's allow.
+		view = e.store.Epoch()
 	}
 
-	var hits, cascades int
+	var cascades int
 	if cacheable {
-		var encMisses int
+		var hits, encMisses int
 		for i := range tuples {
 			t := &tuples[i]
 			start := len(bs.keys)
+			sl := &slots[i]
 			keys, fits := allowcache.AppendKey(bs.keys, eventName, t.User, t.Session, t.Operation, t.Object)
 			if !fits {
-				bs.keyOff[i] = fpKeyNone
+				sl.off = fpKeyNone
 				cascades++
 				fp.bypass.Add(1)
 				continue
 			}
 			sgen := fp.tab.Session(t.Session)
-			if dec, hit := fp.tab.Lookup(keys[start:], epoch, sgen); hit {
+			if dec, hit := fp.tab.Lookup(keys[start:], epoch, sgen); hit && dec.view == view {
 				bs.keys = keys[:start] // drop the key, keep the grown buffer
-				decs[i] = dec
-				bs.keyOff[i] = fpKeyNone
+				sl.dec, sl.off = dec, fpKeyNone
 				hits++
 				continue
 			}
 			bs.keys = keys
-			bs.keyOff[i] = int32(start)
-			bs.keyEnd[i] = int32(len(keys))
-			bs.sgens[i] = sgen
+			sl.off, sl.end, sl.sgen = int32(start), int32(len(keys)), sgen
 			cascades++
 			encMisses++
 		}
@@ -264,10 +291,22 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 		}
 	} else {
 		fp.bypass.Add(uint64(n))
-		for i := range bs.keyOff {
-			bs.keyOff[i] = fpKeyNone
+		for i := range slots {
+			slots[i].off = fpKeyNone
 		}
 		cascades = n
+	}
+	// Stage attribution: the probe is eligibility, encode and lookup;
+	// the cascade is everything from there to the settle — decision
+	// setup, rule matching, condition evaluation and actions (queue
+	// time is also attributed to lane_wait, by the drain instrument).
+	// The two stages add up to the run's decision latency.
+	var tEnd time.Time
+	if o != nil {
+		tEnd = e.clk.Now()
+		if cacheable {
+			o.StageFastPath.Observe(tEnd.Sub(t0).Seconds())
+		}
 	}
 
 	if cascades > 0 {
@@ -279,12 +318,12 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 			bs.boxes = slices.Grow(bs.boxes, 4*n)[:4*n]
 		}
 		for i := range tuples {
-			if decs[i] != nil {
+			if slots[i].dec != nil {
 				continue // served from the cache
 			}
-			dec := &Decision{}
+			dec := &Decision{view: view}
 			dec.votes = dec.vbuf[:0]
-			decs[i] = dec
+			slots[i].dec = dec
 			t := &tuples[i]
 			if cacheable {
 				bs.idx = append(bs.idx, int32(i))
@@ -293,9 +332,9 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 				bx[2], bx[3] = bs.boxed(t.Operation), bs.boxed(t.Object)
 				continue
 			}
-			// One owned params map per decision, exactly as the
-			// per-tuple cascade builds; ownership transfers to the
-			// detector with the group.
+			// One owned params map per decision, exactly as the traced
+			// cascade builds; ownership transfers to the detector with
+			// the group.
 			bs.group = append(bs.group, event.Params{
 				"user": bs.boxed(t.User), "session": bs.boxed(t.Session),
 				"operation": bs.boxed(t.Operation), "object": bs.boxed(t.Object),
@@ -314,26 +353,39 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 				bx := bs.boxes[4*i : 4*i+4]
 				p["user"], p["session"] = bx[0], bx[1]
 				p["operation"], p["object"] = bx[2], bx[3]
-				p[DecisionKey] = decs[i]
+				p[DecisionKey] = slots[i].dec
 			})
 		} else {
 			batch.RaiseGroupOwned(bs.group)
 		}
 		batch.Wait()
+		if o != nil {
+			tRaise := tEnd
+			tEnd = e.clk.Now()
+			o.StageCascade.Observe(tEnd.Sub(tRaise).Seconds())
+		}
 	}
 
 	var allows, denies int
-	for i := range decs {
-		allowed, reason := decs[i].Verdict()
+	var denyReason string
+	for i := range slots {
+		sl := &slots[i]
+		allowed, reason := sl.dec.Verdict()
 		if allowed {
 			allows++
-			if off := bs.keyOff[i]; off >= 0 {
-				fp.tab.Store(bs.keys[off:bs.keyEnd[i]], decs[i], epoch, bs.sgens[i])
+			if sl.off >= 0 {
+				fp.tab.Store(bs.keys[sl.off:sl.end], sl.dec, epoch, sl.sgen)
 			}
 		} else {
+			if denies == 0 {
+				denyReason = reason
+			}
 			denies++
 		}
 		verdicts = append(verdicts, Verdict{Allowed: allowed, Reason: reason})
+	}
+	for i := range out {
+		out[i] = slots[i].dec
 	}
 	if o != nil {
 		if allows > 0 {
@@ -342,13 +394,21 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 		if denies > 0 {
 			o.Decisions.With(eventName, "deny").Add(float64(denies))
 		}
-		// The batch is one decision round trip: its latency is observed
-		// once, not once per tuple.
-		o.DecisionLatency.With(eventName).Observe(e.clk.Now().Sub(t0).Seconds())
 		if cascades > 0 {
 			o.BatchGroups.Inc()
 		}
-		o.BatchFastPathHits.Add(float64(hits))
+		// The run is one decision round trip: its latency is observed
+		// once, not once per tuple, and a slow run is one slow record,
+		// scoped to its first tuple and carrying its first denial.
+		elapsed := tEnd.Sub(t0)
+		o.DecisionLatency.With(eventName).Observe(elapsed.Seconds())
+		if sl := o.Slow; sl != nil && sl.Exceeds(elapsed) {
+			o.SlowDecisions.Inc()
+			sl.Record(obs.SlowRecord{
+				At: t0, Event: eventName, Scope: subject(tuples[0].User, tuples[0].Session),
+				Seconds: elapsed.Seconds(), Allowed: denies == 0, Reason: denyReason,
+			})
+		}
 	}
 	return verdicts, nil
 }

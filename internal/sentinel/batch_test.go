@@ -8,6 +8,7 @@ import (
 	"activerbac/internal/clock"
 	"activerbac/internal/core"
 	"activerbac/internal/event"
+	"activerbac/internal/rbac"
 )
 
 // allowBobRule wires the standard test rule: allow when user=="bob",
@@ -36,7 +37,7 @@ func allowBobRule(e *Engine, on string) {
 
 // TestDecideCheckBatchMatchesSequential: a mixed batch — several
 // scopes, duplicates, a global-scope tuple — must yield exactly the
-// verdicts the per-tuple path yields, in input order.
+// verdicts sequential DecideCheck calls yield, in input order.
 func TestDecideCheckBatchMatchesSequential(t *testing.T) {
 	e, _ := newEngine()
 	allowBobRule(e, "req")
@@ -252,7 +253,7 @@ func cacheSafeBobRule(e *Engine, on string) {
 
 // TestDecideCheckBatchCarrierMode: under the cache-safe shape with no
 // fast path the batch runs in carrier mode. Verdicts must still match
-// the per-tuple path exactly, across rounds (the carrier maps are
+// sequential DecideCheck calls exactly, across rounds (the carrier maps are
 // reused between batches).
 func TestDecideCheckBatchCarrierMode(t *testing.T) {
 	e, _ := newEngine()
@@ -388,4 +389,63 @@ func TestDecideCheckBatchManySessions(t *testing.T) {
 			t.Errorf("batches should both hit and miss the cache: %+v", st)
 		}
 	})
+}
+
+// TestFastPathServesOnlyItsView: the store publishes a policy view
+// before its change hook bumps the cache epoch. A check landing in
+// between must not be served the previous view's cached allow. The
+// test holds that instant open by detaching the hook.
+func TestFastPathServesOnlyItsView(t *testing.T) {
+	e, _ := newEngine()
+	st := e.Store()
+	read := rbac.Permission{Operation: "read", Object: "doc"}
+	for _, err := range []error{st.AddRole("R"), st.AddUser("bob"), st.AssignUser("bob", "R"), st.GrantPermission("R", read)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	sid, err := st.CreateSession("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AddActiveRole("bob", sid, "R"); err != nil {
+		t.Fatal(err)
+	}
+	e.Detector().MustPrimitive("req")
+	e.Pool().MustAdd(core.Rule{
+		Name: "CA", On: "req", CacheSafe: true,
+		When: []core.Condition{core.BoolCond("permitted", func(o *event.Occurrence) bool {
+			s, _ := o.Params["session"].(string)
+			return st.CheckAccess(rbac.SessionID(s), read)
+		})},
+		Then: []core.Action{core.Act("allow", func(o *event.Occurrence) error {
+			if dec, ok := DecisionOf(o); ok {
+				dec.Allow("CA")
+			}
+			return nil
+		})},
+		Else: []core.Action{core.Act("deny", func(o *event.Occurrence) error {
+			if dec, ok := DecisionOf(o); ok {
+				dec.Deny("CA", "not permitted")
+			}
+			return nil
+		})},
+	})
+	check := func() bool {
+		dec, err := e.DecideCheck("req", "bob", string(sid), "read", "doc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dec.Allowed()
+	}
+	if !check() || !check() || e.FastPath().Stats().Hits != 1 {
+		t.Fatalf("warm-up: want two allows, the second a cache hit: %+v", e.FastPath().Stats())
+	}
+	st.SetChangeHook(func(bool, rbac.SessionID) {})
+	if err := st.RevokePermission("R", read); err != nil {
+		t.Fatal(err)
+	}
+	if check() {
+		t.Fatal("check after the revoke was published served the cached allow")
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"activerbac/internal/allowcache"
 	"activerbac/internal/clock"
 	"activerbac/internal/core"
 	"activerbac/internal/event"
@@ -41,6 +40,10 @@ type Decision struct {
 	vbuf   [4]Vote
 	result any
 	trace  *obs.Trace
+	// view is the RBAC store's view epoch captured before an access
+	// check was decided; the fast path serves a cached Decision only
+	// while the store still publishes that view.
+	view uint64
 }
 
 // Trace returns the decision's cascade trace, or nil when tracing was
@@ -394,73 +397,22 @@ func (e *Engine) Decide(eventName string, params event.Params) (*Decision, error
 			traced = o.SampleTrace(t0)
 		}
 	}
-	return e.cascade(o, t0, eventName, params, nil, nil, 0, 0, traced, obs.TraceID{})
+	return e.cascade(o, t0, eventName, params, traced, obs.TraceID{})
 }
 
-// DecideCheck is Decide for the canonical four-field enforcement tuple
-// (user, session, operation, object). A repeat ALLOW verdict for a cacheable event is served from the
-// epoch-tagged cache, skipping the cascade entirely; callers on the
-// CheckAccess hot path pass the fields as plain strings, so a cache hit
-// never builds the Params map. Traced requests always cascade: a cached
-// verdict has no steps to record, so a sampled production engine keeps
-// the fast path live for the untraced majority.
-//
-// The epoch pair is captured BEFORE lookup (and, on a miss, before the
-// cascade), so any interleaved mutation — which publishes its snapshot
-// and then bumps the epoch or session generation — makes the hit
-// invalid or the stored entry stale.
+// DecideCheck decides the canonical four-field enforcement tuple
+// (user, session, operation, object) as a batch of one: it is
+// DecideCheckBatch for a single tuple, returning the settled Decision
+// instead of only its verdict. A repeat ALLOW for a cacheable event is
+// the cached Decision, served without running the cascade; a traced
+// request always cascades. A cache hit builds no Params map and, with
+// no observer, allocates nothing.
 func (e *Engine) DecideCheck(eventName, user, session, operation, object string) (*Decision, error) {
-	o := e.obs
-	var t0 time.Time
-	traced := false
-	if o != nil {
-		t0 = e.clk.Now()
-		if o.Traces != nil {
-			traced = o.SampleTrace(t0)
-		}
-	}
-	fp := e.fp
-	if traced || !e.cacheable(eventName) {
-		if !traced {
-			fp.bypass.Add(1)
-		}
-		return e.cascade(o, t0, eventName, checkParams(user, session, operation, object), nil, nil, 0, 0, traced, obs.TraceID{})
-	}
-	buf := fpKeyPool.Get().(*[]byte)
-	key, fits := allowcache.AppendKey((*buf)[:0], eventName, user, session, operation, object)
-	if !fits {
-		fpKeyPool.Put(buf)
-		fp.bypass.Add(1)
-		return e.cascade(o, t0, eventName, checkParams(user, session, operation, object), nil, nil, 0, 0, false, obs.TraceID{})
-	}
-	epoch := fp.tab.Epoch()
-	sgen := fp.tab.Session(session)
-	if dec, hit := fp.tab.Lookup(key, epoch, sgen); hit {
-		*buf = key[:0]
-		fpKeyPool.Put(buf)
-		fp.hits.Add(1)
-		if o != nil {
-			now := e.clk.Now()
-			elapsed := now.Sub(t0)
-			// On a hit the whole decision IS the probe: encode + lookup.
-			o.StageFastPath.Observe(elapsed.Seconds())
-			o.Decisions.With(eventName, "allow").Inc()
-			o.DecisionLatency.With(eventName).Observe(elapsed.Seconds())
-			if sl := o.Slow; sl != nil && sl.Exceeds(elapsed) {
-				o.SlowDecisions.Inc()
-				sl.Record(obs.SlowRecord{
-					At: t0, Event: eventName, Scope: subject(user, session),
-					Seconds: elapsed.Seconds(), Allowed: true,
-				})
-			}
-		}
-		return dec, nil
-	}
-	fp.misses.Add(1)
-	if o != nil {
-		o.StageFastPath.Observe(e.clk.Now().Sub(t0).Seconds())
-	}
-	return e.cascade(o, t0, eventName, checkParams(user, session, operation, object), buf, key, epoch, sgen, false, obs.TraceID{})
+	tuple := [1]CheckTuple{{User: user, Session: session, Operation: operation, Object: object}}
+	var verdict [1]Verdict
+	var dec [1]*Decision
+	_, err := e.decideBatch(eventName, tuple[:], verdict[:0], dec[:])
+	return dec[0], err
 }
 
 // checkParams builds the Params map for the four-field tuple.
@@ -471,14 +423,12 @@ func checkParams(user, session, operation, object string) event.Params {
 	}
 }
 
-// cascade runs the full rule cascade for one enforcement event. fpBuf
-// is non-nil only on a fast-path miss: the pooled key buffer is held
-// through the cascade so an ALLOW verdict can be stored under the
-// pre-captured epoch pair without re-encoding the tuple. traced asks
-// for a cascade trace (already sampled or forced by the caller); tid is
-// the client-supplied trace identity, zero for engine-sampled traces.
-func (e *Engine) cascade(o *obs.Observer, t0 time.Time, eventName string, params event.Params, fpBuf *[]byte, fpKey []byte, fpEpoch uint64, fpSgen allowcache.Gen, traced bool, tid obs.TraceID) (*Decision, error) {
-	fp := e.fp
+// cascade runs the full rule cascade for one enforcement event, for
+// Decide and for traced access checks; it never touches the verdict
+// cache. traced asks for a cascade trace (already sampled or forced by
+// the caller); tid is the client-supplied trace identity, zero for
+// engine-sampled traces.
+func (e *Engine) cascade(o *obs.Observer, t0 time.Time, eventName string, params event.Params, traced bool, tid obs.TraceID) (*Decision, error) {
 	dec := &Decision{}
 	dec.votes = dec.vbuf[:0]
 	p := make(event.Params, len(params)+1)
@@ -506,20 +456,9 @@ func (e *Engine) cascade(o *obs.Observer, t0 time.Time, eventName string, params
 	// p was built here and is never touched again: hand ownership to the
 	// detector so it skips its defensive clone.
 	if err := e.det.RaiseSyncTracedOwned(eventName, p, tr); err != nil {
-		if fpBuf != nil {
-			*fpBuf = fpKey[:0]
-			fpKeyPool.Put(fpBuf)
-		}
 		return nil, err
 	}
 	allowed, reason := dec.Verdict()
-	if fpBuf != nil {
-		if allowed {
-			fp.tab.Store(fpKey, dec, fpEpoch, fpSgen)
-		}
-		*fpBuf = fpKey[:0]
-		fpKeyPool.Put(fpBuf)
-	}
 	if o != nil {
 		now := e.clk.Now()
 		o.StageCascade.Observe(now.Sub(tRaise).Seconds())

@@ -1,7 +1,6 @@
 package sentinel
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"activerbac/internal/allowcache"
@@ -66,9 +65,3 @@ func (f *FastPath) InvalidateSession(sid string) {
 	f.tab.InvalidateSession(sid)
 	f.invalidations.Add(1)
 }
-
-// fpKeyPool recycles key buffers so the hit path allocates nothing.
-var fpKeyPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 256)
-	return &b
-}}

@@ -124,44 +124,23 @@ func (c *Client) Check(session, operation, object string) (bool, error) {
 	return resp[0] == 1, nil
 }
 
-// CheckTraced runs one access check with the TRACE flag set: the
-// decision's cascade trace is retained server-side under tid for later
-// retrieval via /v1/traces/{id}.
-func (c *Client) CheckTraced(session, operation, object string, tid [TraceIDSize]byte) (bool, error) {
-	payload := AppendTraceID(make([]byte, 0, 64+TraceIDSize), tid)
-	payload = AppendCheck(payload, session, operation, object)
-	resp, err := c.roundTrip(OpCheck|TraceFlag, payload)
-	if err != nil {
-		return false, err
-	}
-	if len(resp) != 1 || resp[0] > 1 {
-		return false, fmt.Errorf("wire: bad CHECK response: %w", ErrBadPayload)
-	}
-	return resp[0] == 1, nil
-}
-
 // CheckMany runs a batch of access checks in one frame and returns the
-// verdicts in request order.
+// verdicts in request order. A nonzero reqs[0].Trace sets the TRACE
+// flag: the server traces the first check under that id, retained for
+// /v1/traces/{id}. The Trace of every later request is not sent.
 func (c *Client) CheckMany(reqs []CheckRequest) ([]bool, error) {
-	return c.checkMany(reqs, OpCheckBatch, nil)
-}
-
-// CheckManyTraced is CheckMany with the TRACE flag set: the server
-// traces the batch's first tuple under tid.
-func (c *Client) CheckManyTraced(reqs []CheckRequest, tid [TraceIDSize]byte) ([]bool, error) {
-	prefix := AppendTraceID(make([]byte, 0, TraceIDSize), tid)
-	return c.checkMany(reqs, OpCheckBatch|TraceFlag, prefix)
-}
-
-func (c *Client) checkMany(reqs []CheckRequest, op byte, prefix []byte) ([]bool, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
 	if len(reqs) > MaxBatch {
 		return nil, fmt.Errorf("wire: batch of %d exceeds MaxBatch %d", len(reqs), MaxBatch)
 	}
-	payload := append(prefix, AppendCheckBatch(make([]byte, 0, 16+64*len(reqs)), reqs)...)
-	resp, err := c.roundTrip(op, payload)
+	op, payload := OpCheckBatch, make([]byte, 0, TraceIDSize+16+64*len(reqs))
+	if tid := reqs[0].Trace; tid != ([TraceIDSize]byte{}) {
+		op |= TraceFlag
+		payload = AppendTraceID(payload, tid)
+	}
+	resp, err := c.roundTrip(op, AppendCheckBatch(payload, reqs))
 	if err != nil {
 		return nil, err
 	}

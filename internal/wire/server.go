@@ -14,19 +14,18 @@ import (
 )
 
 // Backend is what a wire server enforces against. Implementations must
-// be safe for concurrent use; rbacd adapts *activerbac.System. A
-// TRACE-flagged request reaches the backend as a CheckBatch whose first
-// request carries the frame's trace id; a backend that ignores Trace
-// serves the check untraced.
+// be safe for concurrent use; rbacd adapts *activerbac.System. Every
+// check reaches the backend as a CheckBatch: a CHECK frame is a batch
+// of one. A TRACE-flagged frame's first request carries the frame's
+// trace id; a backend that ignores Trace serves the check untraced.
 type Backend interface {
-	// Check decides one access check for the session's user, resolving
-	// the user from the session exactly like GET /v1/check.
-	Check(session, operation, object string) bool
 	// PolicyEpoch reports the published policy snapshot epoch.
 	PolicyEpoch() uint64
 	// CheckBatch decides every request of one batch, appending one
 	// verdict per request to vs in request order and returning the
-	// extended slice (reused when capacity allows).
+	// extended slice (reused when capacity allows). Each check is
+	// decided for the session's user, resolved from the session exactly
+	// like GET /v1/check.
 	CheckBatch(reqs []CheckRequest, vs []bool) []bool
 }
 
@@ -45,8 +44,9 @@ type PushBackend interface {
 	Backend
 	// PushEpoch reports the current push epoch.
 	PushEpoch() uint64
-	// CheckCacheable is Check plus whether the verdict is safe for an
-	// epoch-tagged client cache until the next push.
+	// CheckCacheable decides one access check and reports whether the
+	// verdict is safe for an epoch-tagged client cache until the next
+	// push.
 	CheckCacheable(session, operation, object string) (allowed, cacheable bool)
 }
 
@@ -351,8 +351,7 @@ func (sc *srvConn) notifyPush(epoch uint64) {
 type request struct {
 	op    byte
 	id    uint32
-	check CheckRequest   // OpCheck
-	batch []CheckRequest // OpCheckBatch
+	batch []CheckRequest // the checks; one for OpCheck
 	start time.Time      // decode instant; zero unless the RTT hook is wired
 }
 
@@ -503,7 +502,7 @@ func (sc *srvConn) readLoop(sem chan struct{}, out chan<- response, work chan<- 
 				out <- sc.errorResponse(f, ErrCodeBadRequest, err, ins)
 				continue
 			}
-			req.check = CheckRequest{Session: session, Operation: operation, Object: object, Trace: tid}
+			req.batch = []CheckRequest{{Session: session, Operation: operation, Object: object, Trace: tid}}
 			work <- req
 		case OpCheckBatch, OpCheckBatch | TraceFlag:
 			payload := f.Payload
@@ -606,50 +605,40 @@ var verdictBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// execute runs one check request against the backend. Responses echo
-// the request opcode (trace flag included) with RespFlag set; a traced
-// response payload is shaped exactly like the untraced one — the trace
-// is retained server-side under the request's id.
+// execute runs one check request against the backend: a CACHE-flagged
+// CHECK through CheckCacheable, every other check frame — a CHECK is a
+// batch of one — through CheckBatch. Responses echo the request opcode
+// (trace flag included) with RespFlag set; a traced response payload is
+// shaped exactly like the untraced one — the trace is retained
+// server-side under the request's id.
 func (sc *srvConn) execute(req request) response {
-	switch req.op &^ (TraceFlag | CacheFlag) {
-	case OpCheck:
-		if req.op&CacheFlag != 0 {
-			// readLoop admits CacheFlag only when the upgrade exists.
-			allowed, cacheable := sc.srv.push.CheckCacheable(
-				req.check.Session, req.check.Operation, req.check.Object)
-			var v byte
-			if allowed {
-				v |= cacheVerdictAllow
-			}
-			if cacheable {
-				v |= cacheVerdictCacheable
-			}
-			return response{op: req.op | RespFlag, id: req.id, payload: cacheVerdicts[v], start: req.start}
-		}
-		var allowed bool
-		if req.op&TraceFlag != 0 {
-			// A traced CHECK is a batch of one carrying the id.
-			var v [1]bool
-			vs := sc.srv.backend.CheckBatch([]CheckRequest{req.check}, v[:0])
-			allowed = len(vs) == 1 && vs[0]
-		} else {
-			allowed = sc.srv.backend.Check(req.check.Session, req.check.Operation, req.check.Object)
-		}
-		p := verdictDeny
+	if req.op&CacheFlag != 0 {
+		// readLoop admits CacheFlag only when the upgrade exists.
+		c := &req.batch[0]
+		allowed, cacheable := sc.srv.push.CheckCacheable(c.Session, c.Operation, c.Object)
+		var v byte
 		if allowed {
-			p = verdictAllow
+			v |= cacheVerdictAllow
 		}
-		return response{op: req.op | RespFlag, id: req.id, payload: p, start: req.start}
-	default: // OpCheckBatch
-		// One backend pass decides the whole frame and one append
-		// encodes it.
-		vb := verdictBufPool.Get().(*[]bool)
-		vs := sc.srv.backend.CheckBatch(req.batch, (*vb)[:0])
-		payload := AppendVerdicts(make([]byte, 0, len(req.batch)+binary.MaxVarintLen64), vs)
-		*vb = vs[:0]
-		verdictBufPool.Put(vb)
-		return response{op: req.op | RespFlag, id: req.id, payload: payload, start: req.start}
+		if cacheable {
+			v |= cacheVerdictCacheable
+		}
+		return response{op: req.op | RespFlag, id: req.id, payload: cacheVerdicts[v], start: req.start}
 	}
+	vb := verdictBufPool.Get().(*[]bool)
+	vs := sc.srv.backend.CheckBatch(req.batch, (*vb)[:0])
+	var payload []byte
+	if req.op&^TraceFlag == OpCheck {
+		payload = verdictDeny
+		if len(vs) == 1 && vs[0] {
+			payload = verdictAllow
+		}
+	} else {
+		payload = AppendVerdicts(make([]byte, 0, len(req.batch)+binary.MaxVarintLen64), vs)
+	}
+	*vb = vs[:0]
+	verdictBufPool.Put(vb)
+	return response{op: req.op | RespFlag, id: req.id, payload: payload, start: req.start}
 }
 
 // writeLoop serializes responses and epoch pushes onto the socket,

@@ -331,7 +331,8 @@ type CheckRequest struct {
 	// Trace is the frame's trace id on the first request of a
 	// TRACE-flagged CHECK or CHECK_BATCH, zero elsewhere. The frame
 	// carries it once, ahead of the requests: AppendCheckBatch does not
-	// encode it (Client.CheckManyTraced sets the flag instead).
+	// encode it. Client.CheckMany sets the TRACE flag and sends the id
+	// when the first request's Trace is nonzero.
 	Trace [TraceIDSize]byte
 }
 

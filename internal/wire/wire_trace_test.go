@@ -90,6 +90,10 @@ func TestOpNameFlags(t *testing.T) {
 	}
 }
 
+// TestCheckTraced: CheckMany with a nonzero first Trace sends a
+// TRACE-flagged frame whose id reaches the backend on the first
+// request, for a check of one and for a batch; an old client's
+// TRACE-flagged single CHECK frame is still served the same way.
 func TestCheckTraced(t *testing.T) {
 	tb := &tracedBackend{testBackend: newTestBackend()}
 	_, addr := startTracedServer(t, tb, nil)
@@ -100,22 +104,24 @@ func TestCheckTraced(t *testing.T) {
 	defer cl.Close()
 
 	tid := [TraceIDSize]byte{0xAB, 1: 0xCD, 15: 0xEF}
-	allowed, err := cl.CheckTraced("s1", "read", "doc", tid)
-	if err != nil || !allowed {
-		t.Fatalf("CheckTraced = (%v, %v), want (true, nil)", allowed, err)
+	verdicts, err := cl.CheckMany([]CheckRequest{{Session: "s1", Operation: "read", Object: "doc", Trace: tid}})
+	if err != nil || len(verdicts) != 1 || !verdicts[0] {
+		t.Fatalf("traced CheckMany = (%v, %v), want ([true], nil)", verdicts, err)
 	}
-	allowed, err = cl.CheckTraced("s1", "write", "doc", tid)
-	if err != nil || allowed {
-		t.Fatalf("CheckTraced write = (%v, %v), want (false, nil)", allowed, err)
+	// The single-CHECK form an older client sends: TraceFlag on OpCheck.
+	payload := AppendCheck(AppendTraceID(nil, tid), "s1", "write", "doc")
+	resp, err := cl.roundTrip(OpCheck|TraceFlag, payload)
+	if err != nil || len(resp) != 1 || resp[0] != 0 {
+		t.Fatalf("raw traced CHECK write = (%v, %v), want ([0], nil)", resp, err)
 	}
 
 	btid := [TraceIDSize]byte{7: 0x42}
-	verdicts, err := cl.CheckManyTraced([]CheckRequest{
-		{Session: "s1", Operation: "read", Object: "a"},
+	verdicts, err = cl.CheckMany([]CheckRequest{
+		{Session: "s1", Operation: "read", Object: "a", Trace: btid},
 		{Session: "s1", Operation: "write", Object: "b"},
-	}, btid)
+	})
 	if err != nil {
-		t.Fatalf("CheckManyTraced: %v", err)
+		t.Fatalf("traced CheckMany batch: %v", err)
 	}
 	if len(verdicts) != 2 || !verdicts[0] || verdicts[1] {
 		t.Fatalf("verdicts = %v, want [true false]", verdicts)
@@ -140,15 +146,15 @@ func TestCheckTracedPlainBackendDegrades(t *testing.T) {
 	defer cl.Close()
 
 	tid := [TraceIDSize]byte{1}
-	allowed, err := cl.CheckTraced("s1", "read", "doc", tid)
-	if err != nil || !allowed {
-		t.Fatalf("CheckTraced on plain backend = (%v, %v), want (true, nil)", allowed, err)
+	resp, err := cl.roundTrip(OpCheck|TraceFlag, AppendCheck(AppendTraceID(nil, tid), "s1", "read", "doc"))
+	if err != nil || len(resp) != 1 || resp[0] != 1 {
+		t.Fatalf("raw traced CHECK on plain backend = (%v, %v), want ([1], nil)", resp, err)
 	}
-	verdicts, err := cl.CheckManyTraced([]CheckRequest{
-		{Session: "s1", Operation: "read", Object: "a"},
-	}, tid)
+	verdicts, err := cl.CheckMany([]CheckRequest{
+		{Session: "s1", Operation: "read", Object: "a", Trace: tid},
+	})
 	if err != nil || len(verdicts) != 1 || !verdicts[0] {
-		t.Fatalf("CheckManyTraced on plain backend = (%v, %v)", verdicts, err)
+		t.Fatalf("traced CheckMany on plain backend = (%v, %v)", verdicts, err)
 	}
 }
 
@@ -178,8 +184,8 @@ func TestTracedBadPrefixKeepsConn(t *testing.T) {
 
 // An empty TRACE-flagged CHECK_BATCH has no first request to carry the
 // id: it answers an empty verdict list and the connection survives.
-// Client.CheckManyTraced returns early on an empty batch, so the frame
-// is hand-rolled.
+// Client.CheckMany returns early on an empty batch, so the frame is
+// hand-rolled.
 func TestEmptyTracedBatch(t *testing.T) {
 	tb := &tracedBackend{testBackend: newTestBackend()}
 	_, addr := startTracedServer(t, tb, nil)
