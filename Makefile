@@ -1,16 +1,16 @@
 # Developer entry points. `make check` is the tier-1 gate from
 # ROADMAP.md: build, tests, race detector, vet, lint, bounded
 # verification of the example policies, short wire-codec,
-# policy-parser, allow-cache key, sync-snapshot install and
-# periodic-expression fuzzes, one round of every paper-experiment benchmark,
-# and two-second runs of the out-of-process benchmark's cold and reload
-# workloads so the cached, uncached and remote decide paths and hot
-# reload → SYNC → replica install are exercised end to end on every
-# merge.
+# policy-parser, allow-cache key, sync-snapshot install,
+# periodic-expression and rbacd HTTP-body fuzzes, one round of every
+# paper-experiment benchmark, and two-second runs of the out-of-process
+# benchmark's cold and reload workloads so the cached, uncached and
+# remote decide paths and hot reload → SYNC → replica install are
+# exercised end to end on every merge.
 
 GO ?= go
 
-.PHONY: build test race vet lint check verify-policies fuzz-wire fuzz-policy fuzz-cache fuzz-sync fuzz-clock bench-smoke bench-e2e-smoke clean
+.PHONY: build test race vet lint check verify-policies fuzz-wire fuzz-policy fuzz-cache fuzz-sync fuzz-clock fuzz-http bench-smoke bench-e2e-smoke clean
 
 build:
 	$(GO) build ./...
@@ -29,13 +29,14 @@ vet:
 
 # lint runs the repo's own static analysis: go vet plus rbacvet, the
 # custom passes enforcing engine invariants (engine-clock discipline,
-# observer nil guards, snapshot immutability, one snapshot capture per
+# nil guards on the optional trace, sampler, slow-ring and detector
+# instrument pointers, snapshot immutability, one snapshot capture per
 # batch, sync.Pool return discipline).
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/rbacvet ./...
 
-check: build test race vet lint verify-policies fuzz-wire fuzz-policy fuzz-cache fuzz-sync fuzz-clock bench-smoke bench-e2e-smoke
+check: build test race vet lint verify-policies fuzz-wire fuzz-policy fuzz-cache fuzz-sync fuzz-clock fuzz-http bench-smoke bench-e2e-smoke
 
 # verify-policies runs the bounded symbolic verifier over every example
 # policy. Files named *-violating.acp are seeded-unsafe fixtures and
@@ -97,6 +98,13 @@ fuzz-sync:
 # terminate on it with instants that match.
 fuzz-clock:
 	$(GO) test ./internal/clock -run '^$$' -fuzz=FuzzParsePattern -fuzztime=5s
+
+# fuzz-http gives rbacd's HTTP request bodies — check batches, session,
+# activation and context JSON, and policy text — the same budget over
+# cmd/rbacd/testdata/fuzz: nothing may panic, every status must be one
+# the handlers map (never a 5xx), and the store's invariants must hold.
+fuzz-http:
+	$(GO) test ./cmd/rbacd -run '^$$' -fuzz=FuzzHTTPBodies -fuzztime=5s
 
 # bench-smoke runs every root benchmark in bench_test.go once: the
 # paper experiments (F1, E1-E8, ablations A1-A3) and BenchmarkOpen, so

@@ -140,15 +140,17 @@ type Options struct {
 	//
 	// Deprecated: ignored; enforcement runs on one drain.
 	Lanes int
-	// Metrics enables the metrics registry: decision latency, drain
+	// Metrics is kept for callers that still set it. Every System
+	// keeps the metrics registry — decision counts and latency, drain
 	// queueing, rule firings, operator matches, audit latency — rendered
-	// in Prometheus text format by WriteMetrics. Off by default (the
-	// engine then runs its zero-overhead path).
+	// in Prometheus text format by WriteMetrics (docs/METRICS.md).
+	//
+	// Deprecated: ignored; every System is metered.
 	Metrics bool
 	// TraceBuffer, when > 0, retains that many completed decision
 	// traces in a ring buffer (RecentTraces / TraceByID) and records the
 	// full OWTE cascade of every decision — or, when TraceSample is also
-	// set, of the sampled subset. Implies Metrics.
+	// set, of the sampled subset.
 	TraceBuffer int
 	// TraceSample, when > 0, samples tracing instead of tracing every
 	// decision: each decision is traced with this probability (clamped to
@@ -162,8 +164,7 @@ type Options struct {
 	TraceRateLimit float64
 	// SlowThreshold, when > 0, captures every decision slower than this
 	// duration into a slow-decision ring (SlowDecisions), with the full
-	// cascade trace attached when the decision was traced. Implies
-	// Metrics.
+	// cascade trace attached when the decision was traced.
 	SlowThreshold time.Duration
 	// SlowBuffer sizes the slow-decision ring; 0 means 64.
 	SlowBuffer int
@@ -188,7 +189,7 @@ type Options struct {
 type System struct {
 	gen   *rulegen.Generator
 	audit *store.AuditLog
-	obs   *obs.Observer // nil = observability off
+	obs   *obs.Observer
 
 	// srcMu guards source and makes (source, policy state) one cut:
 	// ApplyPolicy holds it for writing across regeneration and the swap,
@@ -226,21 +227,18 @@ func openSpec(spec *policy.Spec, source string, state *rbac.Snapshot, opts *Opti
 	if clk == nil {
 		clk = clock.NewReal()
 	}
-	var observer *obs.Observer
-	if opts.Metrics || opts.TraceBuffer > 0 || opts.SlowThreshold > 0 {
-		observer = obs.NewObserver(opts.TraceBuffer)
-		if opts.TraceSample > 0 && opts.TraceBuffer > 0 {
-			observer.Sampler = obs.NewSampler(opts.TraceSample, opts.TraceRateLimit)
-		}
-		if opts.SlowThreshold > 0 {
-			slowBuf := opts.SlowBuffer
-			if slowBuf <= 0 {
-				slowBuf = 64
-			}
-			observer.Slow = obs.NewSlowRing(slowBuf, opts.SlowThreshold)
-		}
+	observer := obs.NewObserver(opts.TraceBuffer)
+	if opts.TraceSample > 0 && opts.TraceBuffer > 0 {
+		observer.Sampler = obs.NewSampler(opts.TraceSample, opts.TraceRateLimit)
 	}
-	eng := sentinel.NewEngine(clk, sentinel.WithObserver(observer)) // nil observer: metrics off
+	if opts.SlowThreshold > 0 {
+		slowBuf := opts.SlowBuffer
+		if slowBuf <= 0 {
+			slowBuf = 64
+		}
+		observer.Slow = obs.NewSlowRing(slowBuf, opts.SlowThreshold)
+	}
+	eng := sentinel.NewEngine(clk, sentinel.WithObserver(observer))
 	gen, err := rulegen.New(eng)
 	if err != nil {
 		return nil, err
@@ -249,14 +247,12 @@ func openSpec(spec *policy.Spec, source string, state *rbac.Snapshot, opts *Opti
 	if _, err := sys.install(source, spec, state); err != nil {
 		return nil, err
 	}
-	if observer != nil {
-		// Active-security counters are owned by the monitor; mirror them
-		// into the registry at scrape time like the engine's own counters.
-		observer.Registry.OnScrape(func() {
-			observer.SecurityDenials.Set(float64(gen.Security().Denials()))
-			observer.SecurityAlerts.Set(float64(len(gen.Security().Alerts())))
-		})
-	}
+	// Active-security counters are owned by the monitor; mirror them
+	// into the registry at scrape time like the engine's own counters.
+	observer.Registry.OnScrape(func() {
+		observer.SecurityDenials.Set(float64(gen.Security().Denials()))
+		observer.SecurityAlerts.Set(float64(len(gen.Security().Alerts())))
+	})
 	if opts.AuditPath != "" {
 		audit, err := store.OpenAudit(opts.AuditPath)
 		if err != nil {
@@ -266,13 +262,11 @@ func openSpec(spec *policy.Spec, source string, state *rbac.Snapshot, opts *Opti
 		if opts.AuditSyncEveryAppend {
 			audit.SetSyncEveryAppend(true)
 		}
-		if observer != nil {
-			audit.SetInstruments(&store.AuditInstruments{
-				Append:  observer.AuditAppend.Observe,
-				Flush:   observer.AuditFlush.Observe,
-				Records: observer.AuditRecords.Inc,
-			})
-		}
+		audit.SetInstruments(&store.AuditInstruments{
+			Append:  observer.AuditAppend.Observe,
+			Flush:   observer.AuditFlush.Observe,
+			Records: observer.AuditRecords.Inc,
+		})
 		eng.Pool().OnOutcome(func(o core.Outcome) {
 			detail := o.FailedCond
 			if o.CondErr != nil {
@@ -299,23 +293,20 @@ func openSpec(spec *policy.Spec, source string, state *rbac.Snapshot, opts *Opti
 // by graceful shutdown and by tests that assert on settled state.
 func (s *System) Quiesce() { s.gen.Engine().Quiesce() }
 
-// ErrObservabilityOff is returned by the metrics and trace accessors
-// when the System was opened without Options.Metrics or
-// Options.TraceBuffer.
+// ErrObservabilityOff is returned by the trace accessors when the
+// System was opened without Options.TraceBuffer, and by SlowDecisions
+// when it was opened without Options.SlowThreshold. Metrics are never
+// off.
 var ErrObservabilityOff = errors.New("activerbac: observability not enabled")
 
 // Observer exposes the metric catalog for transports that instrument
 // themselves (the wire server counts requests/errors/in-flight per
-// opcode). Returns nil when observability is off.
+// opcode). Never nil: every System is metered.
 func (s *System) Observer() *obs.Observer { return s.obs }
 
 // WriteMetrics renders the metric registry in Prometheus text
-// exposition format (0.0.4). Requires Options.Metrics or
-// Options.TraceBuffer.
+// exposition format (0.0.4); docs/METRICS.md lists the families.
 func (s *System) WriteMetrics(w io.Writer) error {
-	if s.obs == nil {
-		return ErrObservabilityOff
-	}
 	return s.obs.Registry.WritePrometheus(w)
 }
 
@@ -323,7 +314,7 @@ func (s *System) WriteMetrics(w io.Writer) error {
 // newest first (n <= 0 means all retained). Requires
 // Options.TraceBuffer > 0.
 func (s *System) RecentTraces(n int) ([]TraceData, error) {
-	if s.obs == nil || s.obs.Traces == nil {
+	if s.obs.Traces == nil {
 		return nil, ErrObservabilityOff
 	}
 	return s.obs.Traces.Recent(n), nil
@@ -332,7 +323,7 @@ func (s *System) RecentTraces(n int) ([]TraceData, error) {
 // TraceByID returns one retained decision trace; ok is false when the
 // id has been evicted from the ring or never existed.
 func (s *System) TraceByID(id uint64) (TraceData, bool, error) {
-	if s.obs == nil || s.obs.Traces == nil {
+	if s.obs.Traces == nil {
 		return TraceData{}, false, ErrObservabilityOff
 	}
 	td, ok := s.obs.Traces.Get(id)
@@ -343,7 +334,7 @@ func (s *System) TraceByID(id uint64) (TraceData, bool, error) {
 // client-minted trace id; ok is false when no retained trace carries it
 // (evicted, never traced, or zero id).
 func (s *System) TraceByTraceID(tid TraceID) (TraceData, bool, error) {
-	if s.obs == nil || s.obs.Traces == nil {
+	if s.obs.Traces == nil {
 		return TraceData{}, false, ErrObservabilityOff
 	}
 	td, ok := s.obs.Traces.GetByTraceID(tid)
@@ -354,7 +345,7 @@ func (s *System) TraceByTraceID(tid TraceID) (TraceData, bool, error) {
 // newest first (n <= 0 means all retained). Requires
 // Options.SlowThreshold > 0.
 func (s *System) SlowDecisions(n int) ([]SlowRecord, error) {
-	if s.obs == nil || s.obs.Slow == nil {
+	if s.obs.Slow == nil {
 		return nil, ErrObservabilityOff
 	}
 	return s.obs.Slow.Recent(n), nil
@@ -437,14 +428,23 @@ func (s *System) DeleteSession(sid SessionID) error {
 // AddActiveRole activates a role in a session; the generated AAR rule
 // variant for the role enforces every applicable constraint.
 func (s *System) AddActiveRole(user UserID, sid SessionID, role RoleID) error {
-	return s.decide("addActiveRole", rulegen.EvAddActiveRole(role),
-		event.Params{"user": string(user), "session": string(sid)})
+	return roleErr(role, s.decide("addActiveRole", rulegen.EvAddActiveRole(role),
+		event.Params{"user": string(user), "session": string(sid)}))
 }
 
 // DropActiveRole deactivates a role in a session.
 func (s *System) DropActiveRole(user UserID, sid SessionID, role RoleID) error {
-	return s.decide("dropActiveRole", rulegen.EvDropActiveRole(role),
-		event.Params{"user": string(user), "session": string(sid)})
+	return roleErr(role, s.decide("dropActiveRole", rulegen.EvDropActiveRole(role),
+		event.Params{"user": string(user), "session": string(sid)}))
+}
+
+// roleErr reports a per-role request whose event the detector does not
+// define — the policy declares no such role — as ErrNotFound.
+func roleErr(role RoleID, err error) error {
+	if errors.Is(err, event.ErrUndefined) {
+		return fmt.Errorf("activerbac: role %q: %w", role, ErrNotFound)
+	}
+	return err
 }
 
 // CheckAccess asks whether the session may perform the operation; the

@@ -25,7 +25,7 @@ func HasAnalysisErrors(fs []Finding) bool { return analyze.HasErrors(fs) }
 // Analyze runs the static analyzer over the live system: the loaded
 // policy, the generated rule pool and the detector's event registry.
 // Findings are also counted into the metrics registry by code and
-// severity when observability is on.
+// severity.
 func (s *System) Analyze() []Finding {
 	eng := s.gen.Engine()
 	fs := analyze.Analyze(analyze.Input{
@@ -34,10 +34,8 @@ func (s *System) Analyze() []Finding {
 		Events: eng.Detector().Events(),
 		Anchor: eng.Clock().Now(),
 	})
-	if s.obs != nil {
-		for _, f := range fs {
-			s.obs.AnalyzeFindings.With(f.Code, f.Severity.String()).Inc()
-		}
+	for _, f := range fs {
+		s.obs.AnalyzeFindings.With(f.Code, f.Severity.String()).Inc()
 	}
 	return fs
 }

@@ -68,7 +68,7 @@
 //	GET    /v1/stats                                           -> engine counters
 //	GET    /v1/fastpath                                        -> decision fast-path cache counters
 //	GET    /v1/alerts                                          -> active-security alerts
-//	POST   /v1/policy                (text/plain .acp body)    -> regeneration report
+//	POST   /v1/policy                (text/plain .acp body)    -> regeneration report (413 over 8 MiB, nothing applied)
 //	GET    /v1/policy                                          -> current policy source
 //	GET    /v1/traces[?n=N]                                    -> recent decision traces
 //	GET    /v1/traces/{id}                                     -> one decision trace (ring id or 32-hex trace id)
@@ -253,7 +253,6 @@ func main() {
 func (cfg config) options() *activerbac.Options {
 	return &activerbac.Options{
 		AuditPath:            cfg.auditPath,
-		Metrics:              true,
 		TraceBuffer:          cfg.traceBuffer,
 		TraceSample:          cfg.traceSample,
 		TraceRateLimit:       cfg.traceRateLimit,
@@ -541,9 +540,6 @@ func (a replicaApplier) Apply(data []byte) error {
 // families.
 func hubInstruments(sys *activerbac.System) *replicate.HubInstruments {
 	o := sys.Observer()
-	if o == nil {
-		return nil
-	}
 	return &replicate.HubInstruments{
 		Sync:        func() { o.SyncTotal.Inc() },
 		SyncBytes:   func(n float64) { o.SyncBytes.Add(n) },
@@ -555,9 +551,6 @@ func hubInstruments(sys *activerbac.System) *replicate.HubInstruments {
 // activerbac_sync_* families plus the activerbac_replica_lag gauge.
 func replicaInstruments(sys *activerbac.System) *replicate.ReplicaInstruments {
 	o := sys.Observer()
-	if o == nil {
-		return nil
-	}
 	return &replicate.ReplicaInstruments{
 		Sync:        func() { o.SyncTotal.Inc() },
 		SyncBytes:   func(n float64) { o.SyncBytes.Add(n) },
@@ -567,13 +560,9 @@ func replicaInstruments(sys *activerbac.System) *replicate.ReplicaInstruments {
 }
 
 // wireInstruments binds the wire server's transport hooks to the
-// activerbac_wire_* metric families. rbacd always opens the System with
-// Metrics on, but guard anyway: a nil Observer just disables the hooks.
+// activerbac_wire_* metric families.
 func wireInstruments(sys *activerbac.System) *wire.Instruments {
 	o := sys.Observer()
-	if o == nil {
-		return nil
-	}
 	return &wire.Instruments{
 		Request:     func(opcode string) { o.WireRequests.With(opcode).Inc() },
 		Error:       func(opcode string) { o.WireErrors.With(opcode).Inc() },
@@ -1281,9 +1270,19 @@ func (s *server) analyze(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// maxPolicyBody caps a POST /v1/policy body. A longer body is refused
+// whole: applying the prefix that fits would silently drop statements.
+const maxPolicyBody = 8 << 20
+
 func (s *server) putPolicy(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPolicyBody))
 	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				map[string]string{"error": fmt.Sprintf("policy body exceeds %d bytes", maxPolicyBody)})
+			return
+		}
 		http.Error(w, `{"error":"bad body"}`, http.StatusBadRequest)
 		return
 	}

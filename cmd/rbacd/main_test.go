@@ -604,3 +604,39 @@ func TestShippedDefaultsAreMeasured(t *testing.T) {
 		t.Errorf("shipped config %+v, measured %+v", shipped, measured)
 	}
 }
+
+// TestPutPolicyRejectsOversizedBody: a policy body past the 8 MiB cap
+// is refused whole with 413. Applying the prefix that fits would drop
+// the tail's statements — here a role and its permission, but an ssd
+// or dsd line would be lost the same way.
+func TestPutPolicyRejectsOversizedBody(t *testing.T) {
+	srv := newTestServer(t)
+	comment := "#" + strings.Repeat("x", 126) + "\n"
+	var b strings.Builder
+	b.WriteString(testPolicy)
+	for b.Len() <= maxPolicyBody {
+		b.WriteString(comment)
+	}
+	b.WriteString("role Tail\npermission Tail: read secret\n")
+	var rej struct {
+		Error string `json:"error"`
+	}
+	if code := call(t, srv, "POST", "/v1/policy", b.String(), &rej); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized policy: %d, want 413", code)
+	}
+	if !strings.Contains(rej.Error, "exceeds") {
+		t.Errorf("413 body error %q does not name the cap", rej.Error)
+	}
+	resp, err := http.Get(srv.URL + "/v1/policy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(live) != testPolicy {
+		t.Errorf("live policy changed by a refused body: %d bytes, want the %d-byte original", len(live), len(testPolicy))
+	}
+}

@@ -348,19 +348,30 @@ func TestTraceEndpoints(t *testing.T) {
 	}
 }
 
-func TestObservabilityDisabled(t *testing.T) {
-	// A server opened without Metrics/TraceBuffer answers 503 rather
-	// than serving empty data.
+// TestMetricsWithoutTracing: a server opened with no telemetry options
+// still serves its metrics — every System is metered — while the trace
+// and slow rings it was not given answer 503 rather than empty data.
+func TestMetricsWithoutTracing(t *testing.T) {
 	srv := newTestServer(t)
+	driveTraffic(t, srv)
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/metrics without observability: %d", resp.StatusCode)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := call(t, srv, "GET", "/v1/traces", "", nil); code != http.StatusServiceUnavailable {
-		t.Fatalf("/v1/traces without observability: %d", code)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics with default options: %d", resp.StatusCode)
+	}
+	if want := `activerbac_decisions_total{event="req.checkAccess",verdict="allow"} 1`; !strings.Contains(string(body), want) {
+		t.Errorf("/metrics lacks %q:\n%s", want, body)
+	}
+	for _, path := range []string{"/v1/traces", "/v1/slow"} {
+		if code := call(t, srv, "GET", path, "", nil); code != http.StatusServiceUnavailable {
+			t.Errorf("%s without its ring: %d, want 503", path, code)
+		}
 	}
 }

@@ -11,8 +11,8 @@
 //	engineclock  no time.Now/Since/Until in internal/sentinel or
 //	             internal/event — all time flows through the injected
 //	             engine clock (internal/clock)
-//	obsnil       optional observability pointers (obs, ins, Traces) are
-//	             nil-checked before every hot-path deref
+//	obsnil       optional observability pointers (ins, Traces, Sampler,
+//	             Slow) are nil-checked before every hot-path deref
 //	snapimmut    rbacvet:snapshot structs are never written after
 //	             publication
 //	batchsnap    batch-path loops in internal/sentinel never re-capture

@@ -11,10 +11,11 @@ import (
 
 // TestFastPathHitZeroAlloc gates the verdict-cache hit path at zero
 // allocations per call, through the facade and through the engine, for
-// one check and for a 256-tuple batch: with no observer, repeat ALLOWs
-// must be served without touching the heap. Each path runs on a System
+// one check and for a 256-tuple batch: repeat ALLOWs must be served,
+// and metered, without touching the heap. Each path runs on a System
 // opened with nil options — the default, which needs no option for the
-// cache to be on — and on one that still sets the inert FastPath.
+// cache or the metrics to be on — and on ones that still set the inert
+// FastPath and Metrics.
 func TestFastPathHitZeroAlloc(t *testing.T) {
 	const batchN = 256
 	fixtures := []struct {
@@ -23,6 +24,7 @@ func TestFastPathHitZeroAlloc(t *testing.T) {
 	}{
 		{"nil-options", newHitFixture(t, nil, batchN)},
 		{"FastPath", newHitFixture(t, &Options{FastPath: true}, batchN)},
+		{"Metrics", newHitFixture(t, &Options{Metrics: true}, batchN)},
 	}
 	verdicts := make([]bool, 0, batchN)
 	vds := make([]sentinel.Verdict, 0, batchN)

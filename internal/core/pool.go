@@ -26,7 +26,7 @@ type ruleState struct {
 	allowed atomic.Uint64
 	denied  atomic.Uint64
 	// evalNanos accumulates engine-clock time spent inside this rule
-	// (conditions + branch actions); only advanced when timing is on.
+	// (conditions + branch actions).
 	evalNanos atomic.Uint64
 }
 
@@ -42,7 +42,7 @@ type RuleInfo struct {
 	Fired       uint64
 	Allowed     uint64
 	Denied      uint64
-	EvalNanos   uint64 // cumulative evaluation time; 0 unless rule timing is on
+	EvalNanos   uint64 // cumulative evaluation time
 	Conditions  []string
 	Then        []string
 	Else        []string
@@ -90,14 +90,7 @@ type Pool struct {
 	view atomic.Pointer[fireView]
 	// chook, when set, runs after every view publication.
 	chook func()
-	// timed turns on per-rule evaluation timing (one extra clock read
-	// per firing); set once by the engine when an observer is attached.
-	timed atomic.Bool
 }
-
-// SetRuleTiming switches per-rule cumulative evaluation timing on or
-// off. Off (the default) keeps rule firing at one clock read.
-func (p *Pool) SetRuleTiming(on bool) { p.timed.Store(on) }
 
 // NewPool returns an empty rule pool bound to det.
 func NewPool(det *event.Detector) *Pool {
@@ -456,10 +449,8 @@ func (p *Pool) runRule(st *ruleState, o *event.Occurrence) Outcome {
 	} else {
 		st.denied.Add(1)
 	}
-	if p.timed.Load() {
-		// out.At was stamped from the same clock before the conditions
-		// ran, so the delta is this firing's full evaluation window.
-		st.evalNanos.Add(uint64(p.det.Clock().Now().Sub(out.At)))
-	}
+	// out.At was stamped from the same clock before the conditions ran,
+	// so the delta is this firing's full evaluation window.
+	st.evalNanos.Add(uint64(p.det.Clock().Now().Sub(out.At)))
 	return out
 }

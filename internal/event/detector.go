@@ -1,6 +1,7 @@
 package event
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -348,11 +349,15 @@ func (d *Detector) Unsubscribe(name string, id int) {
 	}
 }
 
+// ErrUndefined is wrapped by the error of a raise of an event the
+// detector does not define.
+var ErrUndefined = errors.New("undefined event")
+
 // resolvePrimitive looks up name and checks it is raisable.
 func (d *Detector) resolvePrimitive(name string) (*primitiveNode, error) {
 	inf, ok := d.view.Load().info[name]
 	if !ok {
-		return nil, fmt.Errorf("event: raise of undefined event %q", name)
+		return nil, fmt.Errorf("event: raise of %w %q", ErrUndefined, name)
 	}
 	if inf.prim == nil {
 		return nil, fmt.Errorf("event: cannot raise composite event %q directly", name)

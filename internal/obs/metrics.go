@@ -6,14 +6,17 @@
 // The package sits below every other internal package (it imports only
 // the standard library), so the event detector, the rule pool, the
 // audit log and the facade can all record into it without cycles.
-// Everything is designed for a cheap disabled path: a nil *Observer,
-// nil instrument or nil *Trace costs one pointer comparison on the hot
-// path.
+// Metering is always on: every engine carries an Observer, and a
+// metered decision finds each labelled series without locking or
+// allocating, then updates it with atomics. What stays optional is
+// tracing: a nil trace ring, sampler, slow ring or *Trace costs one
+// pointer comparison on the hot path.
 package obs
 
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
 	"strconv"
@@ -46,17 +49,28 @@ func NewRegistry() *Registry {
 	return &Registry{byName: map[string]*family{}}
 }
 
+// maxLabels bounds a family's label names: no metric in the catalog
+// partitions by more than two, and a fixed bound lets a series be found
+// by an array of its raw label values.
+const maxLabels = 2
+
+// labelKey is a series' raw label values, unused trailing slots empty.
+type labelKey [maxLabels]string
+
 // family is one named metric with a fixed label-name set and a series
 // per label-value combination.
 type family struct {
-	name   string
-	help   string
-	typ    metricType
-	labels []string
+	name    string
+	help    string
+	typ     metricType
+	labels  []string
+	buckets []float64 // histogram families only
 
-	mu      sync.Mutex
-	series  map[string]series // key = joined escaped label values
-	buckets []float64         // histogram families only
+	// series is copy-on-write: a lookup of an existing series reads the
+	// published map without locking or allocating; creating a series
+	// publishes a new map under mu. Series are never deleted.
+	mu     sync.Mutex
+	series atomic.Pointer[map[labelKey]series]
 }
 
 // series is one labelled instance of a family.
@@ -71,14 +85,17 @@ type series interface {
 func (r *Registry) register(name, help string, typ metricType, buckets []float64, labels ...string) *family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if len(labels) > maxLabels {
+		panic(fmt.Sprintf("obs: metric %q has %d labels, at most %d supported", name, len(labels), maxLabels))
+	}
 	if f, ok := r.byName[name]; ok {
 		if f.typ != typ || len(f.labels) != len(labels) {
 			panic(fmt.Sprintf("obs: metric %q re-registered with a different shape", name))
 		}
 		return f
 	}
-	f := &family{name: name, help: help, typ: typ, labels: labels,
-		series: map[string]series{}, buckets: buckets}
+	f := &family{name: name, help: help, typ: typ, labels: labels, buckets: buckets}
+	f.series.Store(&map[labelKey]series{})
 	r.families = append(r.families, f)
 	r.byName[name] = f
 	return f
@@ -115,46 +132,53 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 func (f *family) write(w io.Writer) {
-	f.mu.Lock()
-	keys := make([]string, 0, len(f.series))
-	for k := range f.series {
-		keys = append(keys, k)
+	m := *f.series.Load()
+	type rendered struct {
+		lset string
+		s    series
 	}
-	sort.Strings(keys)
-	snap := make([]series, len(keys))
-	for i, k := range keys {
-		snap[i] = f.series[k]
+	snap := make([]rendered, 0, len(m))
+	for k, s := range m {
+		snap = append(snap, rendered{renderLabels(f.labels, k[:]), s})
 	}
-	f.mu.Unlock()
+	sort.Slice(snap, func(i, j int) bool { return snap[i].lset < snap[j].lset })
 	// A family with no series yet still renders its HELP/TYPE headers:
 	// the registered catalog is discoverable before traffic arrives.
 	fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 	fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
-	for i, s := range snap {
-		s.write(w, f.name, keys[i])
+	for _, r := range snap {
+		r.s.write(w, f.name, r.lset)
 	}
 }
 
 // with returns the series for the given label values, creating it on
-// first use. The returned key is the rendered label set.
-func (f *family) with(mk func() series, values ...string) series {
+// first use. Finding an existing series takes no lock and allocates
+// nothing; creation copies the map, once per series.
+func (f *family) with(mk func() series, values []string) series {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d",
 			f.name, len(f.labels), len(values)))
 	}
-	key := renderLabels(f.labels, values)
-	f.mu.Lock()
-	s, ok := f.series[key]
-	if !ok {
-		s = mk()
-		f.series[key] = s
+	var k labelKey
+	copy(k[:], values)
+	if s, ok := (*f.series.Load())[k]; ok {
+		return s
 	}
-	f.mu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	m := *f.series.Load()
+	if s, ok := m[k]; ok {
+		return s // created while this caller waited for mu
+	}
+	next := maps.Clone(m)
+	s := mk()
+	next[k] = s
+	f.series.Store(&next)
 	return s
 }
 
 // renderLabels formats a label set as `{k="v",...}` (or "" when empty)
-// with Prometheus escaping.
+// with Prometheus escaping. Only the scrape renders labels.
 func renderLabels(names, values []string) string {
 	if len(names) == 0 {
 		return ""
@@ -240,7 +264,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *CounterVec {
 
 // With returns the counter for the given label values.
 func (v *CounterVec) With(values ...string) *Counter {
-	return v.f.with(func() series { return &Counter{} }, values...).(*Counter)
+	return v.f.with(func() series { return &Counter{} }, values).(*Counter)
 }
 
 // ---------------------------------------------------------------------------
@@ -282,7 +306,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *GaugeVec {
 
 // With returns the gauge for the given label values.
 func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.f.with(func() series { return &Gauge{} }, values...).(*Gauge)
+	return v.f.with(func() series { return &Gauge{} }, values).(*Gauge)
 }
 
 // ---------------------------------------------------------------------------
@@ -367,5 +391,5 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 // With returns the histogram for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
 	f := v.f
-	return f.with(func() series { return newHistogram(f.buckets) }, values...).(*Histogram)
+	return f.with(func() series { return newHistogram(f.buckets) }, values).(*Histogram)
 }

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -143,5 +145,99 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if got := h.With().Count(); got != 8000 {
 		t.Fatalf("histogram count = %v, want 8000", got)
+	}
+}
+
+// TestWithExistingSeriesZeroAlloc: finding a series that already
+// exists renders nothing and allocates nothing, for every label arity
+// and instrument kind the catalog uses — it is what every metered
+// decision pays per instrument.
+func TestWithExistingSeriesZeroAlloc(t *testing.T) {
+	r := NewRegistry()
+	c0 := r.Counter("test_zero_total", "Zero labels.")
+	c1 := r.Counter("test_one_total", "One label.", "op")
+	c2 := r.Counter("test_two_total", "Two labels.", "event", "verdict")
+	g1 := r.Gauge("test_gauge", "One label.", "op")
+	h1 := r.Histogram("test_seconds", "One label.", nil, "event")
+	event, verdict := "checkAccess", `al"low`
+	for _, tc := range []struct {
+		name string
+		use  func()
+	}{
+		{"counter/0", func() { c0.With().Inc() }},
+		{"counter/1", func() { c1.With(event).Inc() }},
+		{"counter/2", func() { c2.With(event, verdict).Add(2) }},
+		{"gauge/1", func() { g1.With(event).Set(1) }},
+		{"histogram/1", func() { h1.With(event).Observe(0.5) }},
+	} {
+		tc.use() // create the series
+		if allocs := testing.AllocsPerRun(100, tc.use); allocs != 0 {
+			t.Errorf("%s: %v allocs per With on an existing series, want 0", tc.name, allocs)
+		}
+	}
+	if got := c2.With(event, verdict).Value(); got != 2*101+2 {
+		t.Errorf("two-label counter = %v, want %v", got, 2*101+2)
+	}
+}
+
+// TestSeriesCreatedDuringScrape: series created concurrently with
+// WritePrometheus (under -race, the copy-on-write publication) are
+// neither lost nor torn; every one renders once the writers finish.
+func TestSeriesCreatedDuringScrape(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("test_total", "C.", "worker", "n")
+	h := r.Histogram("test_seconds", "H.", []float64{1}, "worker")
+	const workers, perWorker = 4, 200
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if err := r.WritePrometheus(io.Discard); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			worker := strconv.Itoa(w)
+			for n := 0; n < perWorker; n++ {
+				c.With(worker, strconv.Itoa(n)).Inc()
+				c.With(worker, strconv.Itoa(n/2)).Inc()
+				h.With(worker).Observe(float64(n))
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-scraped
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	if got := strings.Count(out, "\ntest_total{"); got != workers*perWorker {
+		t.Errorf("%d counter series rendered, want %d", got, workers*perWorker)
+	}
+	if got := strings.Count(out, "\ntest_seconds_count{"); got != workers {
+		t.Errorf("%d histogram series rendered, want %d", got, workers)
+	}
+	for w := 0; w < workers; w++ {
+		worker := strconv.Itoa(w)
+		if got := c.With(worker, "0").Value(); got != 3 {
+			t.Errorf("worker %s n=0: %v, want 3", worker, got)
+		}
+		if got := h.With(worker).Count(); got != perWorker {
+			t.Errorf("worker %s histogram count %d, want %d", worker, got, perWorker)
+		}
 	}
 }

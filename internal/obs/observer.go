@@ -3,9 +3,9 @@ package obs
 import "time"
 
 // Observer bundles the metrics registry, the prebuilt engine
-// instruments, and (optionally) the decision-trace ring. A nil
-// *Observer disables all observability; a non-nil Observer with a nil
-// Traces field enables metrics without tracing.
+// instruments, and (optionally) the decision-trace ring. Every engine
+// has one; a nil Traces field leaves decision tracing off while the
+// metrics keep counting.
 //
 // The instrument fields form the documented metric catalog (see
 // DESIGN.md §5.2); layers higher than the engine (audit log, security

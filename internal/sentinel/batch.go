@@ -164,16 +164,11 @@ func (e *Engine) decideBatch(eventName string, tuples []CheckTuple, verdicts []V
 		return verdicts, nil
 	}
 	o := e.obs
-	var t0 time.Time
-	tracing, traceAll, traceFirst := false, false, false
-	if o != nil {
-		t0 = e.clk.Now()
-		o.BatchSize.Observe(float64(n))
-		if tracing = o.Traces != nil; tracing {
-			traceAll = o.Sampler == nil
-			traceFirst = !traceAll && o.Sampler.Sample(t0)
-		}
-	}
+	t0 := e.clk.Now()
+	o.BatchSize.Observe(float64(n))
+	tracing := o.Traces != nil
+	traceAll := tracing && o.Sampler == nil
+	traceFirst := tracing && !traceAll && o.Sampler.Sample(t0)
 	run := 0 // first tuple of the pending untraced run
 	var err error
 	for i := range tuples {
@@ -182,19 +177,15 @@ func (e *Engine) decideBatch(eventName string, tuples []CheckTuple, verdicts []V
 			continue
 		}
 		if run < i {
-			if verdicts, err = e.decideBatchCore(o, t0, eventName, tuples[run:i], verdicts, subDecs(decs, run, i)); err != nil {
+			if verdicts, err = e.decideBatchCore(t0, eventName, tuples[run:i], verdicts, subDecs(decs, run, i)); err != nil {
 				return verdicts, err
 			}
 		}
 		run = i + 1
-		var ti time.Time
-		if o != nil {
-			ti = e.clk.Now()
-		}
 		if !tracing {
 			e.fp.bypass.Add(1)
 		}
-		dec, err := e.cascade(o, ti, eventName, checkParams(t.User, t.Session, t.Operation, t.Object), tracing, t.Trace)
+		dec, err := e.cascade(e.clk.Now(), eventName, checkParams(t.User, t.Session, t.Operation, t.Object), tracing, t.Trace)
 		if err != nil {
 			return verdicts, err
 		}
@@ -203,12 +194,10 @@ func (e *Engine) decideBatch(eventName string, tuples []CheckTuple, verdicts []V
 		}
 		allowed, reason := dec.Verdict()
 		verdicts = append(verdicts, Verdict{Allowed: allowed, Reason: reason})
-		if o != nil {
-			t0 = e.clk.Now() // the next run starts after this cascade
-		}
+		t0 = e.clk.Now() // the next run starts after this cascade
 	}
 	if run < n {
-		verdicts, err = e.decideBatchCore(o, t0, eventName, tuples[run:], verdicts, subDecs(decs, run, n))
+		verdicts, err = e.decideBatchCore(t0, eventName, tuples[run:], verdicts, subDecs(decs, run, n))
 	}
 	return verdicts, err
 }
@@ -226,8 +215,9 @@ func subDecs(decs []*Decision, lo, hi int) []*Decision {
 // cache probe, one group work item for the misses, one settle. It is
 // the only place the verdict cache is probed. When out is non-nil it
 // receives each tuple's settled Decision.
-func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string, tuples []CheckTuple, verdicts []Verdict, out []*Decision) ([]Verdict, error) {
+func (e *Engine) decideBatchCore(t0 time.Time, eventName string, tuples []CheckTuple, verdicts []Verdict, out []*Decision) ([]Verdict, error) {
 	n := len(tuples)
+	o := e.obs
 
 	bs := batchPool.Get().(*batchState)
 	defer bs.release()
@@ -301,12 +291,9 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 	// setup, rule matching, condition evaluation and actions (queue
 	// time is also attributed to lane_wait, by the drain instrument).
 	// The two stages add up to the run's decision latency.
-	var tEnd time.Time
-	if o != nil {
-		tEnd = e.clk.Now()
-		if cacheable {
-			o.StageFastPath.Observe(tEnd.Sub(t0).Seconds())
-		}
+	tEnd := e.clk.Now()
+	if cacheable {
+		o.StageFastPath.Observe(tEnd.Sub(t0).Seconds())
 	}
 
 	if cascades > 0 {
@@ -359,11 +346,9 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 			batch.RaiseGroupOwned(bs.group)
 		}
 		batch.Wait()
-		if o != nil {
-			tRaise := tEnd
-			tEnd = e.clk.Now()
-			o.StageCascade.Observe(tEnd.Sub(tRaise).Seconds())
-		}
+		tRaise := tEnd
+		tEnd = e.clk.Now()
+		o.StageCascade.Observe(tEnd.Sub(tRaise).Seconds())
 	}
 
 	var allows, denies int
@@ -387,28 +372,26 @@ func (e *Engine) decideBatchCore(o *obs.Observer, t0 time.Time, eventName string
 	for i := range out {
 		out[i] = slots[i].dec
 	}
-	if o != nil {
-		if allows > 0 {
-			o.Decisions.With(eventName, "allow").Add(float64(allows))
-		}
-		if denies > 0 {
-			o.Decisions.With(eventName, "deny").Add(float64(denies))
-		}
-		if cascades > 0 {
-			o.BatchGroups.Inc()
-		}
-		// The run is one decision round trip: its latency is observed
-		// once, not once per tuple, and a slow run is one slow record,
-		// scoped to its first tuple and carrying its first denial.
-		elapsed := tEnd.Sub(t0)
-		o.DecisionLatency.With(eventName).Observe(elapsed.Seconds())
-		if sl := o.Slow; sl != nil && sl.Exceeds(elapsed) {
-			o.SlowDecisions.Inc()
-			sl.Record(obs.SlowRecord{
-				At: t0, Event: eventName, Scope: subject(tuples[0].User, tuples[0].Session),
-				Seconds: elapsed.Seconds(), Allowed: denies == 0, Reason: denyReason,
-			})
-		}
+	if allows > 0 {
+		o.Decisions.With(eventName, "allow").Add(float64(allows))
+	}
+	if denies > 0 {
+		o.Decisions.With(eventName, "deny").Add(float64(denies))
+	}
+	if cascades > 0 {
+		o.BatchGroups.Inc()
+	}
+	// The run is one decision round trip: its latency is observed
+	// once, not once per tuple, and a slow run is one slow record,
+	// scoped to its first tuple and carrying its first denial.
+	elapsed := tEnd.Sub(t0)
+	o.DecisionLatency.With(eventName).Observe(elapsed.Seconds())
+	if sl := o.Slow; sl != nil && sl.Exceeds(elapsed) {
+		o.SlowDecisions.Inc()
+		sl.Record(obs.SlowRecord{
+			At: t0, Event: eventName, Scope: subject(tuples[0].User, tuples[0].Session),
+			Seconds: elapsed.Seconds(), Allowed: denies == 0, Reason: denyReason,
+		})
 	}
 	return verdicts, nil
 }

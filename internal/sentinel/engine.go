@@ -180,7 +180,7 @@ type Engine struct {
 	store   *rbac.Store
 	monitor *ExternalMonitor
 	env     *Env
-	obs     *obs.Observer // nil = observability off
+	obs     *obs.Observer
 	fp      *FastPath
 
 	// pushEpoch counts every change that can invalidate a cached
@@ -213,10 +213,11 @@ func WithLanes(int) EngineOption { return func(*engineConfig) {} }
 func WithFastPath() EngineOption { return func(*engineConfig) {} }
 
 // WithObserver attaches an observability bundle: the engine feeds the
-// observer's drain-wait/operator instruments on the hot path, mirrors its
-// counters into the registry at scrape time, and — when the observer
-// carries a trace ring — records a full cascade trace per Decide. A nil
-// observer (the default) keeps the zero-overhead path.
+// observer's decision, drain-wait and operator instruments on the hot
+// path, mirrors its counters into the registry at scrape time, and —
+// when the observer carries a trace ring — records cascade traces.
+// Without this option, or given nil, the engine builds its own
+// metrics-only observer: every engine is metered.
 func WithObserver(o *obs.Observer) EngineOption {
 	return func(c *engineConfig) { c.observer = o }
 }
@@ -227,6 +228,10 @@ func NewEngine(clk clock.Clock, opts ...EngineOption) *Engine {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	o := cfg.observer
+	if o == nil {
+		o = obs.NewObserver(0)
+	}
 	det := event.New(clk)
 	e := &Engine{
 		clk:     clk,
@@ -235,20 +240,17 @@ func NewEngine(clk clock.Clock, opts ...EngineOption) *Engine {
 		store:   rbac.NewStore(),
 		monitor: NewExternalMonitor(det),
 		env:     NewEnv(),
-		obs:     cfg.observer,
+		obs:     o,
 		fp:      &FastPath{},
 	}
-	if o := cfg.observer; o != nil {
-		det.SetInstruments(&event.Instruments{
-			LaneWait: func(s float64) {
-				o.LaneWait.Observe(s)
-				o.StageLaneWait.Observe(s)
-			},
-			OperatorMatch: func(op string) { o.OperatorMatches.With(op).Inc() },
-		})
-		e.pool.SetRuleTiming(true)
-		o.Registry.OnScrape(e.collect)
-	}
+	det.SetInstruments(&event.Instruments{
+		LaneWait: func(s float64) {
+			o.LaneWait.Observe(s)
+			o.StageLaneWait.Observe(s)
+		},
+		OperatorMatch: func(op string) { o.OperatorMatches.With(op).Inc() },
+	})
+	o.Registry.OnScrape(e.collect)
 	fp := e.fp
 	// Change hooks. All three run under their component's writer lock
 	// and only touch atomics (the push hook must honor the same
@@ -327,7 +329,7 @@ func (e *Engine) cacheable(eventName string) bool {
 // cache.
 func (e *Engine) CacheableEvent(eventName string) bool { return e.cacheable(eventName) }
 
-// Observer returns the engine's observability bundle (nil when off).
+// Observer returns the engine's observability bundle; never nil.
 func (e *Engine) Observer() *obs.Observer { return e.obs }
 
 // collect mirrors the engine's own atomic counters into the metric
@@ -386,18 +388,10 @@ func (e *Engine) Monitor() *ExternalMonitor { return e.monitor }
 func (e *Engine) Decide(eventName string, params event.Params) (*Decision, error) {
 	// Observability: the engine clock drives both the latency histogram
 	// and the trace timestamps, so simulated time in tests and benches
-	// stays consistent across every observable. With a nil observer both
-	// branches collapse to the pre-observability path.
-	o := e.obs
-	var t0 time.Time
-	traced := false
-	if o != nil {
-		t0 = e.clk.Now()
-		if o.Traces != nil {
-			traced = o.SampleTrace(t0)
-		}
-	}
-	return e.cascade(o, t0, eventName, params, traced, obs.TraceID{})
+	// stays consistent across every observable.
+	t0 := e.clk.Now()
+	traced := e.obs.Traces != nil && e.obs.SampleTrace(t0)
+	return e.cascade(t0, eventName, params, traced, obs.TraceID{})
 }
 
 // DecideCheck decides the canonical four-field enforcement tuple
@@ -405,8 +399,8 @@ func (e *Engine) Decide(eventName string, params event.Params) (*Decision, error
 // DecideCheckBatch for a single tuple, returning the settled Decision
 // instead of only its verdict. A repeat ALLOW for a cacheable event is
 // the cached Decision, served without running the cascade; a traced
-// request always cascades. A cache hit builds no Params map and, with
-// no observer, allocates nothing.
+// request always cascades. A cache hit builds no Params map and
+// allocates nothing.
 func (e *Engine) DecideCheck(eventName, user, session, operation, object string) (*Decision, error) {
 	tuple := [1]CheckTuple{{User: user, Session: session, Operation: operation, Object: object}}
 	var verdict [1]Verdict
@@ -428,7 +422,8 @@ func checkParams(user, session, operation, object string) event.Params {
 // cache. traced asks for a cascade trace (already sampled or forced by
 // the caller); tid is the client-supplied trace identity, zero for
 // engine-sampled traces.
-func (e *Engine) cascade(o *obs.Observer, t0 time.Time, eventName string, params event.Params, traced bool, tid obs.TraceID) (*Decision, error) {
+func (e *Engine) cascade(t0 time.Time, eventName string, params event.Params, traced bool, tid obs.TraceID) (*Decision, error) {
+	o := e.obs
 	dec := &Decision{}
 	dec.votes = dec.vbuf[:0]
 	p := make(event.Params, len(params)+1)
@@ -441,7 +436,7 @@ func (e *Engine) cascade(o *obs.Observer, t0 time.Time, eventName string, params
 	scope := subject(user, session)
 
 	var tr *obs.Trace
-	if traced && o != nil && o.Traces != nil {
+	if traced && o.Traces != nil {
 		tr = o.Traces.StartID(tid, eventName, scope, e.clk.Now())
 		dec.trace = tr // no concurrent access before the raise below
 	}
@@ -449,46 +444,41 @@ func (e *Engine) cascade(o *obs.Observer, t0 time.Time, eventName string, params
 	// stage — rule matching, condition evaluation and actions (queue
 	// time is attributed separately, to lane_wait, by the drain
 	// instrument).
-	var tRaise time.Time
-	if o != nil {
-		tRaise = e.clk.Now()
-	}
+	tRaise := e.clk.Now()
 	// p was built here and is never touched again: hand ownership to the
 	// detector so it skips its defensive clone.
 	if err := e.det.RaiseSyncTracedOwned(eventName, p, tr); err != nil {
 		return nil, err
 	}
 	allowed, reason := dec.Verdict()
-	if o != nil {
-		now := e.clk.Now()
-		o.StageCascade.Observe(now.Sub(tRaise).Seconds())
+	now := e.clk.Now()
+	o.StageCascade.Observe(now.Sub(tRaise).Seconds())
+	if tr != nil {
+		o.Traces.Finish(tr, now)
+		o.TracesTotal.Inc()
+	}
+	verdict := "deny"
+	if allowed {
+		verdict = "allow"
+	}
+	o.Decisions.With(eventName, verdict).Inc()
+	elapsed := now.Sub(t0)
+	o.DecisionLatency.With(eventName).Observe(elapsed.Seconds())
+	if sl := o.Slow; sl != nil && sl.Exceeds(elapsed) {
+		o.SlowDecisions.Inc()
+		rec := obs.SlowRecord{
+			At: t0, Event: eventName, Scope: scope,
+			Seconds: elapsed.Seconds(), Allowed: allowed, Reason: reason,
+		}
 		if tr != nil {
-			o.Traces.Finish(tr, now)
-			o.TracesTotal.Inc()
+			// Slow decisions force full trace retention: the snapshot
+			// embedded here outlives any trace-ring eviction.
+			td := tr.Snapshot()
+			rec.Trace = &td
+			rec.TraceID = td.TraceID
+			rec.TraceSeq = td.ID
 		}
-		verdict := "deny"
-		if allowed {
-			verdict = "allow"
-		}
-		o.Decisions.With(eventName, verdict).Inc()
-		elapsed := now.Sub(t0)
-		o.DecisionLatency.With(eventName).Observe(elapsed.Seconds())
-		if sl := o.Slow; sl != nil && sl.Exceeds(elapsed) {
-			o.SlowDecisions.Inc()
-			rec := obs.SlowRecord{
-				At: t0, Event: eventName, Scope: scope,
-				Seconds: elapsed.Seconds(), Allowed: allowed, Reason: reason,
-			}
-			if tr != nil {
-				// Slow decisions force full trace retention: the snapshot
-				// embedded here outlives any trace-ring eviction.
-				td := tr.Snapshot()
-				rec.Trace = &td
-				rec.TraceID = td.TraceID
-				rec.TraceSeq = td.ID
-			}
-			sl.Record(rec)
-		}
+		sl.Record(rec)
 	}
 	return dec, nil
 }

@@ -142,8 +142,41 @@ func TestDecideTraceDenyBranch(t *testing.T) {
 	}
 }
 
+// TestEngineAlwaysObserved: an engine built without an observer, or
+// given a nil one, builds its own, and that observer counts decisions —
+// there is no unmetered engine.
+func TestEngineAlwaysObserved(t *testing.T) {
+	for name, e := range map[string]*Engine{
+		"no option":        NewEngine(clock.NewSim(t0)),
+		"nil WithObserver": NewEngine(clock.NewSim(t0), WithObserver(nil)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			o := e.Observer()
+			if o == nil {
+				t.Fatal("Observer() is nil")
+			}
+			e.Detector().MustPrimitive("req")
+			dec, err := e.DecideCheck("req", "u", "s", "read", "doc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dec.Allowed() {
+				t.Fatal("a check no rule voted on was allowed")
+			}
+			var b strings.Builder
+			if err := o.Registry.WritePrometheus(&b); err != nil {
+				t.Fatal(err)
+			}
+			want := `activerbac_decisions_total{event="req",verdict="deny"} 1` + "\n"
+			if !strings.Contains(b.String(), want) {
+				t.Fatalf("scrape lacks %q:\n%s", want, b.String())
+			}
+		})
+	}
+}
+
 func TestDecideTracingDisabled(t *testing.T) {
-	// No observer at all.
+	// No observer option: the engine's own observer has no trace ring.
 	e, _ := newEngine()
 	e.Detector().MustPrimitive("req")
 	dec, err := e.Decide("req", nil)
@@ -151,10 +184,10 @@ func TestDecideTracingDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	if dec.Trace() != nil {
-		t.Fatal("trace present with observability off")
+		t.Fatal("trace present without a trace ring")
 	}
 
-	// Metrics on, tracing off (ring capacity 0).
+	// A caller-supplied observer, tracing off (ring capacity 0).
 	o := obs.NewObserver(0)
 	e2 := NewEngine(clock.NewSim(t0), WithObserver(o))
 	e2.Detector().MustPrimitive("req")

@@ -6,22 +6,22 @@ import (
 )
 
 // ObsNil enforces the observability fast-path discipline: the optional
-// instrument pointers (an engine's obs observer, a detector's ins
-// hooks, an observer's Traces ring, its Sampler and its Slow ring)
-// default to nil, and hot paths must check that before dereferencing.
-// The idiomatic shapes —
+// instrument pointers (a detector's ins hooks, an observer's Traces
+// ring, its Sampler and its Slow ring) default to nil, and hot paths
+// must check that before dereferencing. An engine's observer is not
+// among them: NewEngine always builds one. The idiomatic shapes —
 //
-//	o := e.obs; if o != nil { ... }            (alias then guard)
+//	s := o.Sampler; if s != nil { ... }        (alias then guard)
 //	if ins := ln.d.ins; ins != nil { ... }     (guard in the if init)
 //	if o.Traces != nil { o.Traces.Start(...) } (guard the chain itself)
 //
 // all pass, because the rule is: a selector chain that *continues past*
-// one of the optional fields (x.obs.Y, x.ins.Y, x.Traces.Y) is a
+// one of the optional fields (x.ins.Y, x.Traces.Y, x.Slow.Y) is a
 // violation unless the enclosing function nil-checks that exact chain
 // prefix somewhere.
 var ObsNil = &Analyzer{
 	Name: "obsnil",
-	Doc:  "optional observability pointers (obs, ins, Traces) must be nil-checked before deref in hot paths",
+	Doc:  "optional observability pointers (ins, Traces, Sampler, Slow) must be nil-checked before deref in hot paths",
 	Run:  runObsNil,
 }
 
@@ -34,11 +34,10 @@ var obsNilPackages = map[string]bool{
 }
 
 // obsNilFields are the optional-pointer field names. Sampler and Slow
-// joined with the telemetry work: both stay nil unless sampled tracing
-// or slow-decision capture is configured, so every hot-path use must
-// guard them like the trace ring.
+// stay nil unless sampled tracing or slow-decision capture is
+// configured, so every hot-path use must guard them like the trace ring.
 var obsNilFields = map[string]bool{
-	"obs": true, "ins": true, "Traces": true, "Sampler": true, "Slow": true,
+	"ins": true, "Traces": true, "Sampler": true, "Slow": true,
 }
 
 func runObsNil(pass *Pass) {

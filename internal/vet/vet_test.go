@@ -106,13 +106,13 @@ func (p *Pool) runRule() { _ = p.det.Clock().Now() }
 
 // --- obsnil --------------------------------------------------------
 
-// TestObsNilFlagsUnguardedDeref: touching e.obs.Decisions without a nil
-// check crashes every system built without an Observer.
+// TestObsNilFlagsUnguardedDeref: recording into e.obs.Traces without a
+// nil check crashes every engine whose observer has no trace ring.
 func TestObsNilFlagsUnguardedDeref(t *testing.T) {
 	src := `package sentinel
 
-func (e *Engine) count() {
-	e.obs.Decisions.Inc()
+func (e *Engine) record(tr *Trace) {
+	e.obs.Traces.Finish(tr, e.clk.Now())
 }
 `
 	diags := runOn(t, ObsNil, "internal/sentinel", src)
@@ -124,23 +124,23 @@ func (e *Engine) count() {
 
 // TestObsNilAcceptsGuardedIdioms covers the three guard shapes used in
 // the codebase: direct compare, snapshot-into-local, and if-scoped
-// assignment.
+// assignment. The engine's observer itself is never nil, so chains
+// through e.obs need no guard of their own.
 func TestObsNilAcceptsGuardedIdioms(t *testing.T) {
 	src := `package sentinel
 
 func (e *Engine) direct() {
-	if e.obs != nil {
-		e.obs.Decisions.Inc()
+	e.obs.Decisions.Inc()
+	if e.obs.Traces != nil {
+		e.obs.Traces.Start()
 	}
 }
 
 func (e *Engine) snapshot() {
 	o := e.obs
-	if o != nil {
-		o.Decisions.Inc()
-	}
-	if o.Traces != nil {
-		o.Traces.Start()
+	o.Decisions.Inc()
+	if tr := o.Traces; tr != nil {
+		tr.Start()
 	}
 }
 
@@ -186,7 +186,7 @@ func (e *Engine) sample(o *Observer) {
 func TestObsNilIgnoresOtherPackages(t *testing.T) {
 	src := `package rbacd
 
-func run(s *server) { s.obs.Decisions.Inc() }
+func run(s *server) { s.obs.Traces.Start() }
 `
 	wantDiags(t, runOn(t, ObsNil, "cmd/rbacd", src), 0)
 }

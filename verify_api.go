@@ -96,20 +96,18 @@ func VerifyPolicy(policySource string, cfg VerifyConfig) (VerifyResult, error) {
 
 // Verify runs the bounded verifier over the live system's installed
 // policy source. Findings and run stats are counted into the metrics
-// registry when observability is on.
+// registry.
 func (s *System) Verify(cfg VerifyConfig) (VerifyResult, error) {
 	start := time.Now()
 	res, err := VerifyPolicy(s.PolicySource(), cfg)
 	if err != nil {
 		return res, err
 	}
-	if s.obs != nil {
-		s.obs.VerifyStates.Add(float64(res.States))
-		for _, f := range res.Findings {
-			s.obs.VerifyFindings.With(f.Code).Inc()
-		}
-		s.obs.VerifySeconds.Observe(time.Since(start).Seconds())
+	s.obs.VerifyStates.Add(float64(res.States))
+	for _, f := range res.Findings {
+		s.obs.VerifyFindings.With(f.Code).Inc()
 	}
+	s.obs.VerifySeconds.Observe(time.Since(start).Seconds())
 	return res, nil
 }
 
