@@ -2,11 +2,12 @@
 # ROADMAP.md: build, tests, race detector, vet, lint, bounded
 # verification of the example policies, short wire-codec,
 # policy-parser, allow-cache key, sync-snapshot install,
-# periodic-expression and rbacd HTTP-body fuzzes, one round of every
-# paper-experiment benchmark, and two-second runs of the out-of-process
-# benchmark's cold and reload workloads so the cached, uncached and
-# remote decide paths and hot reload → SYNC → replica install are
-# exercised end to end on every merge.
+# periodic-expression, rbacd HTTP-body and live wire-stream fuzzes, one
+# round of every paper-experiment benchmark, and two-second runs of the
+# out-of-process benchmark's cold, reload and hot workloads so the
+# cached, uncached and remote decide paths, the wire reader's inline
+# hits and hot reload → SYNC → replica install are exercised end to end
+# on every merge.
 
 GO ?= go
 
@@ -68,10 +69,13 @@ verify-policies: build
 # fuzz-wire gives each wire-codec fuzz target a short randomized budget
 # on top of the checked-in seed corpus (internal/wire/testdata/fuzz):
 # enough to catch a regressed panic path without stalling the gate.
+# FuzzServerStream does the same for a live server connection, whose
+# reader answers verdict-cache hits itself.
 fuzz-wire:
 	$(GO) test ./internal/wire -fuzz=FuzzDecoder -fuzztime=5s
 	$(GO) test ./internal/wire -fuzz=FuzzPayloadCodecs -fuzztime=5s
 	$(GO) test ./internal/wire -fuzz=FuzzCheckRoundTrip -fuzztime=5s
+	$(GO) test ./internal/wire -run '^$$' -fuzz=FuzzServerStream -fuzztime=5s
 
 # fuzz-policy gives the .acp parser the same short budget on top of its
 # seeds (the example policies plus internal/policy/testdata/fuzz):
@@ -123,12 +127,16 @@ bench-smoke: build
 # (the exit code carries both). Then two seconds of the reload workload:
 # hot policy reloads on a leader, SYNC to a replica and the replica's
 # install, with every check against the replica held to the oracle.
-# Then the multi-session batch probe: 200 256-tuple frames spanning 64
-# sessions each; the probe exits 0 even when the server dies, so its
-# verdict line is what is checked.
+# Then two seconds of the per-tuple CHECK workload, where nearly every
+# check is a verdict-cache hit the wire reader answers itself, each
+# verdict held to the oracle and the hit share gated. Then the
+# multi-session batch probe: 200 256-tuple frames spanning 64 sessions
+# each; the probe exits 0 even when the server dies, so its verdict
+# line is what is checked.
 bench-e2e-smoke: build
 	$(GO) run ./benchmark -workload cold_batch -seconds 2 -trace 0
 	$(GO) run ./benchmark -workload reload_fleet -seconds 2 -trace 0
+	$(GO) run ./benchmark -workload hot_wire -seconds 2 -trace 0
 	$(GO) run ./benchmark -probe multi_session_batch | grep -q 'multi_session_batch: ok'
 
 # clean removes build and gate leftovers.

@@ -467,6 +467,24 @@ func (s *System) CheckAccessTuple(session, operation, object string) bool {
 	return err == nil && vs[0].Allowed
 }
 
+// CheckAccessHit answers c from the verdict cache alone, when it can
+// do so without waiting: true means an allow, counted exactly as
+// CheckAccessBatch would count the same hit. On false nothing is
+// counted and the caller decides c with CheckAccessBatch. When the
+// trace sampler picked c, c.Trace comes back stamped with a fresh id,
+// so that decision traces it and the sampler is drawn once per check.
+// The wire server answers a CHECK frame on its reader this way.
+func (s *System) CheckAccessHit(c *BatchCheck) bool {
+	eng := s.gen.Engine()
+	user, _ := eng.Store().SessionUser(SessionID(c.Session))
+	t := sentinel.CheckTuple{User: string(user), Session: c.Session, Operation: c.Operation, Object: c.Object, Trace: c.Trace}
+	if eng.CheckHit(rulegen.EvCheckAccess, &t) {
+		return true
+	}
+	c.Trace = t.Trace
+	return false
+}
+
 // CheckAccessTupleCacheable is CheckAccessTuple plus the cacheability
 // classification an embedded client cache needs: cacheable is true only
 // for allowed verdicts of the pure-snapshot checkAccess shape (the

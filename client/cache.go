@@ -41,9 +41,8 @@ type Options struct {
 	// is down, polls POLICY_VERSION for liveness and retries SUBSCRIBE.
 	// Default 1s.
 	PollInterval time.Duration
-	// Instruments hooks cache metrics (e.g. the
-	// activerbac_client_cache_* families); nil disables. The callbacks
-	// run on check and push paths and must be cheap.
+	// Instruments hooks cache metrics; nil disables. The callbacks run
+	// on check and push paths and must be cheap.
 	Instruments *Instruments
 }
 

@@ -40,6 +40,10 @@ func (b *cacheTestBackend) CheckCacheable(session, operation, object string) (al
 	return allowed, allowed && object != "volatile"
 }
 
+// CheckHit reports no verdict cache: every check reaches CheckCacheable
+// or CheckBatch, where the tests count and gate it.
+func (b *cacheTestBackend) CheckHit(*wire.CheckRequest) bool { return false }
+
 // startServer serves a wire server for b on a fresh loopback listener;
 // the returned stop closes it (also registered as cleanup).
 func startServer(t *testing.T, b wire.Backend, addr string) (*wire.Server, string, func()) {

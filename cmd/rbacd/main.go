@@ -451,15 +451,34 @@ func (b wireBackend) PolicyEpoch() uint64 {
 	return b.srv.system().SnapshotEpoch()
 }
 
-// PushEpoch and CheckCacheable upgrade the backend to wire.PushBackend:
-// SUBSCRIBE answers with the engine's push epoch, which also bumps on
-// session-grade changes the policy snapshot epoch does not see.
+// PushEpoch, CheckCacheable and CheckHit upgrade the backend to
+// wire.PushBackend: SUBSCRIBE answers with the engine's push epoch,
+// which also bumps on session-grade changes the policy snapshot epoch
+// does not see, and a verdict-cache hit is answered on the wire reader.
 func (b wireBackend) PushEpoch() uint64 { return b.srv.system().PushEpoch() }
 
 // CheckCacheable answers a CACHE-flagged CHECK: the verdict and whether
 // an epoch-tagged client cache may keep it until the next push.
 func (b wireBackend) CheckCacheable(session, operation, object string) (allowed, cacheable bool) {
 	return b.srv.system().CheckAccessTupleCacheable(session, operation, object)
+}
+
+// CheckHit answers a CHECK from the engine's verdict cache if it can
+// without waiting. A policy swap holding the server mutex makes it a
+// miss: the worker that then decides the check waits for the swap, the
+// reader does not.
+func (b wireBackend) CheckHit(req *wire.CheckRequest) bool {
+	if !b.srv.mu.TryRLock() {
+		return false
+	}
+	sys := b.srv.sys
+	b.srv.mu.RUnlock()
+	c := activerbac.BatchCheck{Session: req.Session, Operation: req.Operation, Object: req.Object}
+	if sys.CheckAccessHit(&c) {
+		return true
+	}
+	req.Trace = c.Trace
+	return false
 }
 
 // CheckBatch decides a CHECK_BATCH frame — or a CHECK, which the
@@ -570,6 +589,7 @@ func wireInstruments(sys *activerbac.System) *wire.Instruments {
 		RTT:         func(opcode string, seconds float64) { o.WireRTT.With(opcode).Observe(seconds) },
 		Push:        func() { o.EpochPushes.Inc() },
 		Subscribers: func(delta float64) { o.WireSubscribers.Add(delta) },
+		Write:       func() { o.WireWrites.Inc() },
 	}
 }
 

@@ -44,6 +44,14 @@ func (b leaderBackend) PushEpoch() uint64   { return b.sys.PushEpoch() }
 func (b leaderBackend) CheckCacheable(s, op, obj string) (bool, bool) {
 	return b.sys.CheckAccessTupleCacheable(s, op, obj)
 }
+func (b leaderBackend) CheckHit(r *wire.CheckRequest) bool {
+	c := activerbac.BatchCheck{Session: r.Session, Operation: r.Operation, Object: r.Object, Trace: r.Trace}
+	if b.sys.CheckAccessHit(&c) {
+		return true
+	}
+	r.Trace = c.Trace
+	return false
+}
 func (b leaderBackend) CheckBatch(reqs []wire.CheckRequest, vs []bool) []bool {
 	checks := make([]activerbac.BatchCheck, len(reqs))
 	for i, r := range reqs {

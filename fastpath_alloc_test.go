@@ -11,7 +11,8 @@ import (
 
 // TestFastPathHitZeroAlloc gates the verdict-cache hit path at zero
 // allocations per call, through the facade and through the engine, for
-// one check and for a 256-tuple batch: repeat ALLOWs must be served,
+// one check — decided, or answered by the verdict-cache-only entry the
+// wire reader uses — and for a 256-tuple batch: repeat ALLOWs must be served,
 // and metered, without touching the heap. Each path runs on a System
 // opened with nil options — the default, which needs no option for the
 // cache or the metrics to be on — and on ones that still set the inert
@@ -36,6 +37,13 @@ func TestFastPathHitZeroAlloc(t *testing.T) {
 		{"Engine.DecideCheck", func(f *hitFixture) bool {
 			dec, err := f.s.gen.Engine().DecideCheck(rulegen.EvCheckAccess, "u", f.session, "read", "doc")
 			return err == nil && dec.Allowed()
+		}},
+		{"System.CheckAccessHit", func(f *hitFixture) bool {
+			c := f.checks[0]
+			return f.s.CheckAccessHit(&c)
+		}},
+		{"Engine.CheckHit", func(f *hitFixture) bool {
+			return f.s.gen.Engine().CheckHit(rulegen.EvCheckAccess, &f.tuples[0])
 		}},
 		{"System.CheckAccessBatch", func(f *hitFixture) bool {
 			verdicts = f.s.CheckAccessBatch(f.checks, verdicts)

@@ -84,16 +84,11 @@ type Observer struct {
 	WireErrors   *CounterVec   // activerbac_wire_errors_total{opcode}
 	WireInflight *Gauge        // activerbac_wire_inflight
 	WireRTT      *HistogramVec // activerbac_wire_rtt_seconds{opcode}
+	WireWrites   *Counter      // activerbac_wire_writes_total
 
 	// Epoch push (counted by rbacd's wire server hooks).
 	WireSubscribers *Gauge   // activerbac_wire_subscribers
 	EpochPushes     *Counter // activerbac_epoch_pushes_total
-
-	// Embedded client cache (fed by client.Cache Instruments when an
-	// embedding process wires them to an observer).
-	ClientCacheHits          *Counter // activerbac_client_cache_hits_total
-	ClientCacheMisses        *Counter // activerbac_client_cache_misses_total
-	ClientCacheInvalidations *Counter // activerbac_client_cache_invalidations_total
 
 	// Replication (fed by rbacd's replicate hooks: the Hub's on a
 	// leader, the Replica's on a replica).
@@ -217,18 +212,13 @@ func NewObserver(traceCapacity int) *Observer {
 			"Wire-protocol requests admitted but not yet responded to.").With(),
 		WireRTT: r.Histogram("activerbac_wire_rtt_seconds",
 			"Server-side wire round trip per opcode: frame decoded to response flushed.", nil, "opcode"),
+		WireWrites: r.Counter("activerbac_wire_writes_total",
+			"Socket writes of wire-protocol response bytes; wire_requests_total over this is frames per write.").With(),
 
 		WireSubscribers: r.Gauge("activerbac_wire_subscribers",
 			"Connections currently subscribed to epoch pushes.").With(),
 		EpochPushes: r.Counter("activerbac_epoch_pushes_total",
 			"EPOCH_PUSH frames written to subscribers (coalesced per bump burst).").With(),
-
-		ClientCacheHits: r.Counter("activerbac_client_cache_hits_total",
-			"Checks served from the embedded client decision cache.").With(),
-		ClientCacheMisses: r.Counter("activerbac_client_cache_misses_total",
-			"Client-cache checks that went to the server.").With(),
-		ClientCacheInvalidations: r.Counter("activerbac_client_cache_invalidations_total",
-			"Wholesale client-cache drops: epoch pushes plus subscription losses.").With(),
 
 		ReplicaLag: r.Gauge("activerbac_replica_lag",
 			"Epoch distance between the observed leader push epoch and the locally applied one (replica mode).").With(),

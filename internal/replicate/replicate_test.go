@@ -61,6 +61,7 @@ type hubBackend struct {
 func (b *hubBackend) PolicyEpoch() uint64                        { return b.exp.PushEpoch() }
 func (b *hubBackend) PushEpoch() uint64                          { return b.exp.PushEpoch() }
 func (b *hubBackend) CheckCacheable(_, _, _ string) (bool, bool) { return false, false }
+func (b *hubBackend) CheckHit(*wire.CheckRequest) bool           { return false }
 func (b *hubBackend) CheckBatch(reqs []wire.CheckRequest, vs []bool) []bool {
 	for range reqs {
 		vs = append(vs, false)

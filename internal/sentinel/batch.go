@@ -168,7 +168,10 @@ func (e *Engine) decideBatch(eventName string, tuples []CheckTuple, verdicts []V
 	o.BatchSize.Observe(float64(n))
 	tracing := o.Traces != nil
 	traceAll := tracing && o.Sampler == nil
-	traceFirst := tracing && !traceAll && o.Sampler.Sample(t0)
+	// The sampler is drawn only when its answer matters: a tuple 0 that
+	// carries a trace id is traced anyway, and CheckHit stamps one on
+	// the check its own draw picked, so every check is drawn once.
+	traceFirst := tracing && !traceAll && tuples[0].Trace.IsZero() && o.Sampler.Sample(t0)
 	run := 0 // first tuple of the pending untraced run
 	var err error
 	for i := range tuples {
@@ -212,9 +215,8 @@ func subDecs(decs []*Decision, lo, hi int) []*Decision {
 
 // decideBatchCore is the batch-native evaluation floor for one untraced
 // run of a batch, starting at t0: one snapshot capture, one up-front
-// cache probe, one group work item for the misses, one settle. It is
-// the only place the verdict cache is probed. When out is non-nil it
-// receives each tuple's settled Decision.
+// cache probe, one group work item for the misses, one settle. When
+// out is non-nil it receives each tuple's settled Decision.
 func (e *Engine) decideBatchCore(t0 time.Time, eventName string, tuples []CheckTuple, verdicts []Verdict, out []*Decision) ([]Verdict, error) {
 	n := len(tuples)
 	o := e.obs
@@ -251,27 +253,16 @@ func (e *Engine) decideBatchCore(t0 time.Time, eventName string, tuples []CheckT
 	if cacheable {
 		var hits, encMisses int
 		for i := range tuples {
-			t := &tuples[i]
-			start := len(bs.keys)
-			sl := &slots[i]
-			keys, fits := allowcache.AppendKey(bs.keys, eventName, t.User, t.Session, t.Operation, t.Object)
-			if !fits {
-				sl.off = fpKeyNone
+			switch hit, fits := e.probe(bs, &slots[i], eventName, &tuples[i], epoch, view); {
+			case hit:
+				hits++
+			case !fits:
 				cascades++
 				fp.bypass.Add(1)
-				continue
+			default:
+				cascades++
+				encMisses++
 			}
-			sgen := fp.tab.Session(t.Session)
-			if dec, hit := fp.tab.Lookup(keys[start:], epoch, sgen); hit && dec.view == view {
-				bs.keys = keys[:start] // drop the key, keep the grown buffer
-				sl.dec, sl.off = dec, fpKeyNone
-				hits++
-				continue
-			}
-			bs.keys = keys
-			sl.off, sl.end, sl.sgen = int32(start), int32(len(keys)), sgen
-			cascades++
-			encMisses++
 		}
 		if hits > 0 {
 			fp.hits.Add(uint64(hits))
@@ -372,26 +363,96 @@ func (e *Engine) decideBatchCore(t0 time.Time, eventName string, tuples []CheckT
 	for i := range out {
 		out[i] = slots[i].dec
 	}
+	if cascades > 0 {
+		o.BatchGroups.Inc()
+	}
+	e.settleRun(eventName, t0, tEnd, &tuples[0], allows, denies, denyReason)
+	return verdicts, nil
+}
+
+// probe looks tuple t up in the verdict cache under the captured epoch
+// and policy view. A hit fills sl.dec. A miss leaves the tuple's key in
+// bs.keys and its span and session generation in sl, for the settle's
+// store; a tuple whose fields do not fit a key (fits false) stores
+// none. It is the only place the verdict cache is probed:
+// decideBatchCore runs it for every tuple of an untraced run, CheckHit
+// for its one check.
+func (e *Engine) probe(bs *batchState, sl *slot, eventName string, t *CheckTuple, epoch, view uint64) (hit, fits bool) {
+	tab := &e.fp.tab
+	start := len(bs.keys)
+	keys, fits := allowcache.AppendKey(bs.keys, eventName, t.User, t.Session, t.Operation, t.Object)
+	if !fits {
+		sl.off = fpKeyNone
+		return false, false
+	}
+	sgen := tab.Session(t.Session)
+	if dec, hit := tab.Lookup(keys[start:], epoch, sgen); hit && dec.view == view {
+		bs.keys = keys[:start] // drop the key, keep the grown buffer
+		sl.dec, sl.off = dec, fpKeyNone
+		return true, true
+	}
+	bs.keys = keys
+	sl.off, sl.end, sl.sgen = int32(start), int32(len(keys)), sgen
+	return false, true
+}
+
+// settleRun records one settled untraced run from t0 to tEnd: the
+// allow and deny counts, the run's latency — observed once, not once
+// per tuple, since the run is one decision round trip — and, when the
+// run is slow, one slow record scoped to its first tuple and carrying
+// its first denial.
+func (e *Engine) settleRun(eventName string, t0, tEnd time.Time, first *CheckTuple, allows, denies int, denyReason string) {
+	o := e.obs
 	if allows > 0 {
 		o.Decisions.With(eventName, "allow").Add(float64(allows))
 	}
 	if denies > 0 {
 		o.Decisions.With(eventName, "deny").Add(float64(denies))
 	}
-	if cascades > 0 {
-		o.BatchGroups.Inc()
-	}
-	// The run is one decision round trip: its latency is observed
-	// once, not once per tuple, and a slow run is one slow record,
-	// scoped to its first tuple and carrying its first denial.
 	elapsed := tEnd.Sub(t0)
 	o.DecisionLatency.With(eventName).Observe(elapsed.Seconds())
 	if sl := o.Slow; sl != nil && sl.Exceeds(elapsed) {
 		o.SlowDecisions.Inc()
 		sl.Record(obs.SlowRecord{
-			At: t0, Event: eventName, Scope: subject(tuples[0].User, tuples[0].Session),
+			At: t0, Event: eventName, Scope: subject(first.User, first.Session),
 			Seconds: elapsed.Seconds(), Allowed: denies == 0, Reason: denyReason,
 		})
 	}
-	return verdicts, nil
+}
+
+// CheckHit decides one access check from the verdict cache alone, when
+// it can: it reports true — an allow — if DecideCheckBatch would serve
+// t as an untraced cache hit, and counts the hit exactly as that batch
+// of one would (batch size, fast-path hit, probe stage, decision,
+// latency, slow capture). It never waits: no lock, no drain crossing.
+//
+// On false nothing is counted and the caller decides t with
+// DecideCheckBatch. A check the trace sampler picks is a false too:
+// CheckHit then stamps t.Trace with a fresh id, so that decision
+// traces it without drawing the sampler a second time. A t that
+// already carries a trace id, or arrives while every decision is
+// traced, is a false with t unchanged.
+func (e *Engine) CheckHit(eventName string, t *CheckTuple) bool {
+	o := e.obs
+	if !t.Trace.IsZero() || (o.Traces != nil && o.Sampler == nil) || !e.cacheable(eventName) {
+		return false
+	}
+	t0 := e.clk.Now()
+	epoch, view := e.fp.tab.Epoch(), e.store.Epoch()
+	bs := batchPool.Get().(*batchState)
+	defer bs.release()
+	var sl slot
+	if hit, _ := e.probe(bs, &sl, eventName, t, epoch, view); !hit {
+		return false
+	}
+	if o.Traces != nil && o.Sampler.Sample(t0) {
+		t.Trace = obs.NewTraceID()
+		return false
+	}
+	o.BatchSize.Observe(1)
+	e.fp.hits.Add(1)
+	tEnd := e.clk.Now()
+	o.StageFastPath.Observe(tEnd.Sub(t0).Seconds())
+	e.settleRun(eventName, t0, tEnd, t, 1, 0, "")
+	return true
 }

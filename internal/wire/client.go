@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -186,7 +187,7 @@ func (c *Client) Subscribe() (uint64, error) {
 	// the loss callback still fires, so the caller can never believe a
 	// half-made subscription is live.
 	cc.subscribed.Store(true)
-	res, err := cc.roundTrip(OpSubscribe, nil, c.opts.Timeout)
+	res, err := cc.roundTrip(OpSubscribe, nil)
 	if err != nil {
 		cc.subscribed.Store(false)
 		return 0, err
@@ -294,9 +295,11 @@ func (c *Client) conn(slot *clientSlot) (*clientConn, error) {
 	}
 	slot.fails = 0
 	slot.nextDial = time.Time{}
-	cc := &clientConn{c: nc, pending: map[uint32]chan result{},
+	cc := &clientConn{c: nc, timeout: c.opts.Timeout, pending: map[uint32]chan result{},
+		kick: make(chan struct{}, 1), done: make(chan struct{}),
 		onPush: c.opts.OnEpochPush, onLost: c.opts.OnSubscriptionLost}
 	go cc.readLoop(c.opts.MaxFrame)
+	go cc.writeLoop()
 	slot.cc = cc
 	return cc, nil
 }
@@ -309,7 +312,7 @@ func (c *Client) roundTrip(op byte, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := cc.roundTrip(op, payload, c.opts.Timeout)
+	res, err := cc.roundTrip(op, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -333,11 +336,14 @@ type result struct {
 	payload []byte
 }
 
-// clientConn is one pipelined connection: writes are serialized under
-// wmu (one syscall per frame, the frame built in a reused buffer), a
+// clientConn is one pipelined connection. A request alone in flight is
+// written by its caller; one that joins others in flight is queued,
+// and a writer goroutine sends the whole queue in one write. A
 // background reader correlates responses to waiters by request id.
 type clientConn struct {
 	c net.Conn
+	// timeout bounds each socket write and each round trip.
+	timeout time.Duration
 
 	// onPush and onLost are the owning client's push callbacks;
 	// subscribed marks a connection that carried a successful
@@ -346,8 +352,16 @@ type clientConn struct {
 	onLost     func()
 	subscribed atomic.Bool
 
+	// wmu serializes socket writes; wbuf is a lone request's frame.
 	wmu  sync.Mutex
 	wbuf []byte
+
+	// queue holds the frames waiting for the writer goroutine, under
+	// qmu; kick wakes the writer, and done, closed by fail, stops it.
+	qmu   sync.Mutex
+	queue []byte
+	kick  chan struct{}
+	done  chan struct{}
 
 	mu      sync.Mutex
 	pending map[uint32]chan result
@@ -366,6 +380,7 @@ func (cc *clientConn) fail(err error) {
 	cc.mu.Lock()
 	if cc.err == nil {
 		cc.err = err
+		close(cc.done)
 	}
 	pending := cc.pending
 	cc.pending = map[uint32]chan result{}
@@ -426,7 +441,8 @@ func (cc *clientConn) readLoop(maxFrame int) {
 	}
 }
 
-func (cc *clientConn) roundTrip(op byte, payload []byte, timeout time.Duration) (result, error) {
+func (cc *clientConn) roundTrip(op byte, payload []byte) (result, error) {
+	timeout := cc.timeout
 	ch := make(chan result, 1)
 	cc.mu.Lock()
 	if cc.err != nil {
@@ -436,18 +452,30 @@ func (cc *clientConn) roundTrip(op byte, payload []byte, timeout time.Duration) 
 	}
 	id := cc.nextID
 	cc.nextID++
+	alone := len(cc.pending) == 0
 	cc.pending[id] = ch
 	cc.mu.Unlock()
 
-	cc.wmu.Lock()
-	cc.wbuf = AppendFrame(cc.wbuf[:0], op, id, payload)
-	cc.c.SetWriteDeadline(time.Now().Add(timeout))
-	_, werr := cc.c.Write(cc.wbuf)
-	cc.wmu.Unlock()
-	if werr != nil {
-		cc.fail(fmt.Errorf("wire: write: %w", werr))
-		cc.forget(id)
-		return result{}, werr
+	if alone {
+		// Nothing to share a write with: no hand-off, no wait.
+		cc.wmu.Lock()
+		cc.wbuf = AppendFrame(cc.wbuf[:0], op, id, payload)
+		cc.c.SetWriteDeadline(time.Now().Add(timeout))
+		_, werr := cc.c.Write(cc.wbuf)
+		cc.wmu.Unlock()
+		if werr != nil {
+			cc.fail(fmt.Errorf("wire: write: %w", werr))
+			cc.forget(id)
+			return result{}, werr
+		}
+	} else {
+		cc.qmu.Lock()
+		cc.queue = AppendFrame(cc.queue, op, id, payload)
+		cc.qmu.Unlock()
+		select {
+		case cc.kick <- struct{}{}:
+		default: // the writer is already due to run
+		}
 	}
 
 	timer := time.NewTimer(timeout)
@@ -467,6 +495,36 @@ func (cc *clientConn) roundTrip(op byte, payload []byte, timeout time.Duration) 
 	case <-timer.C:
 		cc.forget(id)
 		return result{}, fmt.Errorf("wire: request %s timed out after %v", OpName(op), timeout)
+	}
+}
+
+// writeLoop sends the queued frames until the connection fails. It
+// yields once before taking the queue: the callers that one response
+// read woke then queue their frames first, and they share the write.
+// A write error fails the connection, which wakes every waiter.
+func (cc *clientConn) writeLoop() {
+	var buf []byte
+	for {
+		select {
+		case <-cc.kick:
+		case <-cc.done:
+			return
+		}
+		runtime.Gosched()
+		cc.qmu.Lock()
+		buf, cc.queue = cc.queue, buf[:0]
+		cc.qmu.Unlock()
+		if len(buf) == 0 {
+			continue
+		}
+		cc.wmu.Lock()
+		cc.c.SetWriteDeadline(time.Now().Add(cc.timeout))
+		_, err := cc.c.Write(buf)
+		cc.wmu.Unlock()
+		if err != nil {
+			cc.fail(fmt.Errorf("wire: write: %w", err))
+			return
+		}
 	}
 }
 

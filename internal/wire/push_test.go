@@ -62,10 +62,13 @@ func TestNotifyPushCoalesces(t *testing.T) {
 
 // pushTestBackend upgrades testBackend with the push-epoch and
 // cacheability interfaces: the push epoch is test-controlled, and
-// verdicts on object "volatile" are allowed but never cacheable.
+// verdicts on object "volatile" are allowed but never cacheable. Its
+// verdict cache holds session "hot": every check on it is a hit, an
+// allow answered on the reader.
 type pushTestBackend struct {
 	*testBackend
 	push atomic.Uint64
+	hits atomic.Int64
 }
 
 func newPushTestBackend() *pushTestBackend {
@@ -77,6 +80,14 @@ func (pb *pushTestBackend) PushEpoch() uint64 { return pb.push.Load() }
 func (pb *pushTestBackend) CheckCacheable(session, operation, object string) (allowed, cacheable bool) {
 	allowed = pb.Check(session, operation, object)
 	return allowed, allowed && object != "volatile"
+}
+
+func (pb *pushTestBackend) CheckHit(req *CheckRequest) bool {
+	if req.Session != "hot" {
+		return false
+	}
+	pb.hits.Add(1)
+	return true
 }
 
 // startPushServer is startServer for any backend shape.

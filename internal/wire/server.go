@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -29,17 +30,20 @@ type Backend interface {
 	CheckBatch(reqs []CheckRequest, vs []bool) []bool
 }
 
-// PushBackend is optionally implemented by a Backend whose epoch bumps
-// the server can push to subscribers, for epoch-tagged client caches.
-// PushEpoch reports the current push epoch — unlike PolicyEpoch it
-// covers session-grade changes (role drops, session deletes) as well
-// as policy-grade ones, so a bump means any cached verdict may have
-// changed. CheckCacheable classifies which verdicts such a cache may
-// keep (the fastpath CA1 shape: the verdict depends only on state
-// tagged by the push epoch). The server detects the upgrade once at
-// construction; without it SUBSCRIBE and CacheFlag CHECKs answer an
-// ErrCodeUnsupported ERROR. The server owns no epoch state of its own:
-// the backend's owner calls Server.NotifyEpoch on every bump.
+// PushBackend is optionally implemented by a Backend with an
+// epoch-tagged verdict cache: its epoch bumps can be pushed to
+// subscribers for epoch-tagged client caches, and its cache hits can
+// be answered on the connection's reader. PushEpoch reports the
+// current push epoch — unlike PolicyEpoch it covers session-grade
+// changes (role drops, session deletes) as well as policy-grade ones,
+// so a bump means any cached verdict may have changed. CheckCacheable
+// classifies which verdicts such a cache may keep (the fastpath CA1
+// shape: the verdict depends only on state tagged by the push epoch).
+// The server detects the upgrade once at construction; without it
+// SUBSCRIBE and CacheFlag CHECKs answer an ErrCodeUnsupported ERROR and
+// every CHECK goes to the worker pool. The server owns no epoch state
+// of its own: the backend's owner calls Server.NotifyEpoch on every
+// bump.
 type PushBackend interface {
 	Backend
 	// PushEpoch reports the current push epoch.
@@ -48,6 +52,16 @@ type PushBackend interface {
 	// verdict is safe for an epoch-tagged client cache until the next
 	// push.
 	CheckCacheable(session, operation, object string) (allowed, cacheable bool)
+	// CheckHit reports whether req is an allow the backend serves from
+	// its verdict cache without waiting — no lock wait, no queue — and
+	// if so counts it exactly as CheckBatch would count the same hit.
+	// Only allows are cached, so a hit is also cacheable. The reader
+	// calls it on every untraced CHECK and writes a hit's response
+	// itself. On false nothing is counted and the check goes to a
+	// worker; a backend whose trace sampler picked the check stamps
+	// req.Trace, and the worker then decides it traced through
+	// CheckBatch, so the sampler is drawn once per check.
+	CheckHit(req *CheckRequest) bool
 }
 
 // SyncBackend is optionally implemented by a Backend that can serve
@@ -92,6 +106,9 @@ type Instruments struct {
 	// Subscribers tracks the server-wide subscriber-count delta (+1 on
 	// subscribe, -1 when a subscribed connection closes).
 	Subscribers func(delta float64)
+	// Write is called once per socket write of response bytes; with
+	// Request it gives the frames answered per write.
+	Write func()
 }
 
 // ServerOptions tunes a Server; the zero value selects the defaults.
@@ -110,9 +127,12 @@ type ServerOptions struct {
 	// WriteTimeout bounds each response write. Default 10 seconds;
 	// <= 0 disables.
 	WriteTimeout time.Duration
-	// Workers is the per-connection handler pool executing CHECK and
-	// CHECK_BATCH, and therefore the out-of-order window of one
-	// connection. Default min(GOMAXPROCS, MaxInFlight).
+	// Workers is the per-connection handler pool executing the checks
+	// the reader cannot answer from the backend's verdict cache —
+	// misses, traced CHECKs and every CHECK_BATCH — and therefore the
+	// out-of-order window of one connection's misses: a hit behind a
+	// parked miss is answered by the reader and never waits for a
+	// worker. Default min(GOMAXPROCS, MaxInFlight).
 	Workers int
 	// MaxSubscribers caps connections registered for epoch pushes;
 	// SUBSCRIBE past the cap answers an ErrCodeSubscribeLimit ERROR.
@@ -240,6 +260,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		sc := &srvConn{srv: s, c: c, pushCh: make(chan struct{}, 1)}
+		sc.wb.init(c, s.opts.WriteTimeout, s.opts.Instruments)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -314,13 +335,15 @@ func (s *Server) closeConns() {
 	}
 }
 
-// srvConn is one accepted connection: a reader decoding frames and
-// enforcing the in-flight cap, a worker pool executing checks (the
-// source of out-of-order responses), and a single writer serializing
-// and coalescing response frames.
+// srvConn is one accepted connection: a reader decoding frames,
+// enforcing the in-flight cap and answering verdict-cache hits itself,
+// a worker pool executing the other checks (the source of out-of-order
+// responses), and a writer goroutine for the workers' responses and
+// the pushes. Reader and writer share one buffered response stream.
 type srvConn struct {
 	srv *Server
 	c   net.Conn
+	wb  outbuf
 	// stopped, set by stopReading, makes the next (or current) blocking
 	// frame read fail without closing the socket, so drained responses
 	// still flush.
@@ -397,8 +420,9 @@ func (sc *srvConn) run() {
 	}()
 
 	// sem admits at most MaxInFlight requests between decode and
-	// response write; out has the same capacity, so enqueues below
-	// never block longer than the writer takes to drain.
+	// response write, inline hits included; out has the same capacity,
+	// so enqueues below never block longer than the writer takes to
+	// drain.
 	sem := make(chan struct{}, opts.MaxInFlight)
 	out := make(chan response, opts.MaxInFlight)
 	work := make(chan request, opts.MaxInFlight)
@@ -431,18 +455,33 @@ func (sc *srvConn) run() {
 }
 
 // readLoop decodes frames, admits them against the in-flight cap and
-// dispatches: cheap opcodes answered inline onto out, checks handed to
-// the worker pool. Returns on any read or protocol error.
+// dispatches: a CHECK the backend answers from its verdict cache is
+// written straight into the response stream, other cheap opcodes are
+// answered onto out, and the remaining checks go to the worker pool.
+// The reader's responses reach the socket in one flush, once no whole
+// frame is left in its input buffer (or before it waits on the
+// in-flight cap), so a burst of pipelined hits shares one write.
+// Returns on any read or protocol error, flushing first.
 func (sc *srvConn) readLoop(sem chan struct{}, out chan<- response, work chan<- request, ins *Instruments) {
 	opts := sc.srv.opts
-	dec := NewDecoder(bufio.NewReaderSize(sc.c, 32<<10), opts.MaxFrame)
+	push := sc.srv.push
+	br := bufio.NewReaderSize(sc.c, 32<<10)
+	dec := NewDecoder(br, opts.MaxFrame)
+	defer sc.wb.flush()
+	// hit is the check handed to CheckHit, reused across frames.
+	var hit CheckRequest
 	for {
-		if opts.ReadTimeout > 0 {
-			sc.c.SetReadDeadline(time.Now().Add(opts.ReadTimeout))
+		if !frameBuffered(br) {
+			// The next frame needs a read, which may block: answers
+			// already written go out first, and the read is bounded.
+			sc.wb.flush()
+			if opts.ReadTimeout > 0 {
+				sc.c.SetReadDeadline(time.Now().Add(opts.ReadTimeout))
+			}
 		}
 		// Checked after arming the deadline: a concurrent stopReading
 		// either is observed here or has already expired the deadline,
-		// so the read below cannot outlive a drain request.
+		// so no read below can outlive a drain request.
 		if sc.stopped.Load() {
 			return
 		}
@@ -455,10 +494,16 @@ func (sc *srvConn) readLoop(sem chan struct{}, out chan<- response, work chan<- 
 		if ins != nil && ins.Request != nil {
 			ins.Request(OpName(f.Op))
 		}
-		// Backpressure: block until a response slot frees up. The writer
-		// releases one slot per response written, so a stalled or slow
-		// client throttles its own request stream via TCP.
-		sem <- struct{}{}
+		// Backpressure: block until a response slot frees up. One slot is
+		// released per response written, so a stalled or slow client
+		// throttles its own request stream via TCP. Before waiting, the
+		// reader's own answers go out: they must not wait for a miss.
+		select {
+		case sem <- struct{}{}:
+		default:
+			sc.wb.flush()
+			sem <- struct{}{}
+		}
 		if ins != nil && ins.Inflight != nil {
 			ins.Inflight(+1)
 		}
@@ -484,7 +529,7 @@ func (sc *srvConn) readLoop(sem chan struct{}, out chan<- response, work chan<- 
 		case OpCheck, OpCheck | TraceFlag, OpCheck | CacheFlag:
 			payload := f.Payload
 			req := request{op: f.Op, id: f.ID, start: start}
-			if f.Op&CacheFlag != 0 && sc.srv.push == nil {
+			if f.Op&CacheFlag != 0 && push == nil {
 				out <- sc.errorResponse(f, ErrCodeUnsupported,
 					errors.New("wire: backend does not push epochs"), ins)
 				continue
@@ -502,7 +547,17 @@ func (sc *srvConn) readLoop(sem chan struct{}, out chan<- response, work chan<- 
 				out <- sc.errorResponse(f, ErrCodeBadRequest, err, ins)
 				continue
 			}
-			req.batch = []CheckRequest{{Session: session, Operation: operation, Object: object, Trace: tid}}
+			hit = CheckRequest{Session: session, Operation: operation, Object: object, Trace: tid}
+			if f.Op&TraceFlag == 0 && push != nil && push.CheckHit(&hit) {
+				v := verdictAllow
+				if f.Op&CacheFlag != 0 {
+					v = cacheVerdicts[cacheVerdictAllow|cacheVerdictCacheable]
+				}
+				sc.wb.write(f.Op|RespFlag, f.ID, v, false)
+				answered(f.Op, start, sem, ins)
+				continue
+			}
+			req.batch = []CheckRequest{hit}
 			work <- req
 		case OpCheckBatch, OpCheckBatch | TraceFlag:
 			payload := f.Payload
@@ -606,13 +661,14 @@ var verdictBufPool = sync.Pool{New: func() any {
 }}
 
 // execute runs one check request against the backend: a CACHE-flagged
-// CHECK through CheckCacheable, every other check frame — a CHECK is a
-// batch of one — through CheckBatch. Responses echo the request opcode
+// CHECK through CheckCacheable unless CheckHit stamped it for tracing,
+// every other check frame — a CHECK is a batch of one — through
+// CheckBatch. Responses echo the request opcode
 // (trace flag included) with RespFlag set; a traced response payload is
 // shaped exactly like the untraced one — the trace is retained
 // server-side under the request's id.
 func (sc *srvConn) execute(req request) response {
-	if req.op&CacheFlag != 0 {
+	if req.op&CacheFlag != 0 && req.batch[0].Trace == ([TraceIDSize]byte{}) {
 		// readLoop admits CacheFlag only when the upgrade exists.
 		c := &req.batch[0]
 		allowed, cacheable := sc.srv.push.CheckCacheable(c.Session, c.Operation, c.Object)
@@ -628,12 +684,21 @@ func (sc *srvConn) execute(req request) response {
 	vb := verdictBufPool.Get().(*[]bool)
 	vs := sc.srv.backend.CheckBatch(req.batch, (*vb)[:0])
 	var payload []byte
-	if req.op&^TraceFlag == OpCheck {
+	switch req.op &^ TraceFlag {
+	case OpCheck | CacheFlag:
+		// A check the backend's sampler picked on the reader, decided
+		// traced. Its allow is reported uncacheable: the conservative
+		// answer, which costs the client one more round trip.
+		payload = cacheVerdicts[0]
+		if len(vs) == 1 && vs[0] {
+			payload = cacheVerdicts[cacheVerdictAllow]
+		}
+	case OpCheck:
 		payload = verdictDeny
 		if len(vs) == 1 && vs[0] {
 			payload = verdictAllow
 		}
-	} else {
+	default:
 		payload = AppendVerdicts(make([]byte, 0, len(req.batch)+binary.MaxVarintLen64), vs)
 	}
 	*vb = vs[:0]
@@ -641,60 +706,136 @@ func (sc *srvConn) execute(req request) response {
 	return response{op: req.op | RespFlag, id: req.id, payload: payload, start: req.start}
 }
 
-// writeLoop serializes responses and epoch pushes onto the socket,
-// flushing only when both queues run dry (write coalescing across
-// pipelined responses), and releases one in-flight slot per response.
-// Pushes ride the same writer, so they interleave with — never
-// corrupt — pipelined responses, and a subscriber too slow to drain
-// them hits the write deadline and is disconnected like any other
-// stalled client.
+// writeLoop writes the workers' responses and the epoch pushes into
+// the response stream, flushing only when both queues run dry (write
+// coalescing across pipelined responses), and releases one in-flight
+// slot per response. Pushes ride the same stream, so they interleave
+// with — never corrupt — pipelined responses, and a subscriber too slow
+// to drain them hits the write deadline and is disconnected like any
+// other stalled client.
 func (sc *srvConn) writeLoop(out <-chan response, sem <-chan struct{}, ins *Instruments) {
-	opts := sc.srv.opts
-	bw := bufio.NewWriterSize(sc.c, 32<<10)
-	var fbuf []byte
 	var pbuf [8]byte
-	var werr error
-	write := func(op byte, id uint32, payload []byte) {
-		if werr != nil {
-			return
-		}
-		if opts.WriteTimeout > 0 {
-			sc.c.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
-		}
-		fbuf = AppendFrame(fbuf[:0], op, id, payload)
-		if _, werr = bw.Write(fbuf); werr == nil && len(out) == 0 && len(sc.pushCh) == 0 {
-			werr = bw.Flush()
-		}
-		if werr != nil {
-			// The socket is dead: unblock the reader (it may be
-			// parked on the in-flight cap) and discard the rest.
-			sc.c.Close()
-		}
-	}
 	for {
 		select {
 		case resp, ok := <-out:
 			if !ok {
-				if werr == nil {
-					bw.Flush()
-				}
+				sc.wb.flush()
 				return
 			}
-			write(resp.op, resp.id, resp.payload)
-			if ins != nil && ins.RTT != nil && !resp.start.IsZero() {
-				ins.RTT(OpName(resp.op), time.Since(resp.start).Seconds())
-			}
-			if ins != nil && ins.Inflight != nil {
-				ins.Inflight(-1)
-			}
-			<-sem
+			sc.wb.write(resp.op, resp.id, resp.payload, len(out) == 0 && len(sc.pushCh) == 0)
+			answered(resp.op, resp.start, sem, ins)
 		case <-sc.pushCh:
 			// The latch holds the newest epoch; bumps since it was armed
 			// collapsed into this one frame.
-			write(OpEpochPush, 0, AppendEpoch(pbuf[:0], sc.pushEpoch.Load()))
-			if werr == nil && ins != nil && ins.Push != nil {
+			err := sc.wb.write(OpEpochPush, 0, AppendEpoch(pbuf[:0], sc.pushEpoch.Load()),
+				len(out) == 0 && len(sc.pushCh) == 0)
+			if err == nil && ins != nil && ins.Push != nil {
 				ins.Push()
 			}
 		}
+	}
+}
+
+// answered closes the accounting of one admitted request whose
+// response is in the response stream: its round trip, the in-flight
+// gauge and its in-flight slot.
+func answered(op byte, start time.Time, sem <-chan struct{}, ins *Instruments) {
+	if ins != nil && ins.RTT != nil && !start.IsZero() {
+		ins.RTT(OpName(op), time.Since(start).Seconds())
+	}
+	if ins != nil && ins.Inflight != nil {
+		ins.Inflight(-1)
+	}
+	<-sem
+}
+
+// frameBuffered reports whether br already holds a whole frame, so
+// decoding the next frame cannot touch the socket.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < HeaderSize {
+		return false
+	}
+	hdr, _ := br.Peek(HeaderSize)
+	return uint64(br.Buffered()) >= HeaderSize+uint64(binary.BigEndian.Uint32(hdr[8:12]))
+}
+
+// outbuf is one connection's buffered response stream, shared by the
+// reader (its inline hits) and the writer goroutine (everything else);
+// mu keeps each frame whole. A write deadline is armed before every
+// write that reaches the socket. The first write error closes the
+// socket — which also unblocks a reader parked on the in-flight cap —
+// and everything after it is discarded.
+type outbuf struct {
+	mu      sync.Mutex
+	c       net.Conn
+	bw      *bufio.Writer
+	fbuf    []byte
+	timeout time.Duration
+	err     error
+}
+
+// countingWriter calls n once per write to the socket beneath it.
+type countingWriter struct {
+	net.Conn
+	n func()
+}
+
+func (w countingWriter) Write(p []byte) (int, error) {
+	w.n()
+	return w.Conn.Write(p)
+}
+
+func (w *outbuf) init(c net.Conn, timeout time.Duration, ins *Instruments) {
+	var dst io.Writer = c
+	if ins != nil && ins.Write != nil {
+		dst = countingWriter{c, ins.Write}
+	}
+	w.c, w.bw, w.timeout = c, bufio.NewWriterSize(dst, 32<<10), timeout
+}
+
+// write appends one frame and, when flush is set, sends everything
+// buffered. It returns the stream's sticky write error.
+func (w *outbuf) write(op byte, id uint32, payload []byte, flush bool) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err == nil {
+		w.fbuf = AppendFrame(w.fbuf[:0], op, id, payload)
+		if len(w.fbuf) > w.bw.Available() {
+			w.arm() // the frame overflows the buffer onto the socket
+		}
+		_, w.err = w.bw.Write(w.fbuf)
+	}
+	if flush {
+		w.flushLocked()
+	}
+	w.fail()
+	return w.err
+}
+
+// flush sends everything buffered.
+func (w *outbuf) flush() {
+	w.mu.Lock()
+	w.flushLocked()
+	w.fail()
+	w.mu.Unlock()
+}
+
+func (w *outbuf) flushLocked() {
+	if w.err == nil && w.bw.Buffered() > 0 {
+		w.arm()
+		w.err = w.bw.Flush()
+	}
+}
+
+func (w *outbuf) arm() {
+	if w.timeout > 0 {
+		w.c.SetWriteDeadline(time.Now().Add(w.timeout))
+	}
+}
+
+// fail closes the socket once a write has failed.
+func (w *outbuf) fail() {
+	if w.err != nil {
+		w.c.Close()
 	}
 }

@@ -76,8 +76,8 @@
 // the damage a fast or hostile client can do with three controls:
 // a per-connection in-flight cap (the reader stops consuming frames
 // until responses drain, pushing back through TCP), a read deadline
-// covering each whole frame (a trickling writer is disconnected), and
-// a write deadline per flush.
+// armed before every read that can block (a trickling writer is
+// disconnected), and a write deadline before every socket write.
 package wire
 
 import (

@@ -304,10 +304,16 @@ func TestClientConcurrent(t *testing.T) {
 
 // TestPipeliningOutOfOrder proves responses are correlated by id, not
 // arrival order: a check parked in the backend must not block a ping
-// issued after it on the same connection.
+// or a verdict-cache hit issued after it on the same connection. The
+// one worker is parked, so only the reader can answer the hit.
 func TestPipeliningOutOfOrder(t *testing.T) {
-	tb := newTestBackend()
-	_, addr := startServer(t, tb, nil)
+	tb := newPushTestBackend()
+	_, addr := startPushServer(t, tb, &ServerOptions{Workers: 1})
+	// Released before the server closes, even when the test fails
+	// early: Close waits for the parked worker.
+	var once sync.Once
+	release := func() { once.Do(func() { close(tb.release) }) }
+	t.Cleanup(release)
 	cl, err := Dial(addr, &ClientOptions{Conns: 1, Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
@@ -331,12 +337,18 @@ func TestPipeliningOutOfOrder(t *testing.T) {
 	if err := cl.Ping(); err != nil {
 		t.Fatalf("Ping behind parked check: %v", err)
 	}
+	if ok, err := cl.Check("hot", "read", "doc"); err != nil || !ok {
+		t.Fatalf("hit behind parked check = (%v, %v), want (true, nil)", ok, err)
+	}
+	if n := tb.hits.Load(); n != 1 {
+		t.Fatalf("backend hits = %d, want 1", n)
+	}
 	select {
 	case err := <-checkDone:
 		t.Fatalf("check finished before release (err=%v)", err)
 	default:
 	}
-	close(tb.release)
+	release()
 	if err := <-checkDone; err != nil {
 		t.Fatalf("released check: %v", err)
 	}
