@@ -28,12 +28,15 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint runs the repo's own static analysis: go vet plus rbacvet, the
-# custom passes enforcing engine invariants (engine-clock discipline,
-# nil guards on the optional trace, sampler, slow-ring and detector
-# instrument pointers, snapshot immutability, one snapshot capture per
-# batch, sync.Pool return discipline).
+# lint runs the repo's own static analysis: gofmt (any file it would
+# reformat fails the step), go vet, and rbacvet, the custom passes
+# enforcing engine invariants (engine-clock discipline, nil guards on
+# the optional trace, sampler, slow-ring and detector instrument
+# pointers, snapshot immutability, one snapshot capture per batch,
+# sync.Pool return discipline).
 lint:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/rbacvet ./...
 

@@ -1,12 +1,20 @@
 package activerbac
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"activerbac/internal/clock"
+	"activerbac/internal/policy"
 	"activerbac/internal/rulegen"
 	"activerbac/internal/sentinel"
+	"activerbac/internal/wire"
+	"activerbac/internal/workload"
 )
 
 // TestFastPathHitZeroAlloc gates the verdict-cache hit path at zero
@@ -117,6 +125,187 @@ func newHitFixture(t *testing.T, opts *Options, batchN int) *hitFixture {
 	for i := range f.checks {
 		f.checks[i] = BatchCheck{Session: session, Operation: "read", Object: "doc"}
 		f.tuples[i] = sentinel.CheckTuple{User: "u", Session: session, Operation: "read", Object: "doc"}
+	}
+	return f
+}
+
+// TestDecisionAllocCeilings pins the allocation counts of the miss
+// paths as ceilings: a row may go down, and then its ceiling goes down
+// with it; a change that raises one edits this table and says why.
+// Counts are the same on every host, unlike timings. Each row is the
+// average over its runs; the batch row is per tuple.
+func TestDecisionAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts need a non-race build")
+	}
+	for _, row := range allocRows(t) {
+		t.Run(row.name, func(t *testing.T) {
+			allocs, bytes := measureAllocs(row.runs, row.fn)
+			// Ceilings carry two decimals, and so does the count.
+			allocs = math.Round(100*allocs/row.per) / 100
+			bytes /= row.per
+			t.Logf("%.2f allocs, %.0f B", allocs, bytes)
+			if allocs > row.ceiling {
+				t.Fatalf("%.2f allocs, ceiling %.2f", allocs, row.ceiling)
+			}
+		})
+	}
+}
+
+// allocRow is one pinned path: fn runs it once, covering per items.
+type allocRow struct {
+	name    string
+	ceiling float64
+	runs    int
+	per     float64
+	fn      func()
+}
+
+// measureAllocs reports fn's mean heap allocations and bytes per run,
+// like testing.AllocsPerRun, which counts no bytes: one processor, one
+// warm-up call.
+func measureAllocs(runs int, fn func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+func allocRows(t *testing.T) []allocRow {
+	t.Helper()
+	// The nil-options deny miss: a denial never caches, so every call
+	// runs the cascade.
+	deny := newHitFixture(t, nil, 1)
+	// E1's OWTE miss: the E1 enterprise policy (8 roles), a user with
+	// one role active, checking a permission it lacks.
+	e1 := newE1MissFixture(t)
+	// A cold 256-tuple batch: 80 % of the tuples allowed, the verdict
+	// cache invalidated before each run, so every tuple cascades and
+	// every allow is stored.
+	cold := newColdBatchFixture(t, 256)
+	verdicts := make([]bool, 0, 256)
+
+	check := wire.AppendCheck(nil, "s-000123", "read", "obj-00042")
+	batchReqs := make([]wire.CheckRequest, 256)
+	for i := range batchReqs {
+		batchReqs[i] = wire.CheckRequest{Session: "s-000123", Operation: "read", Object: fmt.Sprintf("obj-%05d", i)}
+	}
+	batch := wire.AppendCheckBatch(nil, batchReqs)
+	into := make([]wire.CheckRequest, 0, 256)
+
+	return []allocRow{
+		{"nil-options deny miss", 11, 200, 1, func() {
+			if deny.s.CheckAccessTuple(deny.session, "write", "doc") {
+				t.Fatal("denied check allowed")
+			}
+		}},
+		{"E1 OWTE miss", 11, 200, 1, func() {
+			if e1.s.CheckAccess(e1.sid, e1.perm) {
+				t.Fatal("denied check allowed")
+			}
+		}},
+		{"cold CheckAccessBatch per tuple", 3.13, 20, 256, func() {
+			cold.s.gen.Engine().FastPath().Invalidate()
+			verdicts = cold.s.CheckAccessBatch(cold.checks, verdicts)
+		}},
+		{"ConsumeCheck", 1, 200, 1, func() {
+			if _, _, _, err := wire.ConsumeCheck(check); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"ConsumeCheckBatch per frame", 1, 200, 1, func() {
+			var err error
+			if into, err = wire.ConsumeCheckBatch(batch, into[:0]); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+}
+
+// e1MissFixture is a System on E1's enterprise policy with one session
+// and a permission that session is denied.
+type e1MissFixture struct {
+	s    *System
+	sid  SessionID
+	perm Permission
+}
+
+func newE1MissFixture(t *testing.T) *e1MissFixture {
+	t.Helper()
+	spec := workload.MustEnterprise(workload.EnterpriseConfig{
+		Roles: 8, Shape: workload.XYZShape, Branch: 4,
+		SSDFraction: 0.3, Users: 64, PermsPerRole: 3, Seed: 1,
+	})
+	s, err := Open(policy.Format(spec), &Options{Clock: clock.NewSim(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	user := UserID(spec.Users[0].Name)
+	sid, err := s.CreateSession(user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddActiveRole(user, sid, RoleID(spec.Users[0].Roles[0])); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range spec.Permissions {
+		perm := Permission{Operation: p.Operation, Object: p.Object}
+		if !s.CheckAccess(sid, perm) {
+			return &e1MissFixture{s: s, sid: sid, perm: perm}
+		}
+	}
+	t.Fatal("E1 policy grants the session every permission")
+	return nil
+}
+
+// coldBatchFixture is a System whose one session may read obj-0…obj-n
+// except every fifth object, with the batch checking each once.
+type coldBatchFixture struct {
+	s      *System
+	checks []BatchCheck
+}
+
+func newColdBatchFixture(t *testing.T, n int) *coldBatchFixture {
+	t.Helper()
+	var src strings.Builder
+	src.WriteString("policy \"cold\"\nrole R\nuser u: R\n")
+	for i := 0; i < n; i++ {
+		if i%5 != 4 {
+			fmt.Fprintf(&src, "permission R: read obj-%d\n", i)
+		}
+	}
+	s, err := Open(src.String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	sid, err := s.CreateSession("u")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddActiveRole("u", sid, "R"); err != nil {
+		t.Fatal(err)
+	}
+	f := &coldBatchFixture{s: s, checks: make([]BatchCheck, n)}
+	for i := range f.checks {
+		f.checks[i] = BatchCheck{Session: string(sid), Operation: "read", Object: fmt.Sprintf("obj-%d", i)}
+	}
+	vs := s.CheckAccessBatch(f.checks, nil)
+	allowed := 0
+	for _, v := range vs {
+		if v {
+			allowed++
+		}
+	}
+	if allowed != n-n/5 {
+		t.Fatalf("%d of %d allowed, want %d", allowed, n, n-n/5)
 	}
 	return f
 }

@@ -1,5 +1,7 @@
 package event
 
+import "sync/atomic"
+
 // Batch raises many synchronous occurrences of one primitive event as
 // group work items: every occurrence of a group rides a single queued
 // item, so a thousand-tuple batch crosses the drain boundary once per
@@ -15,6 +17,9 @@ type Batch struct {
 	d    *Detector
 	prim *primitiveNode
 	name string
+	// escaped is set on the drain when a RaiseGroupFn delivery reports
+	// its occurrence retained; Escaped reads it after Wait.
+	escaped atomic.Bool
 }
 
 // NewBatch resolves name once and prepares a batch raise of it.
@@ -85,7 +90,9 @@ func (b *Batch) RaiseGroupFn(n int, fill func(i int, p Params)) {
 			}
 			fill(i, p)
 			*occ = Occurrence{Event: name, Start: now, End: now, Params: p}
-			reuse = d.deliver(prim, occ)
+			if reuse = d.deliver(prim, occ); !reuse {
+				b.escaped.Store(true)
+			}
 		}
 	})
 }
@@ -93,3 +100,11 @@ func (b *Batch) RaiseGroupFn(n int, fill func(i int, p Params)) {
 // Wait blocks until every group raised on the batch, and every cascade
 // those groups triggered, has been processed.
 func (b *Batch) Wait() { b.d.awaitQuiet() }
+
+// Escaped reports, after Wait, whether any RaiseGroupFn delivery of the
+// batch was retained beyond its synchronous delivery: a value fill
+// wrote into the carrier may then still be reachable from a kept
+// occurrence, so whatever the caller lent the batch must not be
+// recycled. Owned groups are never reported: their maps belong to the
+// detector already.
+func (b *Batch) Escaped() bool { return b.escaped.Load() }

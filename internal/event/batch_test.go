@@ -180,3 +180,37 @@ func TestBatchCarrierDegradesWhenRetained(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchReportsEscape: Escaped is true after Wait exactly when some
+// RaiseGroupFn delivery was retained — here, when a retaining
+// subscriber joins the sole non-retaining one partway through the
+// group — and false for a group delivered wholly in the carrier shape.
+func TestBatchReportsEscape(t *testing.T) {
+	for _, joinAt := range []int{-1, 0, 2} {
+		d, _ := newTestDetector()
+		d.MustPrimitive("ev")
+		var kept []*Occurrence
+		retain := func(o *Occurrence) { kept = append(kept, o) }
+		if _, err := d.SubscribeNonRetaining("ev", func(o *Occurrence) {
+			if o.Params["i"].(int) == joinAt {
+				if _, err := d.Subscribe("ev", retain); err != nil {
+					t.Error(err)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		b, err := d.NewBatch("ev")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.RaiseGroupFn(4, func(i int, p Params) { p["i"] = i })
+		b.Wait()
+		if got, want := b.Escaped(), len(kept) > 0; got != want {
+			t.Fatalf("join at %d: Escaped() = %v with %d occurrences retained", joinAt, got, len(kept))
+		}
+		if want := joinAt >= 0; b.Escaped() != want {
+			t.Fatalf("join at %d: Escaped() = %v, want %v", joinAt, b.Escaped(), want)
+		}
+	}
+}

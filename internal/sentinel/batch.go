@@ -2,6 +2,7 @@ package sentinel
 
 import (
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -69,6 +70,15 @@ type batchState struct {
 	// map work. The map is made on the first cascade.
 	box   map[string]any
 	boxes []any
+
+	// decs is the decision slab: under the cacheable shape each
+	// cascading tuple of a batch that hands no Decision back votes on
+	// a slot here, reset per batch. The verdict cache files allow
+	// records, never these, so a slot is free again once the batch
+	// settles — unless a delivery escaped, in which case a retained
+	// occurrence may still reach it and the slab is dropped.
+	decs []Decision
+	rkey []byte // scratch for allow-record keys
 }
 
 var batchPool = sync.Pool{New: func() any {
@@ -292,14 +302,28 @@ func (e *Engine) decideBatchCore(t0 time.Time, eventName string, tuples []CheckT
 		if err != nil {
 			return verdicts, err
 		}
+		// The slab serves only the carrier mode, whose deliveries report
+		// an escape, and only a caller that keeps no Decision.
+		slab := cacheable && out == nil
 		if cacheable {
 			bs.boxes = slices.Grow(bs.boxes, 4*n)[:4*n]
 		}
+		if slab {
+			bs.decs = slices.Grow(bs.decs[:0], cascades)[:cascades]
+		}
+		next := 0 // the next free slab slot
 		for i := range tuples {
 			if slots[i].dec != nil {
 				continue // served from the cache
 			}
-			dec := &Decision{view: view}
+			var dec *Decision
+			if slab {
+				dec = &bs.decs[next]
+				next++
+				*dec = Decision{view: view}
+			} else {
+				dec = &Decision{view: view}
+			}
 			dec.votes = dec.vbuf[:0]
 			slots[i].dec = dec
 			t := &tuples[i]
@@ -337,6 +361,11 @@ func (e *Engine) decideBatchCore(t0 time.Time, eventName string, tuples []CheckT
 			batch.RaiseGroupOwned(bs.group)
 		}
 		batch.Wait()
+		if batch.Escaped() {
+			// A retained occurrence may still reach a slab decision and
+			// vote on it: the next batch gets a fresh slab.
+			bs.decs = nil
+		}
 		tRaise := tEnd
 		tEnd = e.clk.Now()
 		o.StageCascade.Observe(tEnd.Sub(tRaise).Seconds())
@@ -350,7 +379,9 @@ func (e *Engine) decideBatchCore(t0 time.Time, eventName string, tuples []CheckT
 		if allowed {
 			allows++
 			if sl.off >= 0 {
-				fp.tab.Store(bs.keys[sl.off:sl.end], sl.dec, epoch, sl.sgen)
+				var rec *Decision
+				rec, bs.rkey = fp.allowRecord(view, sl.dec, bs.rkey)
+				fp.tab.Store(bs.keys[sl.off:sl.end], rec, epoch, sl.sgen)
 			}
 		} else {
 			if denies == 0 {
@@ -414,7 +445,7 @@ func (e *Engine) settleRun(eventName string, t0, tEnd time.Time, first *CheckTup
 	if sl := o.Slow; sl != nil && sl.Exceeds(elapsed) {
 		o.SlowDecisions.Inc()
 		sl.Record(obs.SlowRecord{
-			At: t0, Event: eventName, Scope: subject(first.User, first.Session),
+			At: t0, Event: eventName, Scope: strings.Clone(subject(first.User, first.Session)),
 			Seconds: elapsed.Seconds(), Allowed: denies == 0, Reason: denyReason,
 		})
 	}

@@ -449,3 +449,100 @@ func TestFastPathServesOnlyItsView(t *testing.T) {
 		t.Fatal("check after the revoke was published served the cached allow")
 	}
 }
+
+// TestDecisionSlabDroppedOnEscape: the batch floor recycles its
+// decisions only when no delivery of the group escaped. Here a
+// retaining subscriber joins partway through a batch, so the rest of
+// its occurrences — each carrying its slab Decision — are kept after
+// the batch returns. The subscriber then leaves, restoring the cacheable
+// shape, and during every later batch a vote is cast on each kept
+// Decision, as a late retainer could. Every later tuple is bob's and
+// must stay allowed: a slab reused regardless of the escape would
+// hand those same decisions to the later batches, where the late deny
+// lands. Rounds repeat the escape so that a pool drop (the race
+// detector drops pooled items at random) cannot hide a reuse.
+func TestDecisionSlabDroppedOnEscape(t *testing.T) {
+	e, _ := newEngine()
+	det := e.Detector()
+	det.MustPrimitive("req")
+	var (
+		mu     sync.Mutex
+		kept   []*Decision // decisions reachable from retained occurrences
+		joinOn string      // the object whose decision subscribes the retainer
+		retSub = -1
+		late   bool // vote on the kept decisions from the next decision
+	)
+	retain := func(o *event.Occurrence) {
+		if dec, ok := DecisionOf(o); ok {
+			mu.Lock()
+			kept = append(kept, dec)
+			mu.Unlock()
+		}
+	}
+	e.Pool().MustAdd(core.Rule{
+		Name: "R", On: "req", CacheSafe: true,
+		Then: []core.Action{core.Act("allow", func(o *event.Occurrence) error {
+			dec, _ := DecisionOf(o)
+			dec.Allow("R")
+			mu.Lock()
+			defer mu.Unlock()
+			if o.Params["object"] == joinOn {
+				id, err := det.Subscribe("req", retain)
+				if err != nil {
+					return err
+				}
+				retSub = id
+			}
+			if late {
+				late = false
+				for _, k := range kept {
+					k.Deny("late", "vote on a retained decision")
+				}
+			}
+			return nil
+		})},
+	})
+	batch := func(prefix string) []CheckTuple {
+		tuples := make([]CheckTuple, 16)
+		for i := range tuples {
+			tuples[i] = CheckTuple{User: "bob", Session: "s", Operation: "read", Object: fmt.Sprint(prefix, i)}
+		}
+		return tuples
+	}
+	var got []Verdict
+	var err error
+	for round := 0; round < 8; round++ {
+		if !e.cacheable("req") {
+			t.Fatal("rule is not in the cache-safe shape; the slab is untested")
+		}
+		// The escaping batch: the retainer joins at its fifth tuple.
+		prefix := fmt.Sprintf("r%d-esc-", round)
+		mu.Lock()
+		joinOn = prefix + "4"
+		mu.Unlock()
+		if got, err = e.DecideCheckBatch("req", batch(prefix), got); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		if retSub < 0 || len(kept) == 0 {
+			mu.Unlock()
+			t.Fatalf("round %d: no delivery escaped", round)
+		}
+		det.Unsubscribe("req", retSub)
+		retSub = -1
+		mu.Unlock()
+		for later := 0; later < 4; later++ {
+			mu.Lock()
+			late = true
+			mu.Unlock()
+			if got, err = e.DecideCheckBatch("req", batch(fmt.Sprintf("r%d-later%d-", round, later)), got); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range got {
+				if !v.Allowed {
+					t.Fatalf("round %d, later batch %d: tuple %d denied (%s): a retained decision was recycled", round, later, i, v.Reason)
+				}
+			}
+		}
+	}
+}

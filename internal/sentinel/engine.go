@@ -141,6 +141,16 @@ func (d *Decision) Verdict() (allowed bool, reason string) {
 	return true, ""
 }
 
+// record returns an unshared copy of d's settled votes and result,
+// stamped with view: the immutable form the verdict cache files.
+func (d *Decision) record(view uint64) *Decision {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	rec := &Decision{view: view, result: d.result}
+	rec.votes = append(rec.vbuf[:0], d.votes...)
+	return rec
+}
+
 // Err converts a denial into an error (nil when allowed).
 func (d *Decision) Err() error {
 	allowed, reason := d.Verdict()
@@ -437,7 +447,10 @@ func (e *Engine) cascade(t0 time.Time, eventName string, params event.Params, tr
 
 	var tr *obs.Trace
 	if traced && o.Traces != nil {
-		tr = o.Traces.StartID(tid, eventName, scope, e.clk.Now())
+		// The scope may slice a request frame (the wire decode copies a
+		// frame once); the trace outlives the request, so it keeps its
+		// own copy.
+		tr = o.Traces.StartID(tid, eventName, strings.Clone(scope), e.clk.Now())
 		dec.trace = tr // no concurrent access before the raise below
 	}
 	// Stage attribution: the raise-to-settle window is the cascade
@@ -467,7 +480,7 @@ func (e *Engine) cascade(t0 time.Time, eventName string, params event.Params, tr
 	if sl := o.Slow; sl != nil && sl.Exceeds(elapsed) {
 		o.SlowDecisions.Inc()
 		rec := obs.SlowRecord{
-			At: t0, Event: eventName, Scope: scope,
+			At: t0, Event: eventName, Scope: strings.Clone(scope),
 			Seconds: elapsed.Seconds(), Allowed: allowed, Reason: reason,
 		}
 		if tr != nil {

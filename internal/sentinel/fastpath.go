@@ -1,6 +1,9 @@
 package sentinel
 
 import (
+	"encoding/binary"
+	"maps"
+	"sync"
 	"sync/atomic"
 
 	"activerbac/internal/allowcache"
@@ -16,11 +19,23 @@ import (
 // (policy, rule and event-graph changes bump the epoch, session changes
 // the session's generation), and only if it is an allow, so the Else
 // branch (denial recording, audit) runs on every denied request.
+//
+// An entry never keeps the Decision its cascade voted on. It files a
+// shared, immutable allow record instead: one Decision per (policy
+// view, allow votes), interned in a copy-on-write map that only the
+// store path reads. A hit returns that record, whose verdict and votes
+// equal the cascade's, so the batch floor can recycle the working
+// decisions (DESIGN §5.4, §5.6).
 
 // FastPath is the decision cache and its counters. All methods are
 // safe for concurrent use.
 type FastPath struct {
 	tab allowcache.Table[*Decision]
+
+	// recs is the current view's allow-record intern table; recMu
+	// serializes its copy-on-write replacement.
+	recs  atomic.Pointer[allowRecords]
+	recMu sync.Mutex
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
@@ -64,4 +79,58 @@ func (f *FastPath) Invalidate() {
 func (f *FastPath) InvalidateSession(sid string) {
 	f.tab.InvalidateSession(sid)
 	f.invalidations.Add(1)
+}
+
+// allowRecords interns the allow records of one policy view, keyed by
+// the votes' rule names, each prefixed by its length. The map is never
+// written after the table is published.
+type allowRecords struct {
+	view uint64
+	m    map[string]*Decision
+}
+
+// maxAllowRecords bounds one view's intern table; an allow with votes
+// beyond it is filed under a record of its own.
+const maxAllowRecords = 64
+
+// allowRecord returns the record the verdict cache files for dec, a
+// settled allow decided under view: an immutable Decision with dec's
+// votes, shared by every allow of view that voted alike. key is scratch
+// for the intern key; the grown buffer comes back for reuse. Only a
+// record-table miss allocates.
+func (f *FastPath) allowRecord(view uint64, dec *Decision, key []byte) (*Decision, []byte) {
+	dec.mu.Lock()
+	key = key[:0]
+	for _, v := range dec.votes {
+		key = binary.AppendUvarint(key, uint64(len(v.Rule)))
+		key = append(key, v.Rule...)
+	}
+	result := dec.result
+	dec.mu.Unlock()
+	if r := f.recs.Load(); result == nil && r != nil && r.view == view {
+		if rec, ok := r.m[string(key)]; ok { // no-alloc lookup
+			return rec, key
+		}
+	}
+	rec := dec.record(view)
+	if result != nil {
+		return rec, key // a payload is the decision's own: never shared
+	}
+	f.recMu.Lock()
+	defer f.recMu.Unlock()
+	r := f.recs.Load()
+	switch {
+	case r == nil || r.view < view:
+		r = &allowRecords{view: view, m: make(map[string]*Decision, 1)}
+	case r.view > view || len(r.m) >= maxAllowRecords:
+		return rec, key // a superseded view, or a full table: unshared
+	default:
+		if shared, ok := r.m[string(key)]; ok {
+			return shared, key
+		}
+		r = &allowRecords{view: view, m: maps.Clone(r.m)}
+	}
+	r.m[string(key)] = rec
+	f.recs.Store(r)
+	return rec, key
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
 )
@@ -81,7 +82,36 @@ func FuzzPayloadCodecs(f *testing.F) {
 	f.Add(AppendSyncState(nil, SyncState{Epoch: 0, Data: syncSt.Data, Hash: syncSt.Hash})) // epoch regression (new leader incarnation)
 	f.Add(AppendSyncState(nil, syncSt)[:12])                                               // truncated mid-hash
 
+	f.Add(AppendCheckBatch(nil, []CheckRequest{{Session: "s", Operation: "read", Object: "o1"}, {Session: "s", Operation: "read", Object: "o2"}}))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The check decoders copy a payload once and slice every field
+		// out of the copy: each must agree with a decode that copies
+		// field by field, and nothing decoded may change when the
+		// payload buffer is overwritten, as the reader's frame buffer is.
+		buf := append([]byte(nil), data...)
+		sess, op, obj, err := ConsumeCheck(buf)
+		rs, ro, rb, rerr := refConsumeCheck(data)
+		if (err == nil) != (rerr == nil) || sess != rs || op != ro || obj != rb {
+			t.Fatalf("CHECK decode (%q %q %q, %v), reference (%q %q %q, %v)", sess, op, obj, err, rs, ro, rb, rerr)
+		}
+		reqs, err := ConsumeCheckBatch(buf, nil)
+		ref, rerr := refConsumeCheckBatch(data)
+		if (err == nil) != (rerr == nil) || len(reqs) != len(ref) {
+			t.Fatalf("CHECK_BATCH decode %d requests (%v), reference %d (%v)", len(reqs), err, len(ref), rerr)
+		}
+		for i := range buf {
+			buf[i] ^= 0xFF
+		}
+		if sess != rs || op != ro || obj != rb {
+			t.Fatalf("CHECK fields changed with the payload buffer: (%q %q %q), want (%q %q %q)", sess, op, obj, rs, ro, rb)
+		}
+		for i := range ref {
+			if reqs[i] != ref[i] {
+				t.Fatalf("CHECK_BATCH request %d is %+v after the payload buffer changed, reference %+v", i, reqs[i], ref[i])
+			}
+		}
+
 		if sess, op, obj, err := ConsumeCheck(data); err == nil {
 			s2, o2, b2, err := ConsumeCheck(AppendCheck(nil, sess, op, obj))
 			if err != nil || s2 != sess || o2 != op || b2 != obj {
@@ -154,6 +184,49 @@ func FuzzPayloadCodecs(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refConsumeCheck is the reference CHECK decode: each field copied on
+// its own by ConsumeString.
+func refConsumeCheck(b []byte) (session, operation, object string, err error) {
+	if session, b, err = ConsumeString(b); err != nil {
+		return "", "", "", err
+	}
+	if operation, b, err = ConsumeString(b); err != nil {
+		return "", "", "", err
+	}
+	if object, b, err = ConsumeString(b); err != nil {
+		return "", "", "", err
+	}
+	if len(b) != 0 {
+		return "", "", "", ErrBadPayload
+	}
+	return session, operation, object, nil
+}
+
+// refConsumeCheckBatch is the reference CHECK_BATCH decode, field by
+// field through ConsumeString.
+func refConsumeCheckBatch(b []byte) ([]CheckRequest, error) {
+	n, w := binary.Uvarint(b)
+	if w <= 0 || n > MaxBatch {
+		return nil, ErrBadPayload
+	}
+	b = b[w:]
+	var reqs []CheckRequest
+	for i := uint64(0); i < n; i++ {
+		var r CheckRequest
+		var err error
+		for _, f := range []*string{&r.Session, &r.Operation, &r.Object} {
+			if *f, b, err = ConsumeString(b); err != nil {
+				return nil, err
+			}
+		}
+		reqs = append(reqs, r)
+	}
+	if len(b) != 0 {
+		return nil, ErrBadPayload
+	}
+	return reqs, nil
 }
 
 // FuzzCheckRoundTrip fuzzes the structured direction: any triple of

@@ -26,7 +26,9 @@ type Backend interface {
 	// verdict per request to vs in request order and returning the
 	// extended slice (reused when capacity allows). Each check is
 	// decided for the session's user, resolved from the session exactly
-	// like GET /v1/check.
+	// like GET /v1/check. The server reuses reqs once the call returns,
+	// and its strings slice the request frame: a string kept beyond the
+	// call is cloned.
 	CheckBatch(reqs []CheckRequest, vs []bool) []bool
 }
 
@@ -359,6 +361,10 @@ type srvConn struct {
 	// connection; written only by the read loop and read only after it
 	// returns (connection teardown), so it needs no lock.
 	replicaName string
+	// free holds request slices the workers are done with, for the
+	// reader to decode the next check frames into: one per worker and
+	// one for the reader keeps a steady pipeline from allocating.
+	free chan []CheckRequest
 }
 
 // notifyPush latches epoch for the writer without ever blocking.
@@ -367,6 +373,27 @@ func (sc *srvConn) notifyPush(epoch uint64) {
 	select {
 	case sc.pushCh <- struct{}{}:
 	default: // a push is already pending; it will carry the new epoch
+	}
+}
+
+// requests returns an empty request slice from the free list, or nil
+// when it is empty (the decode then allocates one).
+func (sc *srvConn) requests() []CheckRequest {
+	select {
+	case b := <-sc.free:
+		return b
+	default:
+		return nil
+	}
+}
+
+// recycle hands a decided request slice back to the free list, with its
+// strings dropped so that no idle slice pins a frame.
+func (sc *srvConn) recycle(b []CheckRequest) {
+	clear(b)
+	select {
+	case sc.free <- b[:0]:
+	default:
 	}
 }
 
@@ -426,6 +453,7 @@ func (sc *srvConn) run() {
 	sem := make(chan struct{}, opts.MaxInFlight)
 	out := make(chan response, opts.MaxInFlight)
 	work := make(chan request, opts.MaxInFlight)
+	sc.free = make(chan []CheckRequest, opts.Workers+1)
 
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
@@ -439,7 +467,9 @@ func (sc *srvConn) run() {
 		go func() {
 			defer workerWG.Done()
 			for req := range work {
-				out <- sc.execute(req)
+				resp := sc.execute(req)
+				sc.recycle(req.batch)
+				out <- resp
 			}
 		}()
 	}
@@ -557,7 +587,7 @@ func (sc *srvConn) readLoop(sem chan struct{}, out chan<- response, work chan<- 
 				answered(f.Op, start, sem, ins)
 				continue
 			}
-			req.batch = []CheckRequest{hit}
+			req.batch = append(sc.requests(), hit)
 			work <- req
 		case OpCheckBatch, OpCheckBatch | TraceFlag:
 			payload := f.Payload
@@ -570,7 +600,7 @@ func (sc *srvConn) readLoop(sem chan struct{}, out chan<- response, work chan<- 
 					continue
 				}
 			}
-			batch, err := ConsumeCheckBatch(payload, nil)
+			batch, err := ConsumeCheckBatch(payload, sc.requests())
 			if err != nil {
 				out <- sc.errorResponse(f, ErrCodeBadRequest, err, ins)
 				continue

@@ -312,15 +312,11 @@ func AppendString(dst []byte, s string) []byte {
 // ConsumeString decodes one length-prefixed string from the front of b
 // and returns the remainder.
 func ConsumeString(b []byte) (s string, rest []byte, err error) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 || n > maxStringLen {
-		return "", nil, ErrBadPayload
+	lo, hi, err := stringSpan(b, 0)
+	if err != nil {
+		return "", nil, err
 	}
-	b = b[w:]
-	if uint64(len(b)) < n {
-		return "", nil, ErrBadPayload
-	}
-	return string(b[:n]), b[n:], nil
+	return string(b[lo:hi]), b[hi:], nil
 }
 
 // CheckRequest is one access check as carried on the wire.
@@ -344,21 +340,36 @@ func AppendCheck(dst []byte, session, operation, object string) []byte {
 }
 
 // ConsumeCheck decodes a CHECK request payload; trailing bytes are an
-// error.
+// error. The payload is copied once: the three strings slice one copy,
+// so they stay valid after b is overwritten.
 func ConsumeCheck(b []byte) (session, operation, object string, err error) {
-	if session, b, err = ConsumeString(b); err != nil {
-		return "", "", "", err
+	var span [3][2]int
+	at := 0
+	for i := range span {
+		if span[i][0], span[i][1], err = stringSpan(b, at); err != nil {
+			return "", "", "", err
+		}
+		at = span[i][1]
 	}
-	if operation, b, err = ConsumeString(b); err != nil {
-		return "", "", "", err
-	}
-	if object, b, err = ConsumeString(b); err != nil {
-		return "", "", "", err
-	}
-	if len(b) != 0 {
+	if at != len(b) {
 		return "", "", "", ErrBadPayload
 	}
-	return session, operation, object, nil
+	s := string(b)
+	return s[span[0][0]:span[0][1]], s[span[1][0]:span[1][1]], s[span[2][0]:span[2][1]], nil
+}
+
+// stringSpan decodes the length prefix of the string that starts at
+// b[at] and returns the string's bytes as the span b[lo:hi].
+func stringSpan(b []byte, at int) (lo, hi int, err error) {
+	n, w := binary.Uvarint(b[at:])
+	if w <= 0 || n > maxStringLen {
+		return 0, 0, ErrBadPayload
+	}
+	lo = at + w
+	if uint64(len(b)-lo) < n {
+		return 0, 0, ErrBadPayload
+	}
+	return lo, lo + int(n), nil
 }
 
 // AppendCheckBatch appends a CHECK_BATCH request payload.
@@ -371,29 +382,32 @@ func AppendCheckBatch(dst []byte, reqs []CheckRequest) []byte {
 }
 
 // ConsumeCheckBatch decodes a CHECK_BATCH request payload, appending
-// the requests to into (reused when capacity allows).
+// the requests to into (reused when capacity allows). The payload is
+// copied once and every field slices that copy, so a frame costs one
+// allocation however many requests it carries, and the strings stay
+// valid after b is overwritten. A string kept beyond the request pins
+// the whole copy; keepers clone it.
 func ConsumeCheckBatch(b []byte, into []CheckRequest) ([]CheckRequest, error) {
 	n, w := binary.Uvarint(b)
 	if w <= 0 || n > MaxBatch {
 		return nil, ErrBadPayload
 	}
 	b = b[w:]
+	s := string(b)
 	reqs := into[:0]
+	at := 0
 	for i := uint64(0); i < n; i++ {
-		var r CheckRequest
-		var err error
-		if r.Session, b, err = ConsumeString(b); err != nil {
-			return nil, err
+		var f [3]string
+		for j := range f {
+			lo, hi, err := stringSpan(b, at)
+			if err != nil {
+				return nil, err
+			}
+			f[j], at = s[lo:hi], hi
 		}
-		if r.Operation, b, err = ConsumeString(b); err != nil {
-			return nil, err
-		}
-		if r.Object, b, err = ConsumeString(b); err != nil {
-			return nil, err
-		}
-		reqs = append(reqs, r)
+		reqs = append(reqs, CheckRequest{Session: f[0], Operation: f[1], Object: f[2]})
 	}
-	if len(b) != 0 {
+	if at != len(b) {
 		return nil, ErrBadPayload
 	}
 	return reqs, nil

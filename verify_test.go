@@ -77,9 +77,9 @@ func verifyFixture(t *testing.T, src, wantCode string) VerifyFinding {
 // Every emitted counterexample must already have reproduced its
 // violation against a real engine — the absence of RV199 here IS the
 // differential test. Run under -race via the normal test suite.
-func TestVerifyReplaysDSoDBypass(t *testing.T)       { verifyFixture(t, dsdBypassPolicy, "RV101") }
+func TestVerifyReplaysDSoDBypass(t *testing.T)        { verifyFixture(t, dsdBypassPolicy, "RV101") }
 func TestVerifyReplaysCardinalityBypass(t *testing.T) { verifyFixture(t, cardBypassPolicy, "RV102") }
-func TestVerifyReplaysWindowEscape(t *testing.T)     { verifyFixture(t, windowEscapePolicy, "RV103") }
+func TestVerifyReplaysWindowEscape(t *testing.T)      { verifyFixture(t, windowEscapePolicy, "RV103") }
 
 func TestVerifyCleanPolicy(t *testing.T) {
 	res, err := VerifyPolicy(cleanVerifyPolicy, VerifyConfig{})
