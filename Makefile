@@ -89,9 +89,13 @@ fuzz-policy:
 # fuzz-cache gives the allow-cache key codec shared by the engine fast
 # path and the client cache the same budget: two field tuples must
 # encode equal keys exactly when they are equal, and a field over 255
-# bytes must be unencodable.
+# bytes must be unencodable. Then the table itself against a model:
+# random stores, lookups and invalidations, some keys forced onto one
+# hash, where every hit must be the key's own last store under the
+# lookup's capture.
 fuzz-cache:
 	$(GO) test ./internal/allowcache -run '^$$' -fuzz=FuzzAppendKey -fuzztime=5s
+	$(GO) test ./internal/allowcache -run '^$$' -fuzz=FuzzTableModel -fuzztime=5s
 
 # fuzz-sync gives the sync-snapshot install — the bytes a replica takes
 # from its leader — the same budget, on a replica bootstrapped empty and
@@ -114,9 +118,10 @@ fuzz-http:
 	$(GO) test ./cmd/rbacd -run '^$$' -fuzz=FuzzHTTPBodies -fuzztime=5s
 
 # bench-smoke runs every root benchmark in bench_test.go once: the
-# paper experiments (F1, E1-E8, ablations A1-A3) and BenchmarkOpen, so
-# a change that breaks an experiment fails the merge gate. It takes
-# about 26 s on a 2-vCPU host, against 7.7 s for the six per-series
+# paper experiments (F1, E1-E8, ablations A1-A3), BenchmarkOpen and
+# BenchmarkColdBatch (cold_batch in process; ~2 s of set-up), so a
+# change that breaks an experiment fails the merge gate. It takes
+# 26–37 s on a shared 2-vCPU host, against 7.7 s for the six per-series
 # smokes of the retired experiment CLI it replaces. `go test -bench=.
 # -benchmem` prints the full series; end-to-end and per-layer
 # measurements come from the benchmark (BENCHMARK.json).

@@ -9,6 +9,7 @@ package activerbac_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -640,6 +641,128 @@ func BenchmarkOpen(b *testing.B) {
 			}
 		})
 	}
+}
+
+// --------------------------------------------------------------------------
+// ColdBatch: the benchmark's cold_batch workload in process. Its
+// enterprise (E32 with 32 permissions per role), 3 072 sessions (12 per
+// user), and 256-tuple single-session frames with 80 % of the tuples
+// allowed, over an allowed universe several times the verdict cache,
+// which the frames fill before the timer starts. One op is one frame;
+// ns/tuple is the figure to compare.
+
+// e32wide is the benchmark's cold_batch enterprise (benchmark/config.go).
+var e32wide = workload.EnterpriseConfig{
+	Roles: 32, Shape: workload.XYZShape, Branch: 4,
+	SSDFraction: 0.4, DSDFraction: 0.7,
+	Users: 256, PermsPerRole: 32,
+	CardinalityEvery: 8, Seed: 1,
+}
+
+func BenchmarkColdBatch(b *testing.B) {
+	const sessions, frameLen, frames, allowShare = 3072, 256, 4096, 0.8
+	spec := workload.MustEnterprise(e32wide)
+	oracle, err := baseline.New(clock.NewSim(benchEpoch), spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := openFromSpec(spec, clock.NewSim(benchEpoch))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	perms := make([]rbac.Permission, len(spec.Permissions))
+	for i, p := range spec.Permissions {
+		perms[i] = rbac.Permission{Operation: p.Operation, Object: p.Object}
+	}
+
+	// A probe is a session with its role active, and the permissions
+	// that role may and may not use, as the oracle decides them.
+	type probe struct {
+		sid            activerbac.SessionID
+		allowed, other []int32
+	}
+	byRole := map[string]*probe{}
+	var probes []probe
+	for i := 0; i < sessions; i++ {
+		u := spec.Users[i%len(spec.Users)]
+		user, role := rbac.UserID(u.Name), rbac.RoleID(u.Roles[0])
+		osid, err := oracle.CreateSession(user)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sid, err := sys.CreateSession(activerbac.UserID(user))
+		if err != nil {
+			b.Fatal(err)
+		}
+		want := oracle.AddActiveRole(user, osid, role) == nil
+		if got := sys.AddActiveRole(activerbac.UserID(user), sid, activerbac.RoleID(role)) == nil; got != want {
+			b.Fatalf("session %d: activation %v, oracle %v", i, got, want)
+		}
+		if !want {
+			continue // a cardinality bound used up: not a probe
+		}
+		p := byRole[u.Roles[0]]
+		if p == nil {
+			p = &probe{}
+			for k, perm := range perms {
+				if oracle.CheckAccess(osid, perm) {
+					p.allowed = append(p.allowed, int32(k))
+				} else {
+					p.other = append(p.other, int32(k))
+				}
+			}
+			byRole[u.Roles[0]] = p
+		}
+		probes = append(probes, probe{sid: sid, allowed: p.allowed, other: p.other})
+	}
+
+	// Frames are stored compactly: the probe, then each tuple's
+	// permission index shifted left by one over its expected verdict.
+	rng := rand.New(rand.NewSource(1))
+	frameProbe := make([]int32, frames)
+	tuples := make([]int32, frames*frameLen)
+	for f := range frameProbe {
+		pi := rng.Intn(len(probes))
+		frameProbe[f] = int32(pi)
+		p := &probes[pi]
+		for i := range frameLen {
+			if rng.Float64() < allowShare {
+				tuples[f*frameLen+i] = p.allowed[rng.Intn(len(p.allowed))]<<1 | 1
+			} else {
+				tuples[f*frameLen+i] = p.other[rng.Intn(len(p.other))] << 1
+			}
+		}
+	}
+	checks := make([]activerbac.BatchCheck, frameLen)
+	verdicts := make([]bool, 0, frameLen)
+	run := func(f int) {
+		sid := string(probes[frameProbe[f]].sid)
+		ts := tuples[f*frameLen : (f+1)*frameLen]
+		for i, t := range ts {
+			checks[i] = activerbac.BatchCheck{Session: sid, Operation: perms[t>>1].Operation, Object: perms[t>>1].Object}
+		}
+		verdicts = sys.CheckAccessBatch(checks, verdicts)
+		for i, t := range ts {
+			if verdicts[i] != (t&1 == 1) {
+				b.Fatalf("frame %d tuple %d: verdict %v, oracle %v", f, i, verdicts[i], t&1 == 1)
+			}
+		}
+	}
+	for f := range frames { // fill the verdict cache
+		run(f)
+	}
+	before := sys.FastPathStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(i % frames)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frameLen), "ns/tuple")
+	// The out-of-process workload gates this share at 0.35: above it
+	// the frames would time the cache, not the cold path.
+	after := sys.FastPathStats()
+	b.ReportMetric(float64(after.Hits-before.Hits)/float64(b.N*frameLen), "hit-share")
 }
 
 // --------------------------------------------------------------------------

@@ -149,8 +149,9 @@ func (c *Cache) Check(session, operation, object string) (bool, error) {
 	}
 	var buf [128]byte
 	key, fits := allowcache.AppendKey(buf[:0], session, operation, object)
+	h := allowcache.Hash(key)
 	g := c.tab.Session(session)
-	if _, hit := c.tab.Lookup(key, epoch, g); fits && hit {
+	if _, hit := c.tab.Lookup(key, h, epoch, g); fits && hit {
 		c.hits.Add(1)
 		if ins := c.opts.Instruments; ins != nil && ins.Hit != nil {
 			ins.Hit()
@@ -163,7 +164,7 @@ func (c *Cache) Check(session, operation, object string) (bool, error) {
 		return false, err
 	}
 	if allowed && cacheable && fits {
-		c.tab.Store(key, struct{}{}, epoch, g)
+		c.tab.Store(key, h, struct{}{}, epoch, g)
 	}
 	return allowed, nil
 }

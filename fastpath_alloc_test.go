@@ -187,7 +187,11 @@ func allocRows(t *testing.T) []allocRow {
 	e1 := newE1MissFixture(t)
 	// A cold 256-tuple batch: 80 % of the tuples allowed, the verdict
 	// cache invalidated before each run, so every tuple cascades and
-	// every allow is stored.
+	// every allow is stored. Each cache shard the run's allows land in
+	// allocates its fresh segment once; the cache hash is seeded per
+	// process, so that is 58 to 64 shards, and the count moves by up to
+	// 0.02 between processes (2.87–2.89 measured; 2.91 leaves room for
+	// every shard plus one grown bucket).
 	cold := newColdBatchFixture(t, 256)
 	verdicts := make([]bool, 0, 256)
 
@@ -210,7 +214,7 @@ func allocRows(t *testing.T) []allocRow {
 				t.Fatal("denied check allowed")
 			}
 		}},
-		{"cold CheckAccessBatch per tuple", 3.13, 20, 256, func() {
+		{"cold CheckAccessBatch per tuple", 2.91, 20, 256, func() {
 			cold.s.gen.Engine().FastPath().Invalidate()
 			verdicts = cold.s.CheckAccessBatch(cold.checks, verdicts)
 		}},

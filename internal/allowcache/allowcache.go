@@ -10,25 +10,40 @@
 // caller's own capture. Sessions hash into a fixed array of generation
 // slots; two sessions sharing a slot merely over-invalidate each other.
 //
+// Hash. The caller hashes a key once (Hash, a seeded maphash) and hands
+// the hash to both Lookup and Store, so a miss that stores pays for one
+// hash. The hash only places and filters: the entry's full key and
+// full generation decide a hit, so a wrong hash can cost a miss but
+// never serve another key's value.
+//
 // Layout. A key hashes to one of shards tables and, inside the table's
-// current segment, to one ways-slot bucket. Every slot is an
-// atomically published pointer to an immutable entry, so a probe is
-// lock-free and allocation-free (at most ways full-key compares) and an
-// insert is O(1) however full the table is — on a cold workload every
-// decision is a miss and an insert, so the insert must cost what a
-// probe costs. Inserts serialize on the shard's mutex and pick, in
-// order: the slot already holding the key, an empty slot, a slot whose
-// session generation has moved on (a dead entry), a doubled segment
-// when the shard is below segMax, and otherwise one victim chosen by
-// the key's hash. Segments start at segMin slots on a shard's first
-// insert and double up to segMax, so a small working set costs a small
-// table and a Table never holds more than Capacity entries. A segment
-// carries the epoch it was built under; the first insert after an
-// epoch bump swaps in a fresh segMin one, which is what releases the
-// dead epoch's entries.
+// current segment, to one bucket of ways slots: 64 bytes, whose words
+// share one cache line. A slot is a summary word and an entry pointer.
+// The word holds the key's 32-bit tag (the hash's high half, top bit
+// set so it is never 0) over the low 32 bits of the entry's session
+// generation; 0 means empty. The writer,
+// under the shard mutex, stores the pointer and then the word; a probe
+// loads the word and then the pointer, and dereferences an entry only
+// when the word matches the tag and generation it looks for. A torn or
+// stale word can therefore only cause a miss. The bucket index comes
+// from the tag, so growing a segment re-files entries from their words
+// alone. A probe is lock-free and allocation-free and an insert is O(1)
+// however full the table is — on a cold workload every decision is a
+// miss and an insert, so the insert must cost what a probe costs.
+// Inserts serialize on the shard's mutex and pick, in order: the slot
+// already holding the key, an empty slot, a slot whose session
+// generation has moved on (a dead entry, read from its word), a
+// doubled segment when the shard is below segMax, and otherwise one
+// victim chosen by the key's hash. Segments start at segMin slots on a
+// shard's first insert and double up to segMax, so a small working set
+// costs a small table and a Table never holds more than Capacity
+// entries. A segment carries the epoch it was built under; the first
+// insert after an epoch bump swaps in a fresh segMin one, which is what
+// releases the dead epoch's entries.
 package allowcache
 
 import (
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -57,18 +72,52 @@ type entry[V any] struct {
 	gen Gen
 }
 
-// segment is one table generation: a power-of-two run of slots probed
-// in buckets of ways, all filed under one epoch.
-type segment[V any] struct {
-	epoch uint64
-	slots []atomic.Pointer[entry[V]]
+// slot is one way of a bucket: the summary word (tag<<32 | low 32
+// bits of the generation; 0 when empty) filters the entry behind it.
+type slot[V any] struct {
+	word atomic.Uint64
+	ent  atomic.Pointer[entry[V]]
 }
 
-// bucket returns the ways slots hash h probes: the bits above the
-// shard's index, the bucket count's worth of them.
-func (s *segment[V]) bucket(h uint64) []atomic.Pointer[entry[V]] {
-	buckets := uint64(len(s.slots) / ways)
-	i := ((h >> shardBits) & (buckets - 1)) * ways
+// segment is one table generation: a power-of-two run of slots probed
+// in buckets of ways, all filed under one epoch. A bucket is 64 bytes
+// and starts on a cache line or, behind the 8-byte type header the Go
+// allocator puts before a pointer-holding array under 32 KB, 8 bytes
+// past one; either way its four words share one line, which is all a
+// probe that finds no matching tag reads.
+type segment[V any] struct {
+	epoch uint64
+	slots []slot[V]
+}
+
+// newSegment returns an empty segment of n slots filed under epoch. A
+// minimal one — what every shard starts each epoch with — is a single
+// allocation, its slots ahead of its header so that its buckets keep
+// their cache-line placement.
+func newSegment[V any](epoch uint64, n int) *segment[V] {
+	if n == segMin {
+		blk := &struct {
+			slots [segMin]slot[V]
+			seg   segment[V]
+		}{}
+		blk.seg = segment[V]{epoch: epoch, slots: blk.slots[:]}
+		return &blk.seg
+	}
+	return &segment[V]{epoch: epoch, slots: make([]slot[V], n)}
+}
+
+// tag is the summary-word tag of hash h: its high half, with the top
+// bit set so that no tag, and no occupied word, is 0.
+func tag(h uint64) uint32 { return uint32(h>>32) | 1<<31 }
+
+// word is the summary word of an entry with tag tg and generation g.
+func word(tg uint32, g Gen) uint64 { return uint64(tg)<<32 | uint64(uint32(g)) }
+
+// bucket returns the ways slots tag tg probes: the tag's low bits, the
+// bucket count's worth of them.
+func (s *segment[V]) bucket(tg uint32) []slot[V] {
+	buckets := uint32(len(s.slots) / ways)
+	i := (tg & (buckets - 1)) * ways
 	return s.slots[i : i+ways]
 }
 
@@ -106,19 +155,22 @@ func (t *Table[V]) Session(session string) Gen { return t.gen(uint8(fnv1a(sessio
 func (t *Table[V]) gen(s uint8) Gen { return Gen(t.sgens[s].Load()<<8 | uint64(s)) }
 
 // Lookup returns the value filed under key if it is still valid under
-// the caller's capture.
-func (t *Table[V]) Lookup(key []byte, epoch uint64, g Gen) (v V, ok bool) {
-	h := hash(key)
+// the caller's capture. h is Hash(key).
+func (t *Table[V]) Lookup(key []byte, h uint64, epoch uint64, g Gen) (v V, ok bool) {
 	seg := t.shards[h&(shards-1)].seg.Load()
 	if seg == nil || seg.epoch != epoch {
 		return v, false
 	}
-	b := seg.bucket(h)
+	tg := tag(h)
+	want := word(tg, g)
+	b := seg.bucket(tg)
 	for i := range b {
-		if ent := b[i].Load(); ent != nil && ent.key == string(key) { // no-alloc compare
-			if ent.gen != g {
-				return v, false
-			}
+		if b[i].word.Load() != want {
+			continue
+		}
+		// The word is only a filter: the entry's full key and full
+		// generation decide. A nonzero word was stored after its entry.
+		if ent := b[i].ent.Load(); ent.gen == g && ent.key == string(key) { // no-alloc compare
 			return ent.val, true
 		}
 	}
@@ -126,39 +178,40 @@ func (t *Table[V]) Lookup(key []byte, epoch uint64, g Gen) (v V, ok bool) {
 }
 
 // Store files v under key and the capture taken before v was decided.
-// A stale capture (the epoch moved on) is dropped.
-func (t *Table[V]) Store(key []byte, v V, epoch uint64, g Gen) {
+// h is Hash(key). A stale capture (the epoch moved on) is dropped.
+func (t *Table[V]) Store(key []byte, h uint64, v V, epoch uint64, g Gen) {
 	cur := t.epoch.Load()
 	if epoch != cur {
 		return
 	}
-	h := hash(key)
 	sh := &t.shards[h&(shards-1)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	seg := sh.seg.Load()
 	if seg == nil || seg.epoch != cur {
-		seg = &segment[V]{epoch: cur, slots: make([]atomic.Pointer[entry[V]], segMin)}
+		seg = newSegment[V](cur, segMin)
 		sh.seg.Store(seg)
 	}
-	b := seg.bucket(h)
-	slot := slotFor(b, key)
-	if slot < 0 {
-		slot = t.deadSlot(b)
+	tg := tag(h)
+	b := seg.bucket(tg)
+	i := slotFor(b, tg, key)
+	if i < 0 {
+		i = t.deadSlot(b)
 	}
-	for slot < 0 && len(seg.slots) < segMax {
-		// Doubling splits the full bucket in two by one more hash bit;
+	for i < 0 && len(seg.slots) < segMax {
+		// Doubling splits the full bucket in two by one more tag bit;
 		// the half this key lands in has room unless all its entries
 		// share that bit too.
 		seg = seg.grown()
 		sh.seg.Store(seg)
-		b = seg.bucket(h)
-		slot = slotFor(b, key)
+		b = seg.bucket(tg)
+		i = slotFor(b, tg, key)
 	}
-	if slot < 0 {
-		slot = int(h >> (64 - wayBits)) // the victim: named by the hash's top bits
+	if i < 0 {
+		i = int(h>>shardBits) & (ways - 1) // the victim: named by the hash bits above the shard's
 	}
-	b[slot].Store(&entry[V]{key: string(key), val: v, gen: g})
+	b[i].ent.Store(&entry[V]{key: string(key), val: v, gen: g})
+	b[i].word.Store(word(tg, g))
 }
 
 // Len counts the entries the table holds, servable or not.
@@ -167,7 +220,7 @@ func (t *Table[V]) Len() int {
 	for i := range t.shards {
 		if seg := t.shards[i].seg.Load(); seg != nil {
 			for j := range seg.slots {
-				if seg.slots[j].Load() != nil {
+				if seg.slots[j].word.Load() != 0 {
 					n++
 				}
 			}
@@ -176,17 +229,19 @@ func (t *Table[V]) Len() int {
 	return n
 }
 
-// slotFor returns the slot of bucket b that already holds key, else its
-// first empty slot, else -1.
-func slotFor[V any](b []atomic.Pointer[entry[V]], key []byte) int {
+// slotFor returns the slot of bucket b that already holds key, whose
+// tag is tg, else its first empty slot, else -1. Only a slot whose word
+// carries tg has its entry loaded.
+func slotFor[V any](b []slot[V], tg uint32, key []byte) int {
 	empty := -1
 	for i := range b {
-		ent := b[i].Load()
-		if ent == nil {
+		w := b[i].word.Load()
+		switch {
+		case w == 0:
 			if empty < 0 {
 				empty = i
 			}
-		} else if ent.key == string(key) {
+		case uint32(w>>32) == tg && b[i].ent.Load().key == string(key):
 			return i
 		}
 	}
@@ -195,9 +250,11 @@ func slotFor[V any](b []atomic.Pointer[entry[V]], key []byte) int {
 
 // deadSlot returns a slot of the full bucket b whose entry can never
 // hit again because its session's generation has moved on, else -1.
-func (t *Table[V]) deadSlot(b []atomic.Pointer[entry[V]]) int {
+// The word's low 32 bits are the generation's slot byte and the low 24
+// bits of its count: enough to see that the count moved on.
+func (t *Table[V]) deadSlot(b []slot[V]) int {
 	for i := range b {
-		if g := b[i].Load().gen; g != t.gen(uint8(g)) {
+		if g := uint32(b[i].word.Load()); g != uint32(t.gen(uint8(g))) {
 			return i
 		}
 	}
@@ -208,16 +265,17 @@ func (t *Table[V]) deadSlot(b []atomic.Pointer[entry[V]]) int {
 // bucket's entries split between two buckets of the wider index, so
 // the copy never overflows one.
 func (s *segment[V]) grown() *segment[V] {
-	g := &segment[V]{epoch: s.epoch, slots: make([]atomic.Pointer[entry[V]], 2*len(s.slots))}
+	g := newSegment[V](s.epoch, 2*len(s.slots))
 	for i := range s.slots {
-		ent := s.slots[i].Load()
-		if ent == nil {
+		w := s.slots[i].word.Load()
+		if w == 0 {
 			continue
 		}
-		b := g.bucket(hash(ent.key))
+		b := g.bucket(uint32(w >> 32))
 		for j := range b {
-			if b[j].Load() == nil {
-				b[j].Store(ent)
+			if b[j].word.Load() == 0 {
+				b[j].ent.Store(s.slots[i].ent.Load())
+				b[j].word.Store(w)
 				break
 			}
 		}
@@ -240,18 +298,14 @@ func AppendKey(buf []byte, fields ...string) ([]byte, bool) {
 	return buf, true
 }
 
-// hash is the table hash of a key. FNV-1a's bit k depends only on bits
-// 0..k of its input bytes, so the mix folds the high half down before
-// the shard, bucket and victim bits are cut from it.
-func hash[K string | []byte](key K) uint64 {
-	h := fnv1a(key)
-	h ^= h >> 32
-	h *= 0x9e3779b97f4a7c15
-	return h ^ h>>29
-}
+// seed keys Hash for the life of the process.
+var seed = maphash.MakeSeed()
+
+// Hash is the table hash of a key: the h that Lookup and Store take.
+func Hash(key []byte) uint64 { return maphash.Bytes(seed, key) }
 
 // fnv1a is the 64-bit FNV-1a hash.
-func fnv1a[K string | []byte](b K) uint64 {
+func fnv1a(b string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(b); i++ {
 		h ^= uint64(b[i])

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // testKey is the key the engine files a checkAccess request by session
@@ -29,7 +30,7 @@ func (sh *shard[V]) count() int {
 	n := 0
 	if seg := sh.seg.Load(); seg != nil {
 		for i := range seg.slots {
-			if seg.slots[i].Load() != nil {
+			if seg.slots[i].word.Load() != 0 {
 				n++
 			}
 		}
@@ -49,7 +50,7 @@ func TestTableBounded(t *testing.T) {
 	var key []byte
 	for n := 0; n < 1_000_000; n++ {
 		key = appendTestKey(key[:0], n%3072, n)
-		f.Store(key, dec, 0, 0)
+		f.Store(key, Hash(key), dec, 0, 0)
 	}
 	if Capacity != 131072 {
 		t.Fatalf("capacity = %d, want 131072", Capacity)
@@ -66,12 +67,12 @@ func TestTableOverwriteInPlace(t *testing.T) {
 	f := &table{}
 	key := testKey(1, 1)
 	first, second := new(int), new(int)
-	f.Store(key, first, 0, 0)
-	f.Store(key, second, 0, 0)
+	f.Store(key, Hash(key), first, 0, 0)
+	f.Store(key, Hash(key), second, 0, 0)
 	if got := f.Len(); got != 1 {
 		t.Fatalf("live entries after two stores of one key = %d, want 1", got)
 	}
-	if dec, ok := f.Lookup(key, 0, 0); !ok || dec != second {
+	if dec, ok := f.Lookup(key, Hash(key), 0, 0); !ok || dec != second {
 		t.Fatalf("lookup = %p, %v; want the second decision %p", dec, ok, second)
 	}
 }
@@ -85,7 +86,7 @@ func TestTableBucketCollisions(t *testing.T) {
 	var keys [][]byte
 	for n := 0; len(keys) < want; n++ {
 		key := testKey(1, n)
-		if h := hash(key); h&(shards-1) == 0 && (h>>shardBits)&(segMax/ways-1) == 0 {
+		if h := Hash(key); h&(shards-1) == 0 && tag(h)&(segMax/ways-1) == 0 {
 			keys = append(keys, key)
 		}
 	}
@@ -93,8 +94,8 @@ func TestTableBucketCollisions(t *testing.T) {
 	decs := make([]*int, len(keys))
 	for i, key := range keys {
 		decs[i] = new(int)
-		f.Store(key, decs[i], 0, 0)
-		if dec, ok := f.Lookup(key, 0, 0); !ok || dec != decs[i] {
+		f.Store(key, Hash(key), decs[i], 0, 0)
+		if dec, ok := f.Lookup(key, Hash(key), 0, 0); !ok || dec != decs[i] {
 			t.Fatalf("key %d not served right after its store: %p, %v", i, dec, ok)
 		}
 	}
@@ -103,7 +104,7 @@ func TestTableBucketCollisions(t *testing.T) {
 	}
 	hits := 0
 	for i, key := range keys {
-		dec, ok := f.Lookup(key, 0, 0)
+		dec, ok := f.Lookup(key, Hash(key), 0, 0)
 		if ok && dec != decs[i] {
 			t.Fatalf("key %d served another key's decision", i)
 		}
@@ -123,12 +124,12 @@ func TestTableStaleNeverHits(t *testing.T) {
 	f := &table{}
 	key, dec := testKey(7, 1), new(int)
 	probe := func() bool {
-		_, ok := f.Lookup(key, f.Epoch(), f.Session("s7"))
+		_, ok := f.Lookup(key, Hash(key), f.Epoch(), f.Session("s7"))
 		return ok
 	}
 
 	epoch, sgen := f.Epoch(), f.Session("s7")
-	f.Store(key, dec, epoch, sgen)
+	f.Store(key, Hash(key), dec, epoch, sgen)
 	if !probe() {
 		t.Fatal("fresh entry does not hit")
 	}
@@ -136,13 +137,13 @@ func TestTableStaleNeverHits(t *testing.T) {
 	if probe() {
 		t.Fatal("entry survived an epoch bump")
 	}
-	f.Store(key, dec, epoch, sgen) // captured before the bump: born stale
+	f.Store(key, Hash(key), dec, epoch, sgen) // captured before the bump: born stale
 	if probe() {
 		t.Fatal("entry stored under a stale epoch hit")
 	}
 
 	epoch = f.Epoch()
-	f.Store(key, dec, epoch, sgen)
+	f.Store(key, Hash(key), dec, epoch, sgen)
 	if !probe() {
 		t.Fatal("fresh entry does not hit after the bump")
 	}
@@ -150,11 +151,11 @@ func TestTableStaleNeverHits(t *testing.T) {
 	if probe() {
 		t.Fatal("entry survived its session's invalidation")
 	}
-	f.Store(key, dec, epoch, sgen) // captured before the session moved
+	f.Store(key, Hash(key), dec, epoch, sgen) // captured before the session moved
 	if probe() {
 		t.Fatal("entry stored under a stale session generation hit")
 	}
-	f.Store(key, dec, epoch, f.Session("s7"))
+	f.Store(key, Hash(key), dec, epoch, f.Session("s7"))
 	if !probe() {
 		t.Fatal("entry stored under the current pair does not hit")
 	}
@@ -171,21 +172,21 @@ func TestTableDeadEntriesAreReused(t *testing.T) {
 	for n := 0; len(keys) < ways+1; n++ {
 		key, session := testKey(n, n), testSession(n)
 		slot := uint8(f.Session(session))
-		if h := hash(key); h&(shards-1) == 0 && (h>>shardBits)&(segMin/ways-1) == 0 && !slots[slot] {
+		if h := Hash(key); h&(shards-1) == 0 && tag(h)&(segMin/ways-1) == 0 && !slots[slot] {
 			keys, sessions = append(keys, key), append(sessions, session)
 			slots[slot] = true // one generation slot per key: invalidations stay apart
 		}
 	}
 	for i, key := range keys[:ways] {
-		f.Store(key, new(int), 0, f.Session(sessions[i]))
+		f.Store(key, Hash(key), new(int), 0, f.Session(sessions[i]))
 	}
 	f.InvalidateSession(sessions[1])
-	f.Store(keys[ways], new(int), 0, f.Session(sessions[ways]))
+	f.Store(keys[ways], Hash(keys[ways]), new(int), 0, f.Session(sessions[ways]))
 	if got := len(f.shards[0].seg.Load().slots); got != segMin {
 		t.Fatalf("segment grew to %d slots with a dead entry to reuse", got)
 	}
 	for i, key := range keys {
-		_, ok := f.Lookup(key, 0, f.Session(sessions[i]))
+		_, ok := f.Lookup(key, Hash(key), 0, f.Session(sessions[i]))
 		if want := i != 1; ok != want {
 			t.Errorf("key %d hit = %v, want %v", i, ok, want)
 		}
@@ -202,20 +203,20 @@ func TestTableEpochSwapDropsSegment(t *testing.T) {
 	var in0, in1 []byte // one key each of tables 0 and 1, stored after the bump
 	for n := 0; n < 20_000; n++ {
 		key := testKey(n%64, n)
-		switch hash(key) & (shards - 1) {
+		switch Hash(key) & (shards - 1) {
 		case 0:
 			in0 = key
 		case 1:
 			in1 = key
 		}
-		f.Store(key, dec, 0, 0)
+		f.Store(key, Hash(key), dec, 0, 0)
 	}
 	old0, old1 := f.shards[0].seg.Load(), f.shards[1].seg.Load()
 	if len(old0.slots) <= segMin || f.shards[0].count() < segMin {
 		t.Fatalf("table 0 did not grow: %d slots, %d live", len(old0.slots), f.shards[0].count())
 	}
 	f.Invalidate()
-	f.Store(in0, dec, 1, 0)
+	f.Store(in0, Hash(in0), dec, 1, 0)
 	seg := f.shards[0].seg.Load()
 	if seg == old0 || seg.epoch != 1 || len(seg.slots) != segMin || f.shards[0].count() != 1 {
 		t.Fatalf("table 0 after the post-bump insert: same segment %v, epoch %d, %d slots, %d live; want a fresh epoch-1 segment of %d slots with 1 entry",
@@ -224,7 +225,7 @@ func TestTableEpochSwapDropsSegment(t *testing.T) {
 	if f.shards[1].seg.Load() != old1 {
 		t.Fatal("table 1 was swapped without an insert")
 	}
-	if _, ok := f.Lookup(in1, 1, 0); ok {
+	if _, ok := f.Lookup(in1, Hash(in1), 1, 0); ok {
 		t.Fatal("table 1 served an entry of the dead epoch")
 	}
 }
@@ -259,9 +260,9 @@ func TestTableConcurrent(t *testing.T) {
 				case g == 1 && n%50 == 0:
 					f.InvalidateSession(sessions[i])
 				case (n+g)%3 == 0:
-					f.Store(keys[i], decs[i], f.Epoch(), f.Session(sessions[i]))
+					f.Store(keys[i], Hash(keys[i]), decs[i], f.Epoch(), f.Session(sessions[i]))
 				default:
-					if dec, ok := f.Lookup(keys[i], f.Epoch(), f.Session(sessions[i])); ok {
+					if dec, ok := f.Lookup(keys[i], Hash(keys[i]), f.Epoch(), f.Session(sessions[i])); ok {
 						hits.Add(1)
 						if index[dec] != i {
 							t.Errorf("key %d served the decision of key %d", i, index[dec])
@@ -306,7 +307,7 @@ func filled(prefill [][]byte, fill int) *table {
 	f := &table{}
 	dec := new(int)
 	for _, key := range prefill[:n] {
-		f.Store(key, dec, 0, 0)
+		f.Store(key, Hash(key), dec, 0, 0)
 	}
 	return f
 }
@@ -316,7 +317,7 @@ func timeStores(f *table, keys [][]byte) time.Duration {
 	dec := new(int)
 	t0 := time.Now()
 	for _, key := range keys {
-		f.Store(key, dec, 0, 0)
+		f.Store(key, Hash(key), dec, 0, 0)
 	}
 	return time.Since(t0)
 }
@@ -408,4 +409,115 @@ func decodeKey(t *testing.T, key []byte) []string {
 		key = key[1+n:]
 	}
 	return fields
+}
+
+// TestTableTagMatchOtherKey: a slot whose summary word matches the
+// probe's tag and generation while its entry holds another key — the
+// state two keys with one hash leave — is a miss, not that key's value.
+func TestTableTagMatchOtherKey(t *testing.T) {
+	f := &table{}
+	k1, k2 := testKey(1, 1), testKey(1, 2)
+	h, g := Hash(k1), f.Session(testSession(1))
+	v1 := new(int)
+	f.Store(k1, h, v1, 0, g)
+	b := f.shards[h&(shards-1)].seg.Load().bucket(tag(h))
+	matched := false
+	for i := range b {
+		matched = matched || b[i].word.Load() == word(tag(h), g)
+	}
+	if !matched {
+		t.Fatal("no slot carries the stored key's tag and generation")
+	}
+	if v, ok := f.Lookup(k2, h, 0, g); ok {
+		t.Fatalf("lookup of another key under a matching word hit: %p (stored %p)", v, v1)
+	}
+	if v, ok := f.Lookup(k1, h, 0, g); !ok || v != v1 {
+		t.Fatalf("the stored key itself = %p, %v; want %p", v, ok, v1)
+	}
+}
+
+// TestBucketWordsShareALine: at every segment size, the four summary
+// words of a bucket lie in one 64-byte cache line.
+func TestBucketWordsShareALine(t *testing.T) {
+	for n := segMin; n <= segMax; n *= 2 {
+		seg := newSegment[*int](0, n)
+		for i := 0; i < n; i += ways {
+			first := uintptr(unsafe.Pointer(&seg.slots[i].word))
+			last := uintptr(unsafe.Pointer(&seg.slots[i+ways-1].word))
+			if first/64 != last/64 {
+				t.Fatalf("%d slots: bucket %d's words span lines (%#x..%#x)", n, i/ways, first, last)
+			}
+		}
+	}
+}
+
+// FuzzTableModel drives random sequences of Store, Lookup, Invalidate
+// and InvalidateSession over a few keys and sessions against a model
+// that remembers, per key, the last store the table accepted. Each key
+// is hashed either truly or to one hash shared by every forced key, so
+// forced keys collide on shard, bucket and tag. A hit must return the
+// last value stored for that exact key, filed under the lookup's own
+// capture; a miss is always allowed (the table may evict).
+func FuzzTableModel(f *testing.F) {
+	f.Add(uint8(0x0f), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add(uint8(0xff), []byte{0, 8, 16, 1, 9, 17, 0x42, 1, 9, 17, 3, 0x83, 1})
+	f.Add(uint8(0xaa), []byte{0, 0, 0x20, 0, 1, 0x21, 0x22, 4, 1, 9})
+	f.Fuzz(func(t *testing.T, forced uint8, ops []byte) {
+		const nkeys, nsessions = 8, 3
+		keys := make([][]byte, nkeys)
+		hashes := make([]uint64, nkeys)
+		for k := range keys {
+			keys[k] = testKey(k%nsessions, k)
+			hashes[k] = Hash(keys[k])
+			if forced&(1<<k) != 0 {
+				hashes[k] = 0x5eed_c011_1de5_0000 // one hash for every forced key
+			}
+		}
+		type stored struct {
+			v     *int
+			epoch uint64
+			g     Gen
+		}
+		last := make([]*stored, nkeys)
+		tab := &table{}
+		// A capture taken earlier and reused later files born-stale
+		// entries when the epoch or the session moved in between.
+		var held [nkeys]*stored
+		for _, op := range ops {
+			k := int(op>>3) % nkeys
+			session := testSession(k % nsessions)
+			switch op & 7 {
+			case 0, 1: // store under a fresh capture
+				s := &stored{new(int), tab.Epoch(), tab.Session(session)}
+				tab.Store(keys[k], hashes[k], s.v, s.epoch, s.g)
+				if s.epoch == tab.Epoch() {
+					last[k] = s
+				}
+			case 2: // capture now, store later
+				held[k] = &stored{nil, tab.Epoch(), tab.Session(session)}
+			case 3: // store under the held capture
+				if c := held[k]; c != nil {
+					s := &stored{new(int), c.epoch, c.g}
+					tab.Store(keys[k], hashes[k], s.v, s.epoch, s.g)
+					if s.epoch == tab.Epoch() {
+						last[k] = s
+					}
+				}
+			case 4:
+				tab.Invalidate()
+			case 5:
+				tab.InvalidateSession(session)
+			default: // lookup under the live capture
+				epoch, g := tab.Epoch(), tab.Session(session)
+				v, ok := tab.Lookup(keys[k], hashes[k], epoch, g)
+				if !ok {
+					continue
+				}
+				want := last[k]
+				if want == nil || want.v != v || want.epoch != epoch || want.g != g {
+					t.Fatalf("key %d hit %p, want a miss or its last store %+v under epoch %d gen %#x", k, v, want, epoch, g)
+				}
+			}
+		}
+	})
 }

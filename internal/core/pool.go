@@ -26,7 +26,8 @@ type ruleState struct {
 	allowed atomic.Uint64
 	denied  atomic.Uint64
 	// evalNanos accumulates engine-clock time spent inside this rule
-	// (conditions + branch actions).
+	// (conditions + branch actions, and the dispatch since the drain
+	// item's previous firing: the firings of one item tile its span).
 	evalNanos atomic.Uint64
 }
 
@@ -395,11 +396,13 @@ func (p *Pool) fire(evt string, o *event.Occurrence) {
 // runRule evaluates one rule against an occurrence. When the
 // occurrence carries a decision trace, every condition evaluation, the
 // branch verdict and every action record a step into it (the nil check
-// is the entire untraced path).
+// is the entire untraced path). Its timing shares clock reads with the
+// drain item's other firings: it starts where the previous one ended
+// (Detector.FiringStart) and reads the clock once, at its end.
 func (p *Pool) runRule(st *ruleState, o *event.Occurrence) Outcome {
 	r := &st.rule
 	tr := o.Trace()
-	out := Outcome{Rule: r.Name, Event: o, Allowed: true, At: p.det.Clock().Now()}
+	out := Outcome{Rule: r.Name, Event: o, Allowed: true, At: p.det.FiringStart()}
 	for _, c := range r.When {
 		ok, err := c.Eval(o)
 		if tr != nil {
@@ -449,8 +452,8 @@ func (p *Pool) runRule(st *ruleState, o *event.Occurrence) Outcome {
 	} else {
 		st.denied.Add(1)
 	}
-	// out.At was stamped from the same clock before the conditions ran,
-	// so the delta is this firing's full evaluation window.
-	st.evalNanos.Add(uint64(p.det.Clock().Now().Sub(out.At)))
+	// out.At is where this firing began on the drain item's clock
+	// readings, so the delta is its full window.
+	st.evalNanos.Add(uint64(p.det.FiringEnd().Sub(out.At)))
 	return out
 }

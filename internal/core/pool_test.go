@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -376,5 +377,115 @@ func TestMultipleRulesSameEvent(t *testing.T) {
 	det.MustRaise("e", nil)
 	if n != 10 {
 		t.Fatalf("fired %d, want 10", n)
+	}
+}
+
+// evalSum is the summed evaluation time of every rule in p.
+func evalSum(p *Pool) time.Duration {
+	var sum time.Duration
+	for _, r := range p.Snapshot() {
+		sum += time.Duration(r.EvalNanos)
+	}
+	return sum
+}
+
+// TestFiringStampsTileTheItem: the rule firings of one drain item share
+// their clock reads, so their evaluation times add up to the item's
+// firing span exactly — the dispatch between two firings (here a batch
+// carrier's fill) counts in the later firing — while the time between
+// two items counts in no rule.
+func TestFiringStampsTileTheItem(t *testing.T) {
+	p, det, sim := newTestPool()
+	det.MustPrimitive("e")
+	costs := []time.Duration{time.Millisecond, 2 * time.Millisecond, 3 * time.Millisecond}
+	var condSum time.Duration
+	for i, c := range costs {
+		condSum += c
+		p.MustAdd(Rule{Name: fmt.Sprintf("r%d", i), On: "e", Priority: -i,
+			When: []Condition{BoolCond("costly", func(*event.Occurrence) bool { sim.Advance(c); return true })}})
+	}
+	var starts []time.Time
+	p.OnOutcome(func(o Outcome) { starts = append(starts, o.At) })
+
+	// One drain item: a carrier group of n occurrences, each firing
+	// every rule, with fill advancing the clock before each delivery.
+	const n, fill = 4, 10 * time.Millisecond
+	b, err := det.NewBatch("e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.RaiseGroupFn(n, func(int, event.Params) { sim.Advance(fill) })
+	b.Wait()
+	if len(starts) != n*len(costs) {
+		t.Fatalf("%d firings, want %d", len(starts), n*len(costs))
+	}
+	span := sim.Now().Sub(starts[0]) // nothing ran after the last firing
+	if want := n*condSum + (n-1)*fill; span != want {
+		t.Fatalf("firing span %v, want %v", span, want)
+	}
+	if got := evalSum(p); got != span {
+		t.Fatalf("rule evaluation times sum to %v, want the item's firing span %v", got, span)
+	}
+	for i := 1; i < len(starts); i++ {
+		if !starts[i].After(starts[i-1]) {
+			t.Fatalf("firing %d starts at %v, not after firing %d at %v", i, starts[i], i-1, starts[i-1])
+		}
+	}
+
+	// Between items: an hour passes on no drain item, then one more
+	// item fires each rule once.
+	before := evalSum(p)
+	sim.Advance(time.Hour)
+	if err := det.RaiseSync("e", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := evalSum(p) - before; got != condSum {
+		t.Fatalf("second item added %v of evaluation time, want %v: the gap between items counted", got, condSum)
+	}
+	if first, want := starts[n*len(costs)], starts[0].Add(span+time.Hour); !first.Equal(want) {
+		t.Fatalf("second item's first firing starts at %v, want a fresh reading %v", first, want)
+	}
+}
+
+// TestFiringStampsConcurrentRaisers: raisers on many goroutines share
+// one detector, each draining the others' items in turn; the firing
+// boundary stamp is touched only by whichever goroutine holds the drain
+// (-race), and every firing is counted.
+func TestFiringStampsConcurrentRaisers(t *testing.T) {
+	det := event.New(clock.NewReal())
+	p := NewPool(det)
+	det.MustPrimitive("e")
+	for i := 0; i < 3; i++ {
+		p.MustAdd(Rule{Name: fmt.Sprintf("r%d", i), On: "e", When: []Condition{trueCond()}})
+	}
+	const raisers, each = 8, 200
+	var wg sync.WaitGroup
+	for g := 0; g < raisers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if g%2 == 0 {
+					if err := det.RaiseSync("e", nil); err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				b, err := det.NewBatch("e")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				b.RaiseGroupFn(1, func(int, event.Params) {})
+				b.Wait()
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, r := range p.Snapshot() {
+		if r.Fired != raisers*each {
+			t.Fatalf("rule %s fired %d times, want %d", r.Name, r.Fired, raisers*each)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"activerbac/internal/clock"
 	"activerbac/internal/obs"
@@ -147,6 +148,13 @@ type Detector struct {
 	queue    []item
 	draining bool
 
+	// stamp is the boundary between the rule firings of the drain item
+	// in progress: the end of its latest firing, zero before its first
+	// (FiringStart, FiringEnd). Only the drain touches it: drain zeroes
+	// it as each item starts, and rule firings run only inside drain
+	// items, so — like operator buffers — it needs no lock.
+	stamp time.Time
+
 	seq      atomic.Uint64
 	raised   atomic.Uint64
 	detected atomic.Uint64
@@ -233,6 +241,27 @@ func (d *Detector) SetOccurrencePooling(ok bool) { d.occPoolOK.Store(ok) }
 
 // Clock returns the clock the detector schedules temporal events on.
 func (d *Detector) Clock() clock.Clock { return d.clk }
+
+// FiringStart returns the start of a rule firing: the end of the drain
+// item's previous firing, or a fresh clock reading for its first, so
+// each firing after the first costs no read here. Call it only from
+// the drain (a handler).
+func (d *Detector) FiringStart() time.Time {
+	if d.stamp.IsZero() {
+		d.stamp = d.clk.Now()
+	}
+	return d.stamp
+}
+
+// FiringEnd reads the clock once to end a rule firing begun with
+// FiringStart; the reading is also the start of the item's next
+// firing. Together they make an item's firings tile its span: the
+// dispatch between two firings counts in the later one, and the time
+// between two items in none. Call it only from the drain.
+func (d *Detector) FiringEnd() time.Time {
+	d.stamp = d.clk.Now()
+	return d.stamp
+}
 
 // SetInstruments installs the metric hooks. Call once during engine
 // assembly, before traffic: the drain reads the pointer without

@@ -14,8 +14,8 @@ type item struct {
 // the caller-drains discipline of Sentinel+'s single event-detector
 // thread: whichever goroutine enqueues onto an idle detector drains it
 // to empty, and exactly one goroutine at a time drains, so state touched
-// only from drain items (operator buffers, rule firings) needs no
-// locking.
+// only from drain items (operator buffers, rule firings and the firing
+// boundary stamp) needs no locking.
 func (d *Detector) post(fn func()) {
 	it := item{fn: fn}
 	if ins := d.ins; ins != nil && ins.LaneWait != nil {
@@ -52,6 +52,7 @@ func (d *Detector) drain() {
 		d.queue = d.queue[1:]
 		d.qmu.Unlock()
 		steps++
+		d.stamp = time.Time{} // the item's first rule firing reads the clock afresh
 		if !next.at.IsZero() {
 			if ins := d.ins; ins != nil && ins.LaneWait != nil {
 				ins.LaneWait(d.clk.Now().Sub(next.at).Seconds())

@@ -142,13 +142,16 @@ func (m *Monitor) OnAlert(fn func(Alert)) {
 
 // RecordDenial feeds one denied request by subject into every threshold
 // and fires the ones whose windows fill. It returns the alerts fired
-// (usually none).
+// (usually none). Only a monitor with thresholds reads the clock.
 func (m *Monitor) RecordDenial(subject string) []Alert {
-	now := m.clk.Now()
 	var fired []Alert
 
 	m.mu.Lock()
 	m.denials++
+	var now time.Time
+	if len(m.thresholds) > 0 {
+		now = m.clk.Now()
+	}
 	for _, th := range m.thresholds {
 		hits := append(th.hits[subject], now)
 		// Prune to the window.

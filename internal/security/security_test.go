@@ -170,3 +170,41 @@ func TestUnknownActionStillAlerts(t *testing.T) {
 		t.Fatal("no alert for unregistered action")
 	}
 }
+
+// countingClock counts Now calls on top of a simulated clock.
+type countingClock struct {
+	*clock.Sim
+	reads int
+}
+
+func (c *countingClock) Now() time.Time {
+	c.reads++
+	return c.Sim.Now()
+}
+
+// TestDenialWithoutThresholdsReadsNoClock: a monitor with no threshold
+// records denials without reading the clock; one with a threshold
+// reads it once per denial.
+func TestDenialWithoutThresholdsReadsNoClock(t *testing.T) {
+	clk := &countingClock{Sim: clock.NewSim(t0)}
+	m := NewMonitor(clk)
+	const n = 100
+	for i := 0; i < n; i++ {
+		if fired := m.RecordDenial("mallory"); len(fired) != 0 {
+			t.Fatalf("denial %d fired %v with no threshold", i, fired)
+		}
+	}
+	if m.Denials() != n {
+		t.Fatalf("Denials = %d, want %d", m.Denials(), n)
+	}
+	if clk.reads != 0 {
+		t.Fatalf("%d clock reads for %d denials with no threshold, want 0", clk.reads, n)
+	}
+	if err := m.AddThreshold("burst", 1000, time.Minute, "alert"); err != nil {
+		t.Fatal(err)
+	}
+	m.RecordDenial("mallory")
+	if clk.reads != 1 {
+		t.Fatalf("%d clock reads for one denial under a threshold, want 1", clk.reads)
+	}
+}

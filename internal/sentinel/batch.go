@@ -39,10 +39,12 @@ type Verdict struct {
 const fpKeyNone = -1
 
 // slot is one tuple's batch scratch: its decision once known, and the
-// cache key and session generation an ALLOW is stored under.
+// cache key, its hash and the session generation an ALLOW is stored
+// under.
 type slot struct {
 	dec      *Decision
 	off, end int32 // the tuple's key in keys; off is fpKeyNone when none is stored
+	hash     uint64
 	sgen     allowcache.Gen
 }
 
@@ -250,6 +252,8 @@ func (e *Engine) decideBatchCore(t0 time.Time, eventName string, tuples []CheckT
 	// delivery.
 	cacheable := e.cacheable(eventName)
 	var epoch, view uint64
+	var ord byte
+	probing := false
 	if cacheable {
 		epoch = fp.tab.Epoch()
 		// The store publishes a policy view before its change hook
@@ -257,13 +261,14 @@ func (e *Engine) decideBatchCore(t0 time.Time, eventName string, tuples []CheckT
 		// it was decided from closes that window: a check that already
 		// sees the new view never gets the old view's allow.
 		view = e.store.Epoch()
+		ord, probing = fp.ordinal(eventName)
 	}
 
 	var cascades int
-	if cacheable {
+	if probing {
 		var hits, encMisses int
 		for i := range tuples {
-			switch hit, fits := e.probe(bs, &slots[i], eventName, &tuples[i], epoch, view); {
+			switch hit, fits := e.probe(bs, &slots[i], ord, &tuples[i], epoch, view); {
 			case hit:
 				hits++
 			case !fits:
@@ -293,7 +298,7 @@ func (e *Engine) decideBatchCore(t0 time.Time, eventName string, tuples []CheckT
 	// time is also attributed to lane_wait, by the drain instrument).
 	// The two stages add up to the run's decision latency.
 	tEnd := e.clk.Now()
-	if cacheable {
+	if probing {
 		o.StageFastPath.Observe(tEnd.Sub(t0).Seconds())
 	}
 
@@ -381,7 +386,7 @@ func (e *Engine) decideBatchCore(t0 time.Time, eventName string, tuples []CheckT
 			if sl.off >= 0 {
 				var rec *Decision
 				rec, bs.rkey = fp.allowRecord(view, sl.dec, bs.rkey)
-				fp.tab.Store(bs.keys[sl.off:sl.end], rec, epoch, sl.sgen)
+				fp.tab.Store(bs.keys[sl.off:sl.end], sl.hash, rec, epoch, sl.sgen)
 			}
 		} else {
 			if denies == 0 {
@@ -402,28 +407,31 @@ func (e *Engine) decideBatchCore(t0 time.Time, eventName string, tuples []CheckT
 }
 
 // probe looks tuple t up in the verdict cache under the captured epoch
-// and policy view. A hit fills sl.dec. A miss leaves the tuple's key in
-// bs.keys and its span and session generation in sl, for the settle's
-// store; a tuple whose fields do not fit a key (fits false) stores
-// none. It is the only place the verdict cache is probed:
-// decideBatchCore runs it for every tuple of an untraced run, CheckHit
-// for its one check.
-func (e *Engine) probe(bs *batchState, sl *slot, eventName string, t *CheckTuple, epoch, view uint64) (hit, fits bool) {
+// and policy view; ord is the event's key byte (FastPath.ordinal). A
+// hit fills sl.dec. A miss leaves the tuple's key in bs.keys and its
+// span, hash and session generation in sl, for the settle's store, so
+// a key is hashed once; a tuple whose fields do not fit a key (fits
+// false) stores none. It is the only place the verdict cache is
+// probed: decideBatchCore runs it for every tuple of an untraced run,
+// CheckHit for its one check.
+func (e *Engine) probe(bs *batchState, sl *slot, ord byte, t *CheckTuple, epoch, view uint64) (hit, fits bool) {
 	tab := &e.fp.tab
 	start := len(bs.keys)
-	keys, fits := allowcache.AppendKey(bs.keys, eventName, t.User, t.Session, t.Operation, t.Object)
+	keys, fits := allowcache.AppendKey(append(bs.keys, ord), t.User, t.Session, t.Operation, t.Object)
 	if !fits {
 		sl.off = fpKeyNone
 		return false, false
 	}
+	key := keys[start:]
+	h := allowcache.Hash(key)
 	sgen := tab.Session(t.Session)
-	if dec, hit := tab.Lookup(keys[start:], epoch, sgen); hit && dec.view == view {
+	if dec, hit := tab.Lookup(key, h, epoch, sgen); hit && dec.view == view {
 		bs.keys = keys[:start] // drop the key, keep the grown buffer
 		sl.dec, sl.off = dec, fpKeyNone
 		return true, true
 	}
 	bs.keys = keys
-	sl.off, sl.end, sl.sgen = int32(start), int32(len(keys)), sgen
+	sl.off, sl.end, sl.hash, sl.sgen = int32(start), int32(len(keys)), h, sgen
 	return false, true
 }
 
@@ -468,12 +476,16 @@ func (e *Engine) CheckHit(eventName string, t *CheckTuple) bool {
 	if !t.Trace.IsZero() || (o.Traces != nil && o.Sampler == nil) || !e.cacheable(eventName) {
 		return false
 	}
+	ord, ok := e.fp.ordinal(eventName)
+	if !ok {
+		return false
+	}
 	t0 := e.clk.Now()
 	epoch, view := e.fp.tab.Epoch(), e.store.Epoch()
 	bs := batchPool.Get().(*batchState)
 	defer bs.release()
 	var sl slot
-	if hit, _ := e.probe(bs, &sl, eventName, t, epoch, view); !hit {
+	if hit, _ := e.probe(bs, &sl, ord, t, epoch, view); !hit {
 		return false
 	}
 	if o.Traces != nil && o.Sampler.Sample(t0) {

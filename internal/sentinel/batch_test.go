@@ -546,3 +546,42 @@ func TestDecisionSlabDroppedOnEscape(t *testing.T) {
 		}
 	}
 }
+
+// TestFastPathEventOrdinals: the cache names an event in one key byte,
+// numbered on first use and stable after; once 256 events hold every
+// byte, a further cacheable event's checks bypass the cache (counted
+// as bypass) and are still decided right.
+func TestFastPathEventOrdinals(t *testing.T) {
+	e, _ := newEngine()
+	cacheSafeBobRule(e, "req")
+	fp := e.FastPath()
+	seen := map[byte]bool{}
+	for i := 0; i < maxEventOrdinals; i++ {
+		o, ok := fp.ordinal(fmt.Sprintf("ev%d", i))
+		if !ok || seen[o] {
+			t.Fatalf("event %d: ordinal %d, %v; want a fresh one", i, o, ok)
+		}
+		seen[o] = true
+	}
+	if o, ok := fp.ordinal("ev7"); !ok || o != 7 {
+		t.Fatalf("ev7 renumbered: %d, %v", o, ok)
+	}
+	tuple := []CheckTuple{{User: "bob", Session: "s1", Operation: "read", Object: "a"}}
+	for round := 0; round < 2; round++ {
+		before := fp.Stats()
+		vs, err := e.DecideCheckBatch("req", tuple, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !vs[0].Allowed {
+			t.Fatalf("round %d: bob denied", round)
+		}
+		after := fp.Stats()
+		if after.Bypass != before.Bypass+1 || after.Hits != before.Hits || after.Misses != before.Misses {
+			t.Fatalf("round %d: stats %+v -> %+v; want one bypass, no hit or miss", round, before, after)
+		}
+	}
+	if e.CheckHit("req", &tuple[0]) {
+		t.Fatal("CheckHit served an event the cache cannot key")
+	}
+}

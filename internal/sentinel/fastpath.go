@@ -11,7 +11,8 @@ import (
 
 // The decision fast path serves repeat ALLOW verdicts for cacheable
 // enforcement events without re-running the rule cascade, from an
-// allowcache.Table keyed by (event, user, session, operation, object).
+// allowcache.Table keyed by (event, user, session, operation, object),
+// the event named by a one-byte ordinal.
 // A verdict is served or stored only when the event is eligible (its
 // sole non-retaining subscriber fires only CacheSafe rules and no
 // outcome listener is registered, see Engine.cacheable), only under
@@ -37,6 +38,11 @@ type FastPath struct {
 	recs  atomic.Pointer[allowRecords]
 	recMu sync.Mutex
 
+	// ords numbers the events the cache has keyed, copy-on-write; ordMu
+	// serializes its replacement.
+	ords  atomic.Pointer[map[string]byte]
+	ordMu sync.Mutex
+
 	hits          atomic.Uint64
 	misses        atomic.Uint64
 	bypass        atomic.Uint64
@@ -48,8 +54,9 @@ type FastPathStats struct {
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 	// Bypass counts access checks (DecideCheck, DecideCheckBatch)
-	// that could not use the cache: an uncacheable event, an
-	// unencodable tuple, or a client trace with tracing off. Decide
+	// that could not use the cache: an uncacheable event, an event
+	// past the 256 a key can name, an unencodable tuple, or a client
+	// trace with tracing off. Decide
 	// never touches the cache, so administrative decisions are not
 	// counted.
 	Bypass        uint64 `json:"bypass"`
@@ -133,4 +140,38 @@ func (f *FastPath) allowRecord(view uint64, dec *Decision, key []byte) (*Decisio
 	r.m[string(key)] = rec
 	f.recs.Store(r)
 	return rec, key
+}
+
+// maxEventOrdinals is how many events the one event byte of a key can
+// name.
+const maxEventOrdinals = 256
+
+// ordinal returns the byte that names eventName in a cache key,
+// numbering the event on its first use; numbers are never reused. An
+// event past the first maxEventOrdinals gets none, and its checks
+// bypass the cache. Only a first use takes the mutex.
+func (f *FastPath) ordinal(eventName string) (byte, bool) {
+	if m := f.ords.Load(); m != nil {
+		if o, ok := (*m)[eventName]; ok {
+			return o, true
+		}
+	}
+	f.ordMu.Lock()
+	defer f.ordMu.Unlock()
+	var cur map[string]byte
+	if p := f.ords.Load(); p != nil {
+		cur = *p
+	}
+	if o, ok := cur[eventName]; ok {
+		return o, true
+	}
+	if len(cur) >= maxEventOrdinals {
+		return 0, false
+	}
+	m := make(map[string]byte, len(cur)+1)
+	maps.Copy(m, cur)
+	o := byte(len(cur))
+	m[eventName] = o
+	f.ords.Store(&m)
+	return o, true
 }

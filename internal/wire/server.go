@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -100,8 +99,9 @@ type Instruments struct {
 	// admit, -1 after the response is written).
 	Inflight func(delta float64)
 	// RTT observes the server-side round trip of one request frame —
-	// decode to response write — in seconds, labelled by opcode. Wiring
-	// it costs two wall-clock reads per request.
+	// decode to response write — in seconds, labelled by opcode. The
+	// server reads the wall clock twice per request for it, wired or
+	// not (rbacd wires every hook).
 	RTT func(opcode string, seconds float64)
 	// Push is called once per EPOCH_PUSH frame written to a subscriber.
 	Push func()
@@ -140,7 +140,8 @@ type ServerOptions struct {
 	// SUBSCRIBE past the cap answers an ErrCodeSubscribeLimit ERROR.
 	// <= 0 means unlimited.
 	MaxSubscribers int
-	// Instruments hooks transport metrics; nil disables.
+	// Instruments hooks transport metrics; nil, like any nil hook,
+	// disables.
 	Instruments *Instruments
 }
 
@@ -169,7 +170,39 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	if o.Workers > o.MaxInFlight {
 		o.Workers = o.MaxInFlight
 	}
+	o.Instruments = o.Instruments.filled()
 	return o
+}
+
+// filled returns a copy of ins whose nil hooks are no-ops, so that the
+// server calls every hook unguarded.
+func (ins *Instruments) filled() *Instruments {
+	var f Instruments
+	if ins != nil {
+		f = *ins
+	}
+	if f.Request == nil {
+		f.Request = func(string) {}
+	}
+	if f.Error == nil {
+		f.Error = func(string) {}
+	}
+	if f.Inflight == nil {
+		f.Inflight = func(float64) {}
+	}
+	if f.RTT == nil {
+		f.RTT = func(string, float64) {}
+	}
+	if f.Push == nil {
+		f.Push = func() {}
+	}
+	if f.Subscribers == nil {
+		f.Subscribers = func(float64) {}
+	}
+	if f.Write == nil {
+		f.Write = func() {}
+	}
+	return &f
 }
 
 // ErrServerClosed is returned by Serve after Close or Shutdown.
@@ -402,7 +435,7 @@ type request struct {
 	op    byte
 	id    uint32
 	batch []CheckRequest // the checks; one for OpCheck
-	start time.Time      // decode instant; zero unless the RTT hook is wired
+	start time.Time      // decode instant, for the RTT hook
 }
 
 // response is one frame queued for the writer.
@@ -437,7 +470,7 @@ func (sc *srvConn) run() {
 		_, wasSub := sc.srv.subs[sc]
 		delete(sc.srv.subs, sc)
 		sc.srv.mu.Unlock()
-		if wasSub && ins != nil && ins.Subscribers != nil {
+		if wasSub {
 			ins.Subscribers(-1)
 		}
 		if sc.replicaName != "" && sc.srv.tracker != nil {
@@ -521,9 +554,7 @@ func (sc *srvConn) readLoop(sem chan struct{}, out chan<- response, work chan<- 
 			// half. Responses already admitted still drain and flush.
 			return
 		}
-		if ins != nil && ins.Request != nil {
-			ins.Request(OpName(f.Op))
-		}
+		ins.Request(OpName(f.Op))
 		// Backpressure: block until a response slot frees up. One slot is
 		// released per response written, so a stalled or slow client
 		// throttles its own request stream via TCP. Before waiting, the
@@ -534,13 +565,8 @@ func (sc *srvConn) readLoop(sem chan struct{}, out chan<- response, work chan<- 
 			sc.wb.flush()
 			sem <- struct{}{}
 		}
-		if ins != nil && ins.Inflight != nil {
-			ins.Inflight(+1)
-		}
-		var start time.Time
-		if ins != nil && ins.RTT != nil {
-			start = time.Now()
-		}
+		ins.Inflight(+1)
+		start := time.Now()
 		switch f.Op {
 		case OpPing:
 			// Echo. The payload aliases the decoder buffer; copy it.
@@ -618,9 +644,7 @@ func (sc *srvConn) readLoop(sem chan struct{}, out chan<- response, work chan<- 
 }
 
 func (sc *srvConn) errorResponse(f Frame, code byte, err error, ins *Instruments) response {
-	if ins != nil && ins.Error != nil {
-		ins.Error(OpName(f.Op))
-	}
+	ins.Error(OpName(f.Op))
 	return response{op: OpError, id: f.ID, payload: AppendErrorPayload(nil, code, err.Error())}
 }
 
@@ -649,7 +673,7 @@ func (sc *srvConn) subscribe(f Frame, start time.Time, ins *Instruments) respons
 	}
 	sc.srv.subs[sc] = struct{}{}
 	sc.srv.mu.Unlock()
-	if !already && ins != nil && ins.Subscribers != nil {
+	if !already {
 		ins.Subscribers(+1)
 	}
 	return response{op: OpSubscribe | RespFlag, id: f.ID,
@@ -759,7 +783,7 @@ func (sc *srvConn) writeLoop(out <-chan response, sem <-chan struct{}, ins *Inst
 			// collapsed into this one frame.
 			err := sc.wb.write(OpEpochPush, 0, AppendEpoch(pbuf[:0], sc.pushEpoch.Load()),
 				len(out) == 0 && len(sc.pushCh) == 0)
-			if err == nil && ins != nil && ins.Push != nil {
+			if err == nil {
 				ins.Push()
 			}
 		}
@@ -770,12 +794,10 @@ func (sc *srvConn) writeLoop(out <-chan response, sem <-chan struct{}, ins *Inst
 // response is in the response stream: its round trip, the in-flight
 // gauge and its in-flight slot.
 func answered(op byte, start time.Time, sem <-chan struct{}, ins *Instruments) {
-	if ins != nil && ins.RTT != nil && !start.IsZero() {
+	if !start.IsZero() {
 		ins.RTT(OpName(op), time.Since(start).Seconds())
 	}
-	if ins != nil && ins.Inflight != nil {
-		ins.Inflight(-1)
-	}
+	ins.Inflight(-1)
 	<-sem
 }
 
@@ -816,11 +838,7 @@ func (w countingWriter) Write(p []byte) (int, error) {
 }
 
 func (w *outbuf) init(c net.Conn, timeout time.Duration, ins *Instruments) {
-	var dst io.Writer = c
-	if ins != nil && ins.Write != nil {
-		dst = countingWriter{c, ins.Write}
-	}
-	w.c, w.bw, w.timeout = c, bufio.NewWriterSize(dst, 32<<10), timeout
+	w.c, w.bw, w.timeout = c, bufio.NewWriterSize(countingWriter{c, ins.Write}, 32<<10), timeout
 }
 
 // write appends one frame and, when flush is set, sends everything
