@@ -4,10 +4,11 @@
 # policy-parser, allow-cache key, sync-snapshot install,
 # periodic-expression, rbacd HTTP-body and live wire-stream fuzzes, one
 # round of every paper-experiment benchmark, and two-second runs of the
-# out-of-process benchmark's cold, reload and hot workloads so the
-# cached, uncached and remote decide paths, the wire reader's inline
-# hits and hot reload → SYNC → replica install are exercised end to end
-# on every merge.
+# out-of-process benchmark's cold, reload, hot and churn workloads so
+# the cached, uncached and remote decide paths, the wire reader's inline
+# hits, hot reload → SYNC → replica install, and HTTP session writes
+# with EPOCH_PUSH into client caches are exercised end to end on every
+# merge.
 
 GO ?= go
 
@@ -33,7 +34,9 @@ vet:
 # enforcing engine invariants (engine-clock discipline, nil guards on
 # the optional trace, sampler, slow-ring and detector instrument
 # pointers, snapshot immutability, one snapshot capture per batch,
-# sync.Pool return discipline).
+# sync.Pool return discipline) and, over the whole module, unused:
+# every exported declaration under internal/ and client/ is used by a
+# non-test file or by another package's tests.
 lint:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
@@ -137,14 +140,17 @@ bench-smoke: build
 # install, with every check against the replica held to the oracle.
 # Then two seconds of the per-tuple CHECK workload, where nearly every
 # check is a verdict-cache hit the wire reader answers itself, each
-# verdict held to the oracle and the hit share gated. Then the
-# multi-session batch probe: 200 256-tuple frames spanning 64 sessions
-# each; the probe exits 0 even when the server dies, so its verdict
-# line is what is checked.
+# verdict held to the oracle and the hit share gated. Then two seconds
+# of the churn workload: session lifecycles over HTTP beside
+# client-cached reads that EPOCH_PUSH keeps invalidating, every verdict
+# held to the oracle. Then the multi-session batch probe: 200 256-tuple
+# frames spanning 64 sessions each; the probe exits 0 even when the
+# server dies, so its verdict line is what is checked.
 bench-e2e-smoke: build
 	$(GO) run ./benchmark -workload cold_batch -seconds 2 -trace 0
 	$(GO) run ./benchmark -workload reload_fleet -seconds 2 -trace 0
 	$(GO) run ./benchmark -workload hot_wire -seconds 2 -trace 0
+	$(GO) run ./benchmark -workload churn_mixed -seconds 2 -trace 0
 	$(GO) run ./benchmark -probe multi_session_batch | grep -q 'multi_session_batch: ok'
 
 # clean removes build and gate leftovers.

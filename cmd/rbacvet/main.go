@@ -19,6 +19,10 @@
 //	             the snapshot or epoch per tuple
 //	poolreturn   a sync.Pool value is put back or handed off on every
 //	             return path
+//	unused       every exported declaration under internal/ and client/
+//	             is used by a non-test file or by another package's
+//	             tests; runs only on ./... (the whole module), and a
+//	             deliberate API opts out with //rbacvet:api <reason>
 //
 // Diagnostics print one per line as "file:line:col: pass: message";
 // exit status is 1 when any were found, 2 on usage or parse errors.
@@ -26,10 +30,8 @@ package main
 
 import (
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"activerbac/internal/vet"
 )
@@ -39,79 +41,23 @@ func main() {
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	pkgs, err := load(args)
+	root, err := moduleRoot()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rbacvet:", err)
 		os.Exit(2)
 	}
-	diags := vet.Run(pkgs, vet.Analyzers())
+	pkgs, whole, err := vet.Load(root, args)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rbacvet:", err)
+		os.Exit(2)
+	}
+	diags := vet.Run(pkgs, vet.Analyzers(), whole)
 	for _, d := range diags {
 		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		os.Exit(1)
 	}
-}
-
-// load resolves the argument patterns into parsed packages. A trailing
-// "/..." recurses; a plain path names one directory. Paths are resolved
-// against the module root so package-relative invariants key correctly
-// no matter where rbacvet runs from.
-func load(patterns []string) ([]vet.Package, error) {
-	root, err := moduleRoot()
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []vet.Package
-	seen := map[string]bool{}
-	for _, pat := range patterns {
-		recursive := false
-		if p, ok := strings.CutSuffix(pat, "/..."); ok {
-			recursive, pat = true, p
-		}
-		if pat == "" || pat == "." {
-			pat = root
-		}
-		if !filepath.IsAbs(pat) {
-			pat = filepath.Join(root, pat)
-		}
-		dirs := []string{pat}
-		if recursive {
-			dirs = nil
-			err := filepath.WalkDir(pat, func(path string, d fs.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				name := d.Name()
-				if path != pat && (strings.HasPrefix(name, ".") || name == "testdata" || name == "vendor") {
-					return filepath.SkipDir
-				}
-				dirs = append(dirs, path)
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		for _, dir := range dirs {
-			rel, err := filepath.Rel(root, dir)
-			if err != nil || seen[rel] {
-				continue
-			}
-			seen[rel] = true
-			pkg, ok, err := vet.LoadPackage(dir, filepath.ToSlash(rel))
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				pkgs = append(pkgs, pkg)
-			}
-		}
-	}
-	return pkgs, nil
 }
 
 // moduleRoot walks up from the working directory to the go.mod.

@@ -190,55 +190,6 @@ func (s *Sim) AdvanceTo(target time.Time) int {
 	}
 }
 
-// Pending returns the number of timers that are scheduled and not yet
-// fired or stopped.
-func (s *Sim) Pending() int {
-	s.mtx.Lock()
-	defer s.mtx.Unlock()
-	n := 0
-	for _, t := range s.pq {
-		if !t.stopped {
-			n++
-		}
-	}
-	return n
-}
-
-// NextDeadline reports the instant of the earliest pending timer. ok is
-// false when no timer is pending.
-func (s *Sim) NextDeadline() (t time.Time, ok bool) {
-	s.mtx.Lock()
-	defer s.mtx.Unlock()
-	for _, tm := range s.pq {
-		if tm.stopped {
-			continue
-		}
-		if !ok || tm.when.Before(t) {
-			t, ok = tm.when, true
-		}
-	}
-	return t, ok
-}
-
-// RunUntilIdle fires timers (advancing time as needed) until no pending
-// timer remains or limit callbacks have run. It returns the number fired.
-// A limit <= 0 means no limit beyond an internal safety bound.
-func (s *Sim) RunUntilIdle(limit int) int {
-	const safety = 1 << 22
-	if limit <= 0 || limit > safety {
-		limit = safety
-	}
-	fired := 0
-	for fired < limit {
-		next, ok := s.NextDeadline()
-		if !ok {
-			break
-		}
-		fired += s.AdvanceTo(next)
-	}
-	return fired
-}
-
 // ---------------------------------------------------------------------------
 // Timer heap
 

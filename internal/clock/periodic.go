@@ -1,7 +1,6 @@
 package clock
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -100,23 +99,6 @@ func (p Pattern) String() string {
 	return fmt.Sprintf("%s:%s:%s/%s/%s/%s",
 		f(p.Hour, 2), f(p.Min, 2), f(p.Sec, 2), f(p.Month, 2), f(p.Day, 2), f(p.Year, 4))
 }
-
-// Matches reports whether instant t (truncated to whole seconds) belongs
-// to the pattern's instant set.
-func (p Pattern) Matches(t time.Time) bool {
-	match := func(pat, v int) bool { return pat == Wild || pat == v }
-	return match(p.Hour, t.Hour()) &&
-		match(p.Min, t.Minute()) &&
-		match(p.Sec, t.Second()) &&
-		match(p.Month, int(t.Month())) &&
-		match(p.Day, t.Day()) &&
-		match(p.Year, t.Year())
-}
-
-// errNoOccurrence is returned by Next/Prev when the pattern has no
-// occurrence in the searched direction (e.g. a concrete year in the
-// past, or an impossible date such as day 31 of month 2).
-var errNoOccurrence = errors.New("clock: pattern has no occurrence in range")
 
 // searchHorizonYears bounds wildcard-year searches; 8 years is enough to
 // find any satisfiable month/day combination (including Feb 29).

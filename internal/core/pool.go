@@ -283,20 +283,6 @@ func (p *Pool) RemoveByTag(tag string) int {
 	return n
 }
 
-// SetEnabled enables or disables a rule in place (the paper's active
-// security disables critical rules under attack).
-func (p *Pool) SetEnabled(name string, enabled bool) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st, ok := p.rules[name]
-	if !ok {
-		return fmt.Errorf("core: enable/disable of unknown rule %q", name)
-	}
-	st.enabled = enabled
-	p.publishLocked()
-	return nil
-}
-
 // SetEnabledByTag enables or disables every rule carrying tag; returns
 // the number of rules affected.
 func (p *Pool) SetEnabledByTag(tag string, enabled bool) int {

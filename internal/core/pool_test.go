@@ -209,23 +209,23 @@ func TestEnableDisable(t *testing.T) {
 	p, det, _ := newTestPool()
 	det.MustPrimitive("e")
 	n := 0
-	p.MustAdd(Rule{Name: "r", On: "e", Then: []Action{counterAct("a", &n)}})
-	if err := p.SetEnabled("r", false); err != nil {
-		t.Fatal(err)
+	p.MustAdd(Rule{Name: "r", On: "e", Tags: []string{"t"}, Then: []Action{counterAct("a", &n)}})
+	if got := p.SetEnabledByTag("t", false); got != 1 {
+		t.Fatalf("disabled %d, want 1", got)
 	}
 	det.MustRaise("e", nil)
 	if n != 0 {
 		t.Fatal("disabled rule fired")
 	}
-	if err := p.SetEnabled("r", true); err != nil {
-		t.Fatal(err)
+	if got := p.SetEnabledByTag("t", true); got != 1 {
+		t.Fatalf("enabled %d, want 1", got)
 	}
 	det.MustRaise("e", nil)
 	if n != 1 {
 		t.Fatal("re-enabled rule did not fire")
 	}
-	if err := p.SetEnabled("zzz", true); err == nil {
-		t.Fatal("unknown rule accepted")
+	if got := p.SetEnabledByTag("zzz", true); got != 0 {
+		t.Fatalf("unknown tag matched %d rules", got)
 	}
 }
 

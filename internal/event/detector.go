@@ -25,7 +25,7 @@ type Instruments struct {
 
 // Handler is invoked for every detected occurrence of a subscribed event.
 // Handlers run on the detector's drain and must not block; they may call
-// Raise, RaiseFrom, Defer, Define, or Subscribe (cascaded events are
+// Raise, RaiseFrom, Define, or Subscribe (cascaded events are
 // queued and processed after the current propagation completes).
 type Handler func(*Occurrence)
 
@@ -464,10 +464,6 @@ func (d *Detector) MustRaise(name string, p Params) {
 		panic(err)
 	}
 }
-
-// Defer queues fn to run on the drain after the current propagation
-// step; handlers use it to sequence work after the cascade in flight.
-func (d *Detector) Defer(fn func()) { d.post(fn) }
 
 // RaiseSync raises a primitive event like Raise and then blocks until
 // the occurrence *and every cascade it triggered* have been fully

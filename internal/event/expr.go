@@ -101,38 +101,15 @@ func (e OpExpr) String() string {
 
 // Convenience constructors for building expressions in code.
 
-// Or builds OR(args...).
-func Or(args ...Expr) Expr { return OpExpr{Kind: OpOr, Args: args} }
-
-// And builds AND(a, b).
-func And(a, b Expr) Expr { return OpExpr{Kind: OpAnd, Args: []Expr{a, b}} }
-
 // Seq builds SEQ(a, b).
 func Seq(a, b Expr) Expr { return OpExpr{Kind: OpSeq, Args: []Expr{a, b}} }
-
-// Not builds NOT(a, b, c).
-func Not(a, b, c Expr) Expr { return OpExpr{Kind: OpNot, Args: []Expr{a, b, c}} }
-
-// Any builds ANY(m, args...).
-func Any(m int, args ...Expr) Expr { return OpExpr{Kind: OpAny, Count: m, Args: args} }
 
 // Plus builds PLUS(a, d).
 func Plus(a Expr, d time.Duration) Expr { return OpExpr{Kind: OpPlus, Args: []Expr{a}, Dur: d} }
 
-// Aperiodic builds APERIODIC(a, b, c).
-func Aperiodic(a, b, c Expr) Expr { return OpExpr{Kind: OpAperiodic, Args: []Expr{a, b, c}} }
-
-// AStar builds the cumulative aperiodic A*(a, b, c).
-func AStar(a, b, c Expr) Expr { return OpExpr{Kind: OpAStar, Args: []Expr{a, b, c}} }
-
 // Periodic builds PERIODIC(a, tau, c).
 func Periodic(a Expr, tau time.Duration, c Expr) Expr {
 	return OpExpr{Kind: OpPeriodic, Args: []Expr{a, c}, Dur: tau}
-}
-
-// PStar builds the cumulative periodic P*(a, tau, c).
-func PStar(a Expr, tau time.Duration, c Expr) Expr {
-	return OpExpr{Kind: OpPStar, Args: []Expr{a, c}, Dur: tau}
 }
 
 // WithMode returns e with its consumption mode set (no-op for NameExpr).
@@ -366,15 +343,6 @@ func (d *Detector) Define(name string, e Expr) error {
 	d.nodes[name] = n
 	d.publishLocked()
 	return nil
-}
-
-// DefineExpr parses src and registers it under name.
-func (d *Detector) DefineExpr(name, src string) error {
-	e, err := Parse(src)
-	if err != nil {
-		return err
-	}
-	return d.Define(name, e)
 }
 
 // MustDefine is Define that panics on error.

@@ -1,8 +1,8 @@
 // Package gtrbac implements the Generalized Temporal RBAC constraints the
 // paper enforces with OWTE rules (Section 4.3.2): periodic role enabling
 // and disabling driven by <[begin,end], P> expressions, per-activation
-// duration bounds (Rule 7), disabling-time separation of duty (Rule 6),
-// and TRBAC-style role triggers.
+// duration bounds (Rule 7) and disabling-time separation of duty
+// (Rule 6).
 //
 // The Manager owns the temporal state machine; it raises per-role
 // enable/disable events on the detector so composite events and rules
@@ -79,7 +79,6 @@ type Manager struct {
 	timers    map[timerKey]clock.Timer
 	sods      map[string]*timeSoD
 	schedules map[int]*schedule
-	triggers  map[int]*trigState
 	schedSeq  int
 	expired   uint64 // activations dropped by duration timers
 }
@@ -427,13 +426,6 @@ func (m *Manager) Expired() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.expired
-}
-
-// PendingTimers reports how many duration timers are armed.
-func (m *Manager) PendingTimers() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.timers)
 }
 
 func stringParam(o *event.Occurrence, key string) string {

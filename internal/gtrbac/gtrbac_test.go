@@ -391,10 +391,26 @@ func TestDurationRemoval(t *testing.T) {
 
 // --------------------------------------------------------------------------
 // Triggers
+//
+// A TRBAC role trigger ("when roleEnabled.SysAdmin occurs, enable
+// SysAudit") needs no API of its own: a subscription on the event that
+// calls back into the Manager is one. These tests pin what such a
+// trigger relies on — the Manager's events, and Manager calls made from
+// a handler or a timer.
+
+// trigger subscribes fn to on and counts its firings.
+func trigger(t *testing.T, det *event.Detector, on string, fn func()) *int {
+	t.Helper()
+	fired := new(int)
+	if _, err := det.Subscribe(on, func(*event.Occurrence) { *fired++; fn() }); err != nil {
+		t.Fatal(err)
+	}
+	return fired
+}
 
 func TestTriggerEnable(t *testing.T) {
-	// Rule 8 shape via triggers: enabling SysAdmin enables SysAudit.
-	m, store, _, _ := newFixture(t)
+	// Rule 8 shape: enabling SysAdmin enables SysAudit.
+	m, store, det, _ := newFixture(t)
 	addRole(t, store, "SysAdmin")
 	addRole(t, store, "SysAudit")
 	if err := store.SetRoleEnabled("SysAudit", false); err != nil {
@@ -403,18 +419,15 @@ func TestTriggerEnable(t *testing.T) {
 	if err := m.RegisterRole("SysAdmin"); err != nil {
 		t.Fatal(err)
 	}
-	id, err := m.AddTrigger(EvRoleEnabled("SysAdmin"), "SysAudit", Enable, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fired := trigger(t, det, EvRoleEnabled("SysAdmin"), func() { _ = m.EnableRole("SysAudit") })
 	if err := m.EnableRole("SysAdmin"); err != nil {
 		t.Fatal(err)
 	}
 	if !store.RoleEnabled("SysAudit") {
 		t.Fatal("trigger did not enable SysAudit")
 	}
-	if m.TriggerFired(id) != 1 {
-		t.Fatalf("TriggerFired = %d", m.TriggerFired(id))
+	if *fired != 1 {
+		t.Fatalf("trigger fired %d times", *fired)
 	}
 }
 
@@ -424,9 +437,9 @@ func TestTriggerDisableWithDelay(t *testing.T) {
 	if err := det.DefinePrimitive("shiftEnd"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.AddTrigger("shiftEnd", "Nurse", Disable, 15*time.Minute); err != nil {
-		t.Fatal(err)
-	}
+	trigger(t, det, "shiftEnd", func() {
+		sim.AfterFunc(15*time.Minute, func() { _ = m.DisableRole("Nurse") })
+	})
 	if err := det.Raise("shiftEnd", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -439,54 +452,9 @@ func TestTriggerDisableWithDelay(t *testing.T) {
 	}
 }
 
-func TestTriggerRemove(t *testing.T) {
-	m, store, det, _ := newFixture(t)
-	addRole(t, store, "r")
-	if err := det.DefinePrimitive("x"); err != nil {
-		t.Fatal(err)
-	}
-	id, err := m.AddTrigger("x", "r", Disable, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Triggers(); len(got) != 1 || got[0].ID != id {
-		t.Fatalf("Triggers = %v", got)
-	}
-	if err := m.RemoveTrigger(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RemoveTrigger(id); !errors.Is(err, rbac.ErrNotFound) {
-		t.Fatalf("double remove: %v", err)
-	}
-	if err := det.Raise("x", nil); err != nil {
-		t.Fatal(err)
-	}
-	if !store.RoleEnabled("r") {
-		t.Fatal("removed trigger fired")
-	}
-}
-
-func TestTriggerValidation(t *testing.T) {
-	m, store, _, _ := newFixture(t)
-	addRole(t, store, "r")
-	if _, err := m.AddTrigger("nosuch", "r", Enable, 0); err == nil {
-		t.Fatal("unknown event accepted")
-	}
-	if _, err := m.AddTrigger("x", "ghost", Enable, 0); !errors.Is(err, rbac.ErrNotFound) {
-		t.Fatalf("unknown role: %v", err)
-	}
-	if Enable.String() != "enable" || Disable.String() != "disable" {
-		t.Fatal("TriggerAction strings")
-	}
-	tr := Trigger{On: "e", Role: "r", Action: Disable, After: time.Minute}
-	if tr.String() == "" {
-		t.Fatal("Trigger.String empty")
-	}
-}
-
 func TestTriggerChain(t *testing.T) {
 	// Cascading triggers: enabling A enables B, which enables C.
-	m, store, _, _ := newFixture(t)
+	m, store, det, _ := newFixture(t)
 	for _, r := range []rbac.RoleID{"A", "B", "C"} {
 		addRole(t, store, r)
 		if err := store.SetRoleEnabled(r, false); err != nil {
@@ -496,12 +464,8 @@ func TestTriggerChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := m.AddTrigger(EvRoleEnabled("A"), "B", Enable, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.AddTrigger(EvRoleEnabled("B"), "C", Enable, 0); err != nil {
-		t.Fatal(err)
-	}
+	trigger(t, det, EvRoleEnabled("A"), func() { _ = m.EnableRole("B") })
+	trigger(t, det, EvRoleEnabled("B"), func() { _ = m.EnableRole("C") })
 	if err := m.EnableRole("A"); err != nil {
 		t.Fatal(err)
 	}

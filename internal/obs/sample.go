@@ -45,9 +45,6 @@ func NewSampler(rate float64, limit float64) *Sampler {
 	return s
 }
 
-// Rate returns the configured sampling probability.
-func (s *Sampler) Rate() float64 { return float64(s.threshold) / (1 << 63) }
-
 // Sample reports whether a decision beginning at now should be traced.
 // Safe for concurrent use; lock-free.
 func (s *Sampler) Sample(now time.Time) bool {

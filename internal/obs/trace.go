@@ -152,9 +152,6 @@ func NewTraceRing(capacity int) *TraceRing {
 	return &TraceRing{buf: make([]*Trace, capacity)}
 }
 
-// Cap returns the ring capacity.
-func (r *TraceRing) Cap() int { return len(r.buf) }
-
 // Start creates a new in-flight trace for a decision on event about the
 // given scope (the request's session, else its user), beginning at the
 // engine-clock instant at.

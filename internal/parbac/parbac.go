@@ -97,15 +97,6 @@ func (m *Manager) Purposes() []string {
 	return out
 }
 
-// Covers reports whether an authorization for purpose allowed covers a
-// request for purpose requested: equal, or requested is a descendant of
-// allowed.
-func (m *Manager) Covers(allowed, requested string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.coversLocked(allowed, requested)
-}
-
 func (m *Manager) coversLocked(allowed, requested string) bool {
 	if _, ok := m.purposes[allowed]; !ok {
 		return false

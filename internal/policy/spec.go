@@ -192,16 +192,6 @@ type Threshold struct {
 	Action string
 }
 
-// HasRole reports whether the spec declares role name.
-func (s *Spec) HasRole(name string) bool {
-	for _, r := range s.Roles {
-		if r == name {
-			return true
-		}
-	}
-	return false
-}
-
 // RoleSet returns the declared roles as a set.
 func (s *Spec) RoleSet() map[string]bool {
 	set := make(map[string]bool, len(s.Roles))

@@ -162,17 +162,6 @@ func (s *Store) ImmediateJuniors(r RoleID) ([]RoleID, error) {
 	return rs.juniors.sorted(), nil
 }
 
-// ImmediateSeniors returns the direct seniors of r, sorted.
-func (s *Store) ImmediateSeniors(r RoleID) ([]RoleID, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	rs, ok := s.roles[r]
-	if !ok {
-		return nil, fmt.Errorf("role %q: %w", r, ErrNotFound)
-	}
-	return rs.seniors.sorted(), nil
-}
-
 // Descendants returns r plus every role r inherits from (junior
 // closure), sorted.
 func (s *Store) Descendants(r RoleID) ([]RoleID, error) {
@@ -182,15 +171,4 @@ func (s *Store) Descendants(r RoleID) ([]RoleID, error) {
 		return nil, fmt.Errorf("role %q: %w", r, ErrNotFound)
 	}
 	return s.juniorsClosureLocked(r).sorted(), nil
-}
-
-// Ascendants returns r plus every role that inherits from r (senior
-// closure), sorted.
-func (s *Store) Ascendants(r RoleID) ([]RoleID, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, ok := s.roles[r]; !ok {
-		return nil, fmt.Errorf("role %q: %w", r, ErrNotFound)
-	}
-	return s.seniorsClosureLocked(r).sorted(), nil
 }

@@ -46,6 +46,8 @@ func (s *Store) Sessions() []SessionID {
 }
 
 // AssignedUsers returns the users directly assigned to role r.
+//
+//rbacvet:api ANSI INCITS 359 review function
 func (s *Store) AssignedUsers(r RoleID) ([]UserID, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -75,6 +77,8 @@ func (s *Store) AssignedRoles(u UserID) ([]RoleID, error) {
 
 // AuthorizedUsers returns the users assigned to r or to any senior of r
 // (hierarchical review function).
+//
+//rbacvet:api ANSI INCITS 359 review function
 func (s *Store) AuthorizedUsers(r RoleID) ([]UserID, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -119,6 +123,8 @@ func (s *Store) RolePermissions(r RoleID) ([]Permission, error) {
 
 // EffectivePermissions returns the permissions of r plus everything
 // inherited from its juniors (hierarchical review function).
+//
+//rbacvet:api ANSI INCITS 359 review function
 func (s *Store) EffectivePermissions(r RoleID) ([]Permission, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -136,6 +142,8 @@ func (s *Store) EffectivePermissions(r RoleID) ([]Permission, error) {
 
 // UserPermissions returns every permission u can obtain through some
 // authorized role.
+//
+//rbacvet:api ANSI INCITS 359 review function
 func (s *Store) UserPermissions(u UserID) ([]Permission, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -165,6 +173,8 @@ func (s *Store) SessionRoles(sid SessionID) ([]RoleID, error) {
 
 // SessionPermissions returns the permissions available to the session
 // through its active roles (including inherited permissions).
+//
+//rbacvet:api ANSI INCITS 359 review function
 func (s *Store) SessionPermissions(sid SessionID) ([]Permission, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -199,6 +209,8 @@ func (s *Store) SessionsWithRole(r RoleID) []SessionID {
 }
 
 // UserSessions returns the live sessions owned by u.
+//
+//rbacvet:api ANSI INCITS 359 review function
 func (s *Store) UserSessions(u UserID) ([]SessionID, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -139,32 +139,6 @@ func (s *Store) CheckSessionRole(sid SessionID, r RoleID) bool {
 	return ok && sess.active.has(r)
 }
 
-// CheckRoleCardinality is the paper's CardinalityR1(INCR) predicate
-// half: it reports whether one more activation of r stays within the
-// role's cardinality bound.
-func (s *Store) CheckRoleCardinality(r RoleID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	rs, ok := s.roles[r]
-	if !ok {
-		return false
-	}
-	return rs.cardinality == 0 || rs.activeCount < rs.cardinality
-}
-
-// CheckUserActiveBudget reports whether the session can hold one more
-// active role under the owner's max-active-roles bound.
-func (s *Store) CheckUserActiveBudget(sid SessionID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sess, ok := s.sessions[sid]
-	if !ok {
-		return false
-	}
-	limit := s.maxActiveRoles[sess.user]
-	return limit == 0 || len(sess.active) < limit
-}
-
 // RoleActiveCount reports how many sessions have r active.
 func (s *Store) RoleActiveCount(r RoleID) int {
 	s.mu.RLock()

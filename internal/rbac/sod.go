@@ -124,13 +124,6 @@ func (s *Store) SSDSets() []SoDSet {
 	return copySets(s.ssd)
 }
 
-// DSDSets returns the dynamic SoD relations, sorted by name.
-func (s *Store) DSDSets() []SoDSet {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return copySets(s.dsd)
-}
-
 func copySets(m map[string]*SoDSet) []SoDSet {
 	out := make([]SoDSet, 0, len(m))
 	for _, set := range m {

@@ -125,10 +125,6 @@ func StartReplica(opts ReplicaOptions) (*Replica, error) {
 // snapshot (0 before the first sync).
 func (r *Replica) AppliedEpoch() uint64 { return r.applied.Load() }
 
-// LeaderEpoch reports the newest leader push epoch this replica has
-// observed (via SUBSCRIBE, pushes, or sync responses).
-func (r *Replica) LeaderEpoch() uint64 { return r.leaderEpoch.Load() }
-
 // Lag reports the epoch distance between the observed leader epoch and
 // the applied one.
 func (r *Replica) Lag() uint64 {

@@ -515,13 +515,3 @@ func (e *Engine) Quiesce() { e.det.Quiesce() }
 func (e *Engine) Notify(eventName string, params event.Params) error {
 	return e.det.Raise(eventName, params)
 }
-
-// Summary describes the engine's contents for tools.
-func (e *Engine) Summary() string {
-	st := e.det.Stats()
-	c := e.store.Count()
-	var b strings.Builder
-	fmt.Fprintf(&b, "events=%d rules=%d users=%d roles=%d sessions=%d",
-		st.Events, e.pool.Len(), c.Users, c.Roles, c.Sessions)
-	return b.String()
-}

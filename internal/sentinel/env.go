@@ -1,7 +1,6 @@
 package sentinel
 
 import (
-	"sort"
 	"sync"
 )
 
@@ -46,16 +45,4 @@ func (e *Env) Match(key, want string) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.vals[key] == want && want != ""
-}
-
-// Keys lists the set context keys, sorted.
-func (e *Env) Keys() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.vals))
-	for k := range e.vals {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -29,16 +29,6 @@ func TestEnvSetGetMatch(t *testing.T) {
 	}
 }
 
-func TestEnvKeys(t *testing.T) {
-	env := NewEnv()
-	env.Set("b", "1")
-	env.Set("a", "2")
-	keys := env.Keys()
-	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
-		t.Fatalf("Keys = %v", keys)
-	}
-}
-
 func TestEngineEnvAndClock(t *testing.T) {
 	e, sim := newEngine()
 	if e.Env() == nil {

@@ -38,6 +38,8 @@ type ReactiveObject struct {
 }
 
 // NewReactiveObject registers a reactive object with the detector.
+//
+//rbacvet:api Sentinel+ reactive objects (DESIGN §1); paper_rules_test.go drives the paper's rules through them
 func NewReactiveObject(det *event.Detector, name string) *ReactiveObject {
 	return &ReactiveObject{name: name, det: det, methods: make(map[string]struct{})}
 }
@@ -47,6 +49,8 @@ func (o *ReactiveObject) Name() string { return o.name }
 
 // DesignateMethod marks method as a primitive event generator and
 // defines the corresponding event.
+//
+//rbacvet:api Sentinel+ reactive objects (DESIGN §1); paper_rules_test.go drives the paper's rules through them
 func (o *ReactiveObject) DesignateMethod(method string) error {
 	if method == "" {
 		return fmt.Errorf("sentinel: empty method name on %q", o.name)
@@ -61,6 +65,8 @@ func (o *ReactiveObject) DesignateMethod(method string) error {
 }
 
 // Methods lists the designated methods, sorted.
+//
+//rbacvet:api Sentinel+ reactive objects (DESIGN §1); paper_rules_test.go drives the paper's rules through them
 func (o *ReactiveObject) Methods() []string {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
@@ -75,6 +81,8 @@ func (o *ReactiveObject) Methods() []string {
 // Invoke calls a designated method: it raises the method's primitive
 // event with the given parameters. Invoking a non-designated method is
 // an error (the object has no event interface for it).
+//
+//rbacvet:api Sentinel+ reactive objects (DESIGN §1); paper_rules_test.go drives the paper's rules through them
 func (o *ReactiveObject) Invoke(method string, params event.Params) error {
 	o.mu.RLock()
 	_, ok := o.methods[method]
@@ -93,6 +101,8 @@ type Notifiable interface {
 
 // NotifyOn subscribes a notifiable object to an event and returns the
 // subscription id.
+//
+//rbacvet:api Sentinel+ reactive objects (DESIGN §1); paper_rules_test.go drives the paper's rules through them
 func NotifyOn(det *event.Detector, eventName string, n Notifiable) (int, error) {
 	return det.Subscribe(eventName, n.Notify)
 }

@@ -7,7 +7,9 @@
 // keeps the driver a plain parse-and-walk with no importer. Each pass
 // receives one package (a directory of non-test files) at a time,
 // together with its module-relative path so package-scoped invariants
-// ("no time.Now in internal/sentinel") can key off it.
+// ("no time.Now in internal/sentinel") can key off it. A module-wide
+// pass (unused) sees every package at once, test files included, and
+// runs only when the whole module was loaded.
 package vet
 
 import (
@@ -15,6 +17,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -29,6 +32,9 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports violations through the pass.
 	Run func(*Pass)
+	// Module, set instead of Run, inspects every package of the module
+	// at once and returns its violations.
+	Module func([]Package) []Diagnostic
 }
 
 // Pass is the per-package execution context handed to an Analyzer.
@@ -73,21 +79,32 @@ type Package struct {
 	Path string
 	// Fset positions the files.
 	Fset *token.FileSet
-	// Files are the parsed non-test sources.
+	// Files are the parsed non-test sources; per-package passes see
+	// only these.
 	Files []*ast.File
+	// Tests are the parsed _test.go sources.
+	Tests []*ast.File
 }
 
 // Analyzers returns the repo's invariant checks.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{EngineClock, ObsNil, SnapImmut, BatchSnap, PoolReturn}
+	return []*Analyzer{EngineClock, ObsNil, SnapImmut, BatchSnap, PoolReturn, Unused}
 }
 
 // Run executes the analyzers over the packages and returns every
-// diagnostic, sorted by position.
-func Run(pkgs []Package, analyzers []*Analyzer) []Diagnostic {
+// diagnostic, sorted by position. whole says the packages are the
+// entire module; module-wide analyzers run only then, since on a
+// partial load a use may sit in a package that was not loaded.
+func Run(pkgs []Package, analyzers []*Analyzer, whole bool) []Diagnostic {
 	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
+	for _, a := range analyzers {
+		if a.Module != nil {
+			if whole {
+				diags = append(diags, a.Module(pkgs)...)
+			}
+			continue
+		}
+		for _, pkg := range pkgs {
 			a.Run(&Pass{Analyzer: a, Fset: pkg.Fset, Path: pkg.Path, Files: pkg.Files, diags: &diags})
 		}
 	}
@@ -104,42 +121,90 @@ func Run(pkgs []Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-// LoadPackage parses the non-test .go files of dir into a Package with
-// the given module-relative path. ok is false when the directory holds
-// no non-test Go files.
-func LoadPackage(dir, rel string) (Package, bool, error) {
+// Load resolves the argument patterns against the module root into
+// parsed packages. A trailing "/..." recurses; a plain path names one
+// directory. Paths are resolved against the root, not the working
+// directory, so package-relative invariants key correctly no matter
+// where rbacvet runs from. whole is true when a pattern covered the
+// whole module ("./...").
+func Load(root string, patterns []string) (pkgs []Package, whole bool, err error) {
+	seen := map[string]bool{}
+	for _, pat := range patterns {
+		recursive := false
+		if p, ok := strings.CutSuffix(pat, "/..."); ok {
+			recursive, pat = true, p
+		}
+		if pat == "" || pat == "." {
+			pat = root
+		}
+		if !filepath.IsAbs(pat) {
+			pat = filepath.Join(root, pat)
+		}
+		whole = whole || recursive && pat == root
+		dirs := []string{pat}
+		if recursive {
+			dirs = nil
+			err := filepath.WalkDir(pat, func(path string, d fs.DirEntry, err error) error {
+				if err != nil {
+					return err
+				}
+				if !d.IsDir() {
+					return nil
+				}
+				name := d.Name()
+				if path != pat && (strings.HasPrefix(name, ".") || name == "testdata" || name == "vendor") {
+					return filepath.SkipDir
+				}
+				dirs = append(dirs, path)
+				return nil
+			})
+			if err != nil {
+				return nil, false, err
+			}
+		}
+		for _, dir := range dirs {
+			rel, err := filepath.Rel(root, dir)
+			if err != nil || seen[rel] {
+				continue
+			}
+			seen[rel] = true
+			pkg, ok, err := loadPackage(dir, filepath.ToSlash(rel))
+			if err != nil {
+				return nil, false, err
+			}
+			if ok {
+				pkgs = append(pkgs, pkg)
+			}
+		}
+	}
+	return pkgs, whole, nil
+}
+
+// loadPackage parses the .go files of dir into a Package with the given
+// module-relative path, test files apart. ok is false when the
+// directory holds no Go files.
+func loadPackage(dir, rel string) (Package, bool, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return Package{}, false, err
 	}
-	fset := token.NewFileSet()
-	var files []*ast.File
+	pkg := Package{Path: rel, Fset: token.NewFileSet()}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, err := parser.ParseFile(pkg.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return Package{}, false, err
 		}
-		files = append(files, f)
+		if strings.HasSuffix(name, "_test.go") {
+			pkg.Tests = append(pkg.Tests, f)
+		} else {
+			pkg.Files = append(pkg.Files, f)
+		}
 	}
-	if len(files) == 0 {
-		return Package{}, false, nil
-	}
-	return Package{Path: rel, Fset: fset, Files: files}, true, nil
-}
-
-// ParseSource builds a single-file Package from source text — the test
-// entry point.
-func ParseSource(rel, filename, src string) (Package, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
-	if err != nil {
-		return Package{}, err
-	}
-	return Package{Path: rel, Fset: fset, Files: []*ast.File{f}}, nil
+	return pkg, len(pkg.Files)+len(pkg.Tests) > 0, nil
 }
 
 // importName returns the local identifier the file binds the given

@@ -1,6 +1,11 @@
 package vet
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -13,7 +18,18 @@ func runOn(t *testing.T, a *Analyzer, rel, src string) []Diagnostic {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return Run([]Package{pkg}, []*Analyzer{a})
+	return Run([]Package{pkg}, []*Analyzer{a}, false)
+}
+
+// ParseSource builds a single-file Package from source text — the test
+// entry point.
+func ParseSource(rel, filename, src string) (Package, error) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
+	if err != nil {
+		return Package{}, err
+	}
+	return Package{Path: rel, Fset: fset, Files: []*ast.File{f}}, nil
 }
 
 func wantDiags(t *testing.T, diags []Diagnostic, want int) {
@@ -492,9 +508,183 @@ func TestAnalyzersRegistry(t *testing.T) {
 	for _, a := range Analyzers() {
 		names[a.Name] = true
 	}
-	for _, want := range []string{"engineclock", "obsnil", "snapimmut", "batchsnap", "poolreturn"} {
+	for _, want := range []string{"engineclock", "obsnil", "snapimmut", "batchsnap", "poolreturn", "unused"} {
 		if !names[want] {
 			t.Errorf("registry missing analyzer %q", want)
+		}
+	}
+}
+
+// --- unused --------------------------------------------------------
+
+// parsePkg parses files (name → source) into one Package at path rel;
+// names ending in _test.go become its tests.
+func parsePkg(t *testing.T, rel string, files map[string]string) Package {
+	t.Helper()
+	pkg := Package{Path: rel, Fset: token.NewFileSet()}
+	for name, src := range files {
+		f, err := parser.ParseFile(pkg.Fset, rel+"/"+name, src, parser.ParseComments)
+		if err != nil {
+			t.Fatalf("parse %s: %v", name, err)
+		}
+		if strings.HasSuffix(name, "_test.go") {
+			pkg.Tests = append(pkg.Tests, f)
+		} else {
+			pkg.Files = append(pkg.Files, f)
+		}
+	}
+	return pkg
+}
+
+func runUnusedOn(t *testing.T, pkgs ...Package) []Diagnostic {
+	t.Helper()
+	return Run(pkgs, []*Analyzer{Unused}, true)
+}
+
+// TestUnusedFlagsDeadExports: every kind of exported declaration that
+// nothing references is reported; one a non-test file uses is not, and
+// packages outside internal/ and client/ are out of scope.
+func TestUnusedFlagsDeadExports(t *testing.T) {
+	lib := parsePkg(t, "internal/lib", map[string]string{"lib.go": `package lib
+
+func Live() {}
+
+func Dead() {}
+
+type DeadType int
+
+const DeadConst = 1
+
+var DeadVar int
+
+type T struct{}
+
+func (T) DeadMethod() {}
+`})
+	cmd := parsePkg(t, "cmd/tool", map[string]string{"main.go": `package main
+
+import "activerbac/internal/lib"
+
+func main() { lib.Live(); var _ lib.T }
+
+func Exported() {}
+`})
+	diags := runUnusedOn(t, lib, cmd)
+	wantDiags(t, diags, 5)
+	for i, want := range []string{"func Dead ", "type DeadType ", "const DeadConst ", "var DeadVar ", "method T.DeadMethod "} {
+		if !strings.Contains(diags[i].Message, want) || !strings.Contains(diags[i].Message, "delete it") {
+			t.Errorf("diagnostic %d = %q, want %q flagged for deletion", i, diags[i].Message, want)
+		}
+	}
+}
+
+// TestUnusedOwnTestsAreNoUse: an export only its own package's tests
+// reference is flagged, to be moved into a _test.go file; a test in
+// another directory cannot move there, so its reference counts.
+func TestUnusedOwnTestsAreNoUse(t *testing.T) {
+	lib := parsePkg(t, "internal/lib", map[string]string{
+		"lib.go": `package lib
+
+func Helper() int { return 1 }
+
+func Fixture() int { return 2 }
+`,
+		"lib_test.go": `package lib
+
+import "testing"
+
+func TestHelper(t *testing.T) { _ = Helper() }
+`})
+	other := parsePkg(t, "client", map[string]string{"client_test.go": `package client
+
+import (
+	"testing"
+
+	"activerbac/internal/lib"
+)
+
+func TestFixture(t *testing.T) { _ = lib.Fixture() }
+`})
+	diags := runUnusedOn(t, lib, other)
+	wantDiags(t, diags, 1)
+	if !strings.Contains(diags[0].Message, "func Helper ") || !strings.Contains(diags[0].Message, "_test.go") {
+		t.Errorf("diagnostic = %q, want Helper moved into a _test.go file", diags[0].Message)
+	}
+}
+
+// TestUnusedHonorsAPIAnnotation: //rbacvet:api with a reason keeps a
+// declaration nothing calls; the bare marker is itself reported.
+func TestUnusedHonorsAPIAnnotation(t *testing.T) {
+	lib := parsePkg(t, "internal/rbac", map[string]string{"review.go": `package rbac
+
+// AssignedUsers is an ANSI review function.
+//
+//rbacvet:api ANSI INCITS 359 review function
+func AssignedUsers() {}
+
+//rbacvet:api
+func Unexplained() {}
+`})
+	diags := runUnusedOn(t, lib)
+	wantDiags(t, diags, 1)
+	if !strings.Contains(diags[0].Message, "Unexplained needs a reason") {
+		t.Errorf("diagnostic = %q, want the bare marker reported", diags[0].Message)
+	}
+}
+
+// TestUnusedExemptsStdlibInterfaceMethods: Less and MarshalJSON are
+// reached through sort.Interface and json.Marshaler, never by name.
+func TestUnusedExemptsStdlibInterfaceMethods(t *testing.T) {
+	lib := parsePkg(t, "internal/lib", map[string]string{"lib.go": `package lib
+
+import "sort"
+
+type Set []int
+
+func (s Set) Len() int           { return len(s) }
+func (s Set) Less(i, j int) bool { return s[i] < s[j] }
+func (s Set) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+
+func (s Set) MarshalJSON() ([]byte, error) { return nil, nil }
+
+func sorted(s Set) Set { sort.Sort(s); return s }
+
+var _ = sorted
+`})
+	wantDiags(t, runUnusedOn(t, lib), 0)
+}
+
+// TestUnusedRunsOnlyOnWholeModule: on a partial load (rbacvet
+// ./internal/wire) a use may sit in a package that was not loaded, so
+// the pass reports nothing; on ./... it reports the dead export.
+func TestUnusedRunsOnlyOnWholeModule(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, src string) {
+		path := filepath.Join(root, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module m\n")
+	write("internal/wire/wire.go", "package wire\n\nfunc Dead() {}\n")
+	write("internal/wire/wire_test.go", "package wire\n")
+	for _, tc := range []struct {
+		pattern string
+		whole   bool
+		diags   int
+	}{{"./internal/wire", false, 0}, {"./internal/...", false, 0}, {"./...", true, 1}} {
+		pkgs, whole, err := Load(root, []string{tc.pattern})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if whole != tc.whole {
+			t.Errorf("%s: whole = %v, want %v", tc.pattern, whole, tc.whole)
+		}
+		if diags := Run(pkgs, Analyzers(), whole); len(diags) != tc.diags {
+			t.Errorf("%s: %d diagnostics, want %d: %v", tc.pattern, len(diags), tc.diags, diags)
 		}
 	}
 }

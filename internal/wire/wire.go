@@ -507,19 +507,6 @@ const (
 	cacheVerdictCacheable byte = 1 << 1
 )
 
-// AppendCacheVerdict appends a CacheFlag CHECK response payload: one
-// byte with bit 0 allow, bit 1 cacheable.
-func AppendCacheVerdict(dst []byte, allowed, cacheable bool) []byte {
-	var v byte
-	if allowed {
-		v |= cacheVerdictAllow
-	}
-	if cacheable {
-		v |= cacheVerdictCacheable
-	}
-	return append(dst, v)
-}
-
 // ConsumeCacheVerdict decodes a CacheFlag CHECK response payload.
 func ConsumeCacheVerdict(b []byte) (allowed, cacheable bool, err error) {
 	if len(b) != 1 || b[0] > cacheVerdictAllow|cacheVerdictCacheable {
